@@ -1,15 +1,17 @@
-"""Exact integer kernel: square tests, Jacobi symbols, factorization, orders.
+"""Exact integer kernel: square tests, Jacobi symbols, factoring, orders, prime tables.
 
 Factorization is deterministic end to end (fixed Miller-Rabin bases, fixed
 Pollard rho parameter schedule), so identical inputs always factor along the
-identical path.  Everything here is pure and shareable across threads.
+identical path.  Everything here is shareable across threads.
 """
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
+
+import numpy as np
 
 __all__ = [
     "Factorization",
@@ -18,7 +20,9 @@ __all__ = [
     "is_perfect_square",
     "jacobi",
     "is_prime",
+    "FactorTable",
     "primes_up_to",
+    "primes_through",
     "factorize",
     "largest_prime_factor",
     "multiplicative_order",
@@ -27,6 +31,7 @@ __all__ = [
 ]
 
 U64_MAX = 2**64 - 1
+TABLE_LIMIT = 10**8  # largest table limit; checked before anything is allocated
 
 # Sufficient for every n < 3_317_044_064_679_887_385_961_981, far past 64 bits.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -132,17 +137,85 @@ def is_prime(n: int) -> bool:
 
 def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit by an odd-only Eratosthenes sieve."""
+    if limit > TABLE_LIMIT:
+        raise ValueError(f"primes_up_to: limit {limit} exceeds the table cap {TABLE_LIMIT}")
     if limit < 2:
         return []
     half = (limit - 1) // 2  # flags[i] stands for 2i+1
     flags = bytearray([1]) * (half + 1)
     flags[0] = 0
-    for i in range(1, (isqrt(limit) + 1) // 2 + 1):
+    for i in range(1, (isqrt(limit) - 1) // 2 + 1):  # odd p = 2i+1 <= sqrt(limit)
         if flags[i]:
             p = 2 * i + 1
             start = (p * p - 1) // 2
             flags[start::p] = bytearray(len(range(start, half + 1, p)))
     return [2] + [2 * i + 1 for i in range(1, half + 1) if flags[i]]
+
+
+_sieved: tuple[int, list[int]] = (0, [])  # (limit sieved, primes <= limit)
+
+
+def primes_through(bound: int) -> list[int]:
+    """Primes <= bound, from one cache keyed on the limit sieved, not its largest prime."""
+    global _sieved
+    limit, primes = _sieved
+    if bound > limit:
+        primes = primes_up_to(bound)
+        _sieved = bound, primes
+    return primes[: bisect_right(primes, bound)]
+
+
+_chunked: tuple[int, tuple] = (0, ())  # (bound, chunks)
+
+
+def prime_chunks(bound: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Primes <= bound in chunks of 64 with their products, cached for the last bound."""
+    global _chunked
+    cached, chunks = _chunked
+    if bound != cached:
+        primes = tuple(primes_through(bound))
+        chunks = tuple((primes[i : i + 64], prod(primes[i : i + 64])) for i in range(0, len(primes), 64))
+        _chunked = bound, chunks
+    return chunks
+
+
+class FactorTable:
+    """Smallest prime factor of every n in [0, hi] (n itself when prime) in
+    one int32 array, read back as Python ints for big-integer code."""
+
+    def __init__(self, hi: int):
+        if hi > TABLE_LIMIT:
+            raise ValueError(f"FactorTable: limit {hi} exceeds the table cap {TABLE_LIMIT}")
+        self._spf = np.arange(hi + 1, dtype=np.int32)
+        for p in reversed(primes_up_to(isqrt(hi))):  # smaller primes overwrite
+            self._spf[p * p :: p] = p
+
+    def primes(self, lo: int = 2) -> list[int]:
+        """Primes in [lo, hi], ascending."""
+        lo = max(lo, 2)
+        prime = self._spf[lo:] == np.arange(lo, len(self._spf), dtype=np.int32)
+        return (np.flatnonzero(prime) + lo).tolist()
+
+    def factors(self, n: int) -> tuple[tuple[int, int], ...]:
+        """(prime, exponent) pairs of 2 <= n <= hi, ascending."""
+        read, out = self._spf.data, []
+        while n > 1:
+            p, e = read[n], 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        return tuple(out)
+
+    def totients(self) -> list[int]:
+        """phi(n) for every n in [0, hi], phi(0) = 0, from phi(n/p) with p = spf(n)."""
+        read = self._spf.data
+        phi = list(range(len(read)))
+        for n in range(2, len(read)):
+            p = read[n]
+            m = n // p
+            phi[n] = phi[m] * (p if m % p == 0 else p - 1)
+        return phi
 
 
 # Trial division strips everything below this before rho takes over; any n
@@ -228,6 +301,15 @@ def euler_phi(n: int) -> int:
     return phi
 
 
+def order_descent(lam: int, m: int, t: int, factors) -> int:
+    """Least d dividing t with lam^d = 1 mod m, given lam^t = 1 mod m and the
+    (prime, exponent) pairs of t: strip each prime while lam^(t/q) fixes 1."""
+    for q, _ in factors:
+        while t % q == 0 and pow(lam, t // q, m) == 1:
+            t //= q
+    return t
+
+
 def multiplicative_order(lam: int, m: int) -> OrderRecord:
     """Least t >= 1 with lam^t = 1 mod m, via divisor descent from phi(m).
 
@@ -242,10 +324,7 @@ def multiplicative_order(lam: int, m: int) -> OrderRecord:
     if gcd(lam, m) != 1:
         raise ValueError("multiplicative_order: base and modulus share a factor")
     t = euler_phi(m)
-    for q in factorize(t).primes if t > 1 else ():
-        while t % q == 0 and pow(lam, t // q, m) == 1:
-            t //= q
-    return OrderRecord(lam, m, t)
+    return OrderRecord(lam, m, order_descent(lam, m, t, factorize(t).factors if t > 1 else ()))
 
 
 def is_squarefree(n: int) -> bool:

@@ -9,11 +9,10 @@ squarefree kernel of u(n).
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import U64_MAX, is_perfect_square, is_squarefree, jacobi, primes_up_to
+from .arith import U64_MAX, is_perfect_square, is_squarefree, jacobi, prime_chunks, primes_through
 from .sequences import SequenceSpec, u_eval, u_eval_mod
 
 __all__ = [
@@ -36,16 +35,6 @@ _WITNESS_PRIMES = (
     10091, 10093, 10099, 10103, 10111, 10133, 10139, 10141,
 )
 
-_prime_cache: list[int] = []
-
-
-def _primes_through(bound: int) -> list[int]:
-    global _prime_cache
-    if not _prime_cache or _prime_cache[-1] < bound:
-        _prime_cache = primes_up_to(max(bound, 1 << 16))
-    return _prime_cache[: bisect_right(_prime_cache, bound)]
-
-
 @dataclass(frozen=True)
 class KernelResult:
     """Squarefree kernel of n as far as trial division to B can see.
@@ -61,9 +50,6 @@ class KernelResult:
     cofactor: int  # leftover: 1, a square, or a certified prime when complete
 
 
-_CHUNK = 64
-
-
 def squarefree_kernel(n: int, B: int) -> KernelResult:
     """Strip primes <= B to even multiplicity and classify what remains.
 
@@ -75,20 +61,11 @@ def squarefree_kernel(n: int, B: int) -> KernelResult:
         raise ValueError("squarefree_kernel: n must be positive")
     if B < 2:
         raise ValueError("squarefree_kernel: B must be >= 2")
-    primes = _primes_through(B)
     m = n
     small_kernel = 1
-    proven_prime = False
-    i = 0
-    while i < len(primes) and m > 1:
-        chunk = primes[i : i + _CHUNK]
-        i += _CHUNK
+    for chunk, prod in prime_chunks(B):
         if chunk[0] * chunk[0] > m:
-            proven_prime = True  # no factor below chunk[0] and chunk[0]^2 > m
-            break
-        prod = 1
-        for p in chunk:
-            prod *= p
+            break  # no factor below chunk[0] <= B, so m is 1 or a prime below B^2
         g = gcd(m % prod, prod)
         if g == 1:
             continue
@@ -102,8 +79,8 @@ def squarefree_kernel(n: int, B: int) -> KernelResult:
                     small_kernel *= p
     if m == 1 or is_perfect_square(m):
         return KernelResult(kernel=small_kernel, complete=True, small_part=small_kernel, cofactor=m if m > 1 else 1)
-    if proven_prime or m <= B * B:
-        # full-scan leftover below B^2 has no factor pair, also prime
+    if m <= B * B:
+        # a leftover below B^2 with no factor up to B is prime
         if m <= B:
             return KernelResult(kernel=small_kernel * m, complete=True, small_part=small_kernel * m, cofactor=1)
         return KernelResult(kernel=small_kernel * m, complete=True, small_part=small_kernel, cofactor=m)
@@ -203,15 +180,8 @@ def _fallback_matches(spec, n, u, small_kernel, S, B):
     # factors all exceed B, so enumerate those t directly.
     matches = []
     for t in range(B + 1, S // small_kernel + 1):
-        s = small_kernel * t
-        if s > S:
-            break
-        lpf_small = False
-        for p in _primes_through(min(B, isqrt(t))):
-            if t % p == 0:
-                lpf_small = True
-                break
-        if lpf_small:
+        s = small_kernel * t  # <= S, since t <= S // small_kernel
+        if any(t % p == 0 for p in primes_through(min(B, isqrt(t)))):
             continue
         if _s_times_u_is_square(spec, n, s, u):
             matches.append(s)

@@ -15,7 +15,7 @@ from math import gcd
 
 import numpy as np
 
-from .arith import is_prime, is_squarefree, jacobi, multiplicative_order, primes_up_to
+from .arith import is_prime, is_squarefree, jacobi, multiplicative_order, primes_through
 from .sequences import Polynomial, gcd_degree
 
 __all__ = [
@@ -323,7 +323,7 @@ def weil_scan(f: Polynomial, lam: int, p_max: int):
         raise ValueError("weil_scan: lam must be nonzero")
     rows = []
     coeffs = f.coefficients
-    for p in primes_up_to(p_max):
+    for p in primes_through(p_max):
         if p == 2 or lam % p == 0:
             continue
         period = multiplicative_order(lam, p).order

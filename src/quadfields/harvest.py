@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorize, is_prime, isqrt, largest_prime_factor, primes_up_to
+from .arith import FactorTable, euler_phi, is_prime, order_descent, primes_through
 
 __all__ = [
     "SievePrime",
@@ -65,26 +65,8 @@ class SievePrimeSet:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes in [lo, hi] by a segmented sieve over the window."""
-    if hi < lo or hi < 2:
-        return []
-    lo = max(lo, 2)
-    base = primes_up_to(isqrt(hi))
-    flags = bytearray([1]) * (hi - lo + 1)
-    for p in base:
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        for m in range(start, hi + 1, p):
-            flags[m - lo] = 0
-    return [lo + i for i, f in enumerate(flags) if f]
-
-
-def _order_from_factors(g: int, ell: int, fac) -> int:
-    # descent from ell-1 through the prime factors of ell-1
-    t = ell - 1
-    for q, _ in fac:
-        while t % q == 0 and pow(g, t // q, ell) == 1:
-            t //= q
-    return t
+    """Primes in [lo, hi], read from a factor table over [0, hi]."""
+    return FactorTable(max(hi, 0)).primes(lo)
 
 
 def build_prime_set(
@@ -107,15 +89,16 @@ def build_prime_set(
     if hi < lo:
         raise ValueError("build_prime_set: window [z, Cz] contains no integer")
     threshold = z**alpha
+    table = FactorTable(hi)
     members = []
-    for ell in primes_in_range(lo, hi):
+    for ell in table.primes(lo):
         if g % ell == 0:
             continue
-        fac = factorize(ell - 1).factors
+        fac = table.factors(ell - 1)
         p_plus = fac[-1][0]
         if p_plus < threshold:
             continue
-        order = _order_from_factors(g % ell, ell, fac)
+        order = order_descent(g % ell, ell, ell - 1, fac)
         if order < p_plus:
             continue
         large = order > ell / math.log(ell)
@@ -123,16 +106,6 @@ def build_prime_set(
             continue
         members.append(SievePrime(ell, p_plus, order, large))
     return SievePrimeSet(z, C, alpha, g, variant, tuple(members))
-
-
-def _gpf_sieve(limit: int) -> list[int]:
-    # gpf[n] = greatest prime factor of n (gpf[n] == n iff n prime), n >= 2
-    gpf = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if gpf[p] == p:
-            for m in range(2 * p, limit + 1, p):
-                gpf[m] = p
-    return gpf
 
 
 @dataclass(frozen=True)
@@ -162,46 +135,31 @@ def density_report(g: int, z: float, alpha: float) -> DensityReport:
     """Measure, over all primes ell <= z, how often P+(ell-1) >= ell^alpha
     and how often the order of g mod ell clears the same bar.
 
-    Factorizations of ell-1 come from one greatest-prime-factor sieve pass,
-    not per-number factoring.
+    Factorizations of ell-1 come from one smallest-prime-factor table, not
+    per-number factoring.
     """
     if z < 10**3:
         raise ValueError("density_report: z must be >= 10^3")
     if not 0.5 <= alpha < 1:
         raise ValueError("density_report: alpha must lie in [1/2, 1)")
-    limit = math.floor(z)
-    gpf = _gpf_sieve(limit)
-    primes_counted = count_alpha = count_order = 0
-    for ell in range(2, limit + 1):
-        if gpf[ell] != ell:
-            continue
-        primes_counted += 1
-        if ell == 2:
-            continue
+    table = FactorTable(math.floor(z))
+    primes = table.primes()
+    count_alpha = count_order = 0
+    for ell in primes[1:]:  # ell = 2 counts in the denominator only
         bar = ell**alpha
-        if gpf[ell - 1] >= bar:
+        fac = table.factors(ell - 1)
+        if fac[-1][0] >= bar:
             count_alpha += 1
-        if g % ell == 0:
-            continue
-        # factor ell-1 off the sieve, then the usual order descent
-        n, fac = ell - 1, []
-        while n > 1:
-            p = gpf[n]
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            fac.append((p, e))
-        if _order_from_factors(g % ell, ell, fac) >= bar:
+        if g % ell and order_descent(g % ell, ell, ell - 1, fac) >= bar:
             count_order += 1
     return DensityReport(
         z=z,
         alpha=alpha,
         g=g,
-        primes_counted=primes_counted,
+        primes_counted=len(primes),
         count_alpha=count_alpha,
         count_order=count_order,
-        ratio_alpha=count_alpha / primes_counted,
+        ratio_alpha=count_alpha / len(primes),
         dickman_reference=dickman_reference(alpha),
     )
 
@@ -213,14 +171,12 @@ def pi_progression(t: float, m: int, a: int) -> int:
     if not 1 <= m <= t:
         raise ValueError("pi_progression: need 1 <= m <= t")
     a %= m
-    return sum(1 for p in primes_up_to(math.floor(t)) if p % m == a)
+    return sum(1 for p in primes_through(math.floor(t)) if p % m == a)
 
 
 def bt_ratio(t: float, m: int, a: int) -> float:
     """Companion ratio pi(t;m,a) * phi(m) * log(t) / t for the
     Brun-Titchmarsh comparison."""
-    from .arith import euler_phi
-
     return pi_progression(t, m, a) * euler_phi(m) * math.log(t) / t
 
 
@@ -233,15 +189,9 @@ def euler_sum(t: float) -> float:
     """
     if t < 2:
         raise ValueError("euler_sum: t must be >= 2")
-    limit = math.floor(t)
-    # phi for all n <= limit by a sieve pass
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime
-            for m in range(p, limit + 1, p):
-                phi[m] -= phi[m] // p
+    phi = FactorTable(math.floor(t)).totients()
     return math.fsum(
-        float(Fraction(n, phi[n] * phi[n])) for n in range(1, limit + 1)
+        float(Fraction(n, phi[n] * phi[n])) for n in range(1, len(phi))
     )
 
 

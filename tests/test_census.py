@@ -1,9 +1,13 @@
 import json
+import math
 import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quadfields import arith, census
 from quadfields.arith import is_perfect_square, is_squarefree
 from quadfields.census import (
     count_Q,
@@ -182,3 +186,41 @@ def test_squarefree_kernel_reconstruction_seeded():
             assert is_squarefree(k.kernel)
         else:
             assert k.cofactor > 10**4 and not is_perfect_square(k.cofactor)
+
+
+def test_kernel_primes_sieved_once(monkeypatch):
+    # B = 10^6 is composite and the largest prime below it is 999983, so a
+    # cache keyed on its largest prime re-sieved on every kernel call
+    real = arith.primes_up_to
+    sieved = []
+
+    def counting(limit):
+        sieved.append(limit)
+        return real(limit)
+
+    for mod in (arith, census):
+        if getattr(mod, "primes_up_to", None) is real:
+            monkeypatch.setattr(mod, "primes_up_to", counting)
+    monkeypatch.setattr(arith, "_sieved", (0, []), raising=False)
+    monkeypatch.setattr(arith, "_chunked", (0, ()), raising=False)
+    n = 17 * sympy.nextprime(10**7) ** 3
+    for B in (10**6, 10**6, 5000):
+        squarefree_kernel(n, B)
+    assert len(sieved) <= 1, sieved
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(2, 3000), max_size=8), st.integers(1, 10**12),
+       st.sampled_from([2, 97, 1000, 5000, 10**5]))
+def test_squarefree_kernel_matches_sympy(small, big, B):
+    n = math.prod(small) * big
+    fac = sympy.factorint(n)
+    k = squarefree_kernel(n, B)
+    smooth_kernel = math.prod(p for p, e in fac.items() if p <= B and e % 2)
+    rough = math.prod(p**e for p, e in fac.items() if p > B)
+    assert k.small_part == smooth_kernel
+    if k.complete:
+        assert k.kernel == math.prod(p for p, e in fac.items() if e % 2)
+    else:
+        assert k.cofactor == rough and not is_perfect_square(rough)
+        assert k.kernel == smooth_kernel * (B + 1)

@@ -1,0 +1,188 @@
+"""The prime and factor tables in arith, against sympy and against the
+per-number harvest they replaced.
+
+The scalar harvest below factors every ell-1 with arith.factorize and takes
+orders from arith.multiplicative_order, one number at a time; the table
+versions must agree with it member for member.
+"""
+
+import math
+import time
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from quadfields import arith, cli
+from quadfields.arith import (
+    TABLE_LIMIT,
+    FactorTable,
+    factorize,
+    is_prime,
+    multiplicative_order,
+    primes_through,
+    primes_up_to,
+)
+from quadfields.harvest import (
+    SievePrime,
+    build_prime_set,
+    density_report,
+    euler_sum,
+    primes_in_range,
+)
+
+windows = st.integers(-3, 5000).flatmap(
+    lambda lo: st.tuples(st.just(lo), st.integers(lo - 20, lo + 3000))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(windows)
+@example((2, 2))
+@example((0, 1))
+@example((5, 4))
+@example((9973, 9973))
+def test_table_primes_match_sympy(window):
+    lo, hi = window
+    want = list(sympy.primerange(lo, hi + 1))
+    assert primes_in_range(lo, hi) == want
+    if hi >= 0:
+        assert FactorTable(hi).primes(lo) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10**5))
+def test_table_single_prime_windows(n):
+    p = sympy.nextprime(n)
+    assert primes_in_range(p, p) == [p]
+    assert primes_in_range(p + 1, sympy.nextprime(p) - 1) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3 * 10**5))
+def test_primes_through_matches_sympy(bound):
+    # successive examples both grow the shared cache and slice below it
+    assert primes_through(bound) == list(sympy.primerange(2, bound + 1))
+
+
+def test_primes_through_sieves_once_per_limit(monkeypatch):
+    real = arith.primes_up_to
+    sieved = []
+
+    def counting(limit):
+        sieved.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(arith, "primes_up_to", counting)
+    monkeypatch.setattr(arith, "_sieved", (0, []))
+    for bound in (10**6, 10**6, 5000, 10**6, 10**6 + 1):
+        primes_through(bound)
+    assert sieved == [10**6, 10**6 + 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 10**6), st.integers(0, 400))
+def test_table_factors_match_sympy(lo, width):
+    table = FactorTable(lo + width)
+    for n in range(lo, lo + width + 1):
+        fac = table.factors(n)
+        assert dict(fac) == sympy.factorint(n)
+        assert [p for p, _ in fac] == sorted(p for p, _ in fac)
+        assert all(type(p) is int and type(e) is int for p, e in fac)
+
+
+def _scalar_prime_set(g, z, C, alpha, variant):
+    lo, hi = math.ceil(z), math.floor(C * z)
+    members = []
+    for ell in range(lo, hi + 1):
+        if not is_prime(ell) or g % ell == 0:
+            continue
+        p_plus = factorize(ell - 1).factors[-1][0]
+        if p_plus < z**alpha:
+            continue
+        order = multiplicative_order(g, ell).order
+        if order < p_plus:
+            continue
+        large = order > ell / math.log(ell)
+        if variant == "erh" and not large:
+            continue
+        members.append(SievePrime(ell, p_plus, order, large))
+    return tuple(members)
+
+
+@pytest.mark.parametrize("variant", ["standard", "erh"])
+@pytest.mark.parametrize("g", [2, 3, 10, 12])
+@pytest.mark.parametrize("z,C,alpha", [
+    (10.0, 2.0, 0.677), (50.0, 2.0, 0.677), (100.0, 3.0, 0.6),
+    (1000.0, 2.0, 0.677), (4999.5, 1.5, 0.8),
+])
+def test_build_prime_set_matches_scalar_harvest(g, z, C, alpha, variant):
+    got = build_prime_set(g, z, C, alpha, variant).members
+    assert got == _scalar_prime_set(g, z, C, alpha, variant)
+
+
+def _scalar_density(g, z, alpha):
+    primes = [p for p in range(2, math.floor(z) + 1) if is_prime(p)]
+    count_alpha = count_order = 0
+    for ell in primes[1:]:
+        bar = ell**alpha
+        if factorize(ell - 1).factors[-1][0] >= bar:
+            count_alpha += 1
+        if g % ell and multiplicative_order(g, ell).order >= bar:
+            count_order += 1
+    return len(primes), count_alpha, count_order
+
+
+@pytest.mark.parametrize("g,z,alpha", [
+    (2, 1000, 0.677), (3, 5000.5, 0.5), (10, 20000, 0.9), (6, 20000, 0.677),
+])
+def test_density_report_matches_scalar_harvest(g, z, alpha):
+    rep = density_report(g, z, alpha)
+    assert (rep.primes_counted, rep.count_alpha, rep.count_order) == \
+        _scalar_density(g, z, alpha)
+
+
+_TOTIENTS = [0] + [int(sympy.totient(n)) for n in range(1, 3001)]
+
+
+def test_table_totients_match_sympy():
+    assert FactorTable(3000).totients() == _TOTIENTS
+    assert FactorTable(2).totients() == [0, 1, 1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 3000))
+@example(2)
+@example(4)
+def test_euler_sum_matches_exact_sum(t):
+    terms = [Fraction(n, _TOTIENTS[n] ** 2) for n in range(1, t + 1)]
+    got = euler_sum(t)
+    assert got == math.fsum(float(x) for x in terms)
+    exact = sum(terms)
+    # each term and the final fsum round once, 2^-53 relative apiece
+    assert abs(Fraction(got) - exact) <= exact / 2**51
+
+
+def test_table_limit_rejects_before_allocating():
+    before = arith._sieved
+    for build in (primes_up_to, primes_through, FactorTable):
+        with pytest.raises(ValueError, match="table cap"):
+            build(TABLE_LIMIT + 1)
+    assert arith._sieved is before
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "-f", "1,6,1", "-g", "2", "-N", "5", "-S", "100",
+     "--kernel-bound", "1000000000000"],
+    ["charsum", "-f", "2,0,0,1", "--lam", "2", "--scan", "--pmax", "1000000000000"],
+    ["primes", "-g", "2", "--z", "1e12"],
+    ["primes", "-g", "2", "--z", "1e12", "--density"],
+    ["sieve", "-f", "1,6,1", "-g", "2", "-N", "10", "--z", "1e12"],
+])
+def test_table_limit_exits_3_fast(argv, capsys):
+    t0 = time.perf_counter()
+    assert cli.main(argv) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "table cap" in capsys.readouterr().err
