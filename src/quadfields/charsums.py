@@ -15,8 +15,15 @@ from math import gcd
 
 import numpy as np
 
-from .arith import is_prime, is_squarefree, jacobi, multiplicative_order, primes_through
-from .sequences import Polynomial, gcd_degree
+from .arith import (
+    FactorTable,
+    is_prime,
+    is_squarefree,
+    jacobi,
+    multiplicative_order,
+    order_descent,
+)
+from .sequences import Polynomial, gcd_degree, orbit_symbols
 
 __all__ = [
     "FrequencySplit",
@@ -93,21 +100,16 @@ def _require_monic_separable(f: Polynomial, who: str) -> None:
 
 def _orbit_sum(f: Polynomial, lam: int, modulus: int, period: int, a: int) -> complex:
     # core summation, no hypothesis gates: sum over x=1..period of
-    # (f(lam^x)/modulus) e(a x / period)
+    # (f(lam^x)/modulus) e(a x / period); the a != 0 terms accumulate one at
+    # a time in x order, since a numpy sum would round differently
     a %= period
-    power = lam % modulus
+    syms = orbit_symbols(f, lam, (modulus,), period, start=1)[0]
     if a == 0:
-        acc = 0
-        for _ in range(period):
-            acc += jacobi(f.eval_mod(power, modulus), modulus)
-            power = power * lam % modulus
-        return complex(acc)
+        return complex(int(syms.sum()))
     acc = 0j
-    for x in range(1, period + 1):
-        sym = jacobi(f.eval_mod(power, modulus), modulus)
+    for x, sym in enumerate(syms.data, 1):  # Python ints, no list of the row
         if sym:
             acc += sym * cmath.exp(2j * cmath.pi * (a * x % period) / period)
-        power = power * lam % modulus
     return acc
 
 
@@ -154,22 +156,27 @@ def _pair_orders(f, lam, ell, p, who):
 
 def _symbol_cycles(f, A, lam, ell, p, t_ell, t_p):
     # J[x] = (f(A lam^x) / q) for x = 1..t_q; the sequence mod q has period
-    # t_q in x, so two short cycles replace every jacobi call mod ell*p.
-    cycles = []
-    for q, t in ((ell, t_ell), (p, t_p)):
-        power = A * lam % q
-        cyc = []
-        for _ in range(t):
-            cyc.append(jacobi(f.eval_mod(power, q), q))
-            power = power * lam % q
-        cycles.append(np.array(cyc, dtype=np.int64))
-    return cycles
+    # t_q in x, so two short cycles replace every symbol mod ell*p.
+    return [
+        orbit_symbols(f, lam, (q,), t, start=1, shift=A)[0].astype(np.int64)
+        for q, t in ((ell, t_ell), (p, t_p))
+    ]
 
 
 def _pair_terms(jl, jp, length):
     # term n (1-based) is jl[(n-1) % t_ell] * jp[(n-1) % t_p]
     idx = np.arange(length, dtype=np.int64)
     return jl[idx % len(jl)] * jp[idx % len(jp)]
+
+
+def _fourier_sum(cycle: np.ndarray, a: int) -> complex:
+    # sum over x = 1..t of cycle[x-1] e(a x / t); exact integers when t | a
+    t = len(cycle)
+    a %= t
+    if a == 0:
+        return complex(int(cycle.sum()))
+    x = np.arange(1, t + 1, dtype=np.int64)
+    return complex((cycle * np.exp(2j * np.pi * (a * x % t) / t)).sum())
 
 
 def complete_sum_pair(f: Polynomial, lam: int, ell: int, p: int, a: int) -> CharSumResult:
@@ -181,14 +188,7 @@ def complete_sum_pair(f: Polynomial, lam: int, ell: int, p: int, a: int) -> Char
     t_ell, t_p = _pair_orders(f, lam, ell, p, "complete_sum_pair")
     period = t_ell * t_p
     jl, jp = _symbol_cycles(f, 1, lam, ell, p, t_ell, t_p)
-    terms = _pair_terms(jl, jp, period)
-    a_red = a % period
-    if a_red == 0:
-        value = complex(int(terms.sum()))
-    else:
-        n = np.arange(1, period + 1, dtype=np.int64)
-        phases = np.exp(2j * np.pi * (a_red * n % period) / period)
-        value = complex((terms * phases).sum())
+    value = _fourier_sum(_pair_terms(jl, jp, period), a)
     return CharSumResult(
         value=value,
         modulus=ell * p,
@@ -200,31 +200,14 @@ def complete_sum_pair(f: Polynomial, lam: int, ell: int, p: int, a: int) -> Char
     )
 
 
-def _split_sum(cycle: np.ndarray, a: int) -> complex:
-    t = len(cycle)
-    a %= t
-    if a == 0:
-        return complex(int(cycle.sum()))
-    x = np.arange(1, t + 1, dtype=np.int64)
-    return complex((cycle * np.exp(2j * np.pi * (a * x % t) / t)).sum())
-
-
 def product_formula_residual(f: Polynomial, lam: int, ell: int, p: int, a: int) -> float:
     """|pair sum - product of split sums|; 0 exactly on the a=0 integer path,
     pure roundoff otherwise."""
     t_ell, t_p = _pair_orders(f, lam, ell, p, "product_formula_residual")
-    period = t_ell * t_p
     jl, jp = _symbol_cycles(f, 1, lam, ell, p, t_ell, t_p)
     split = split_frequencies(a, t_ell, t_p)
-    if a % period == 0:
-        lhs = int(_pair_terms(jl, jp, period).sum())
-        rhs = int(jl.sum()) * int(jp.sum())
-        return float(abs(lhs - rhs))
-    terms = _pair_terms(jl, jp, period)
-    n = np.arange(1, period + 1, dtype=np.int64)
-    lhs = complex((terms * np.exp(2j * np.pi * (a % period * n % period) / period)).sum())
-    rhs = _split_sum(jl, split.a_ell) * _split_sum(jp, split.a_p)
-    return abs(lhs - rhs)
+    lhs = _fourier_sum(_pair_terms(jl, jp, t_ell * t_p), a)
+    return abs(lhs - _fourier_sum(jl, split.a_ell) * _fourier_sum(jp, split.a_p))
 
 
 def incomplete_sum(f: Polynomial, A: int, lam: int, ell: int, p: int, K: int) -> CharSumResult:
@@ -240,11 +223,8 @@ def incomplete_sum(f: Polynomial, A: int, lam: int, ell: int, p: int, K: int) ->
     if K < 0:
         raise ValueError("incomplete_sum: K must be >= 0")
     period = t_ell * t_p
-    if K == 0:
-        total = 0
-    else:
-        jl, jp = _symbol_cycles(f, A, lam, ell, p, t_ell, t_p)
-        total = int(_pair_terms(jl, jp, K).sum())
+    jl, jp = _symbol_cycles(f, A, lam, ell, p, t_ell, t_p)
+    total = int(_pair_terms(jl, jp, K).sum())
     bound = K * math.sqrt(m) / period + math.sqrt(m) * math.log(m)
     return CharSumResult(
         value=complex(total),
@@ -300,16 +280,6 @@ class WeilScanReport:
         return "\n".join(lines) + "\n"
 
 
-def _qr_signs(p: int, values: np.ndarray) -> np.ndarray:
-    # quadratic character mod odd prime p of an array of residues in [0, p)
-    w = np.arange(1, p, dtype=np.int64)
-    qr = np.zeros(p, dtype=np.int8)
-    qr[w * w % p] = 1
-    signs = np.where(qr[values] == 1, 1, -1).astype(np.int64)
-    signs[values == 0] = 0
-    return signs
-
-
 def weil_scan(f: Polynomial, lam: int, p_max: int):
     """Scan odd primes p <= p_max coprime to lam; for each, take the worst
     frequency of the complete sum and report |value|/sqrt(p).
@@ -322,20 +292,12 @@ def weil_scan(f: Polynomial, lam: int, p_max: int):
     if lam == 0:
         raise ValueError("weil_scan: lam must be nonzero")
     rows = []
-    coeffs = f.coefficients
-    for p in primes_through(p_max):
-        if p == 2 or lam % p == 0:
+    table = FactorTable(max(p_max, 0))
+    for p in table.primes(3):
+        if lam % p == 0:
             continue
-        period = multiplicative_order(lam, p).order
-        powers = np.empty(period, dtype=np.int64)
-        v = lam % p
-        for x in range(period):
-            powers[x] = v
-            v = v * lam % p
-        vals = np.full(period, coeffs[-1] % p, dtype=np.int64)
-        for c in reversed(coeffs[:-1]):
-            vals = (vals * powers + c) % p
-        terms = _qr_signs(p, vals).astype(np.float64)
+        period = order_descent(lam % p, p, p - 1, table.factors(p - 1))
+        terms = orbit_symbols(f, lam, (p,), period, start=1)[0].astype(np.float64)
         # terms[x-1] holds x = 1..period; numpy's fft sign convention means
         # our sum at frequency a is e(a/period) * conj(fft[a])
         spectrum = np.fft.fft(terms)

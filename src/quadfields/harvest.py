@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import FactorTable, euler_phi, is_prime, order_descent, primes_through
 
@@ -183,16 +182,15 @@ def bt_ratio(t: float, m: int, a: int) -> float:
 def euler_sum(t: float) -> float:
     """Sum of n/phi(n)^2 over n <= t.
 
-    Each term is an exact rational cast to float once; accumulation uses
-    fsum.  A single exact Fraction accumulator is hopeless here: the common
-    denominator over n <= 10^6 has millions of digits.
+    Each term is int true division, which rounds the exact rational once,
+    and accumulation uses fsum.  A single exact Fraction accumulator is
+    hopeless here: the common denominator over n <= 10^6 has millions of
+    digits.
     """
     if t < 2:
         raise ValueError("euler_sum: t must be >= 2")
     phi = FactorTable(math.floor(t)).totients()
-    return math.fsum(
-        float(Fraction(n, phi[n] * phi[n])) for n in range(1, len(phi))
-    )
+    return math.fsum(n / (phi[n] * phi[n]) for n in range(1, len(phi)))
 
 
 def format_records(pset: SievePrimeSet) -> str:

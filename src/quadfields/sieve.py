@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from .arith import jacobi
 from .census import s_matches
 from .harvest import SievePrimeSet
-from .sequences import SequenceSpec, u_eval, u_eval_mod
+from .sequences import SequenceSpec, orbit_symbols, u_eval, u_eval_mod
 
 __all__ = [
     "Partition",
@@ -54,19 +56,17 @@ def detector(spec: SequenceSpec, n: int, s: int, prime_set: SievePrimeSet) -> in
     return total
 
 
-def _symbol_rows(spec, M, N, s, prime_set):
-    # rows[i][j] = (s*u(M+1+j) / ell_i); g-powers advance by one multiply per n
-    rows = []
-    for ell in prime_set.ells:
-        g = spec.g % ell
-        x = pow(spec.g, M + 1, ell)
-        s_red = s % ell
-        row = []
-        for _ in range(N):
-            row.append(jacobi(s_red * spec.f.eval_mod(x, ell) % ell, ell))
-            x = x * g % ell
-        rows.append(row)
-    return rows
+def _symbols(spec, M, N, prime_set):
+    # R[i, j] = (u(M+1+j) / ell_i): the whole window in one engine call
+    if N < 1:
+        raise ValueError("partition: N must be >= 1")
+    return orbit_symbols(spec.f, spec.g, prime_set.ells, N, start=M + 1)
+
+
+def _twisted(R, s, prime_set):
+    # (s*u/ell) = (s/ell)(u/ell): one symbol per row turns R into the s-table
+    chi = np.array([jacobi(s, ell) for ell in prime_set.ells], dtype=np.int8)
+    return R * chi[:, None]
 
 
 @dataclass(frozen=True)
@@ -81,14 +81,15 @@ def partition(spec: SequenceSpec, M: int, N: int, prime_set: SievePrimeSet) -> P
 
     n with u(n) = 0 land in the heavy side: every modulus divides 0.
     """
-    if N < 1:
-        raise ValueError("partition: N must be >= 1")
-    rows = _symbol_rows(spec, M, N, 1, prime_set)
+    omega = (_symbols(spec, M, N, prime_set) == 0).sum(axis=0)
+    return _partition(M, N, omega, prime_set)
+
+
+def _partition(M, N, omega, prime_set):
     half = len(prime_set) // 2
     n_z, e_z = [], []
-    for j in range(N):
-        omega = sum(1 for row in rows if row[j] == 0)
-        (n_z if omega <= half else e_z).append(M + 1 + j)
+    for n, w in enumerate(omega.tolist(), M + 1):
+        (n_z if w <= half else e_z).append(n)
     z, alpha = prime_set.z, prime_set.alpha
     denom = N * z**-alpha + math.log(z)
     return Partition(tuple(n_z), tuple(e_z), len(e_z) / denom)
@@ -110,16 +111,7 @@ def certificate(
     lhs counts n in the light part of the window whose s*u(n) is a perfect
     square (the field-census criterion); rhs is exact rational arithmetic.
     """
-    L = len(prime_set)
-    if L < 1:
-        raise ValueError("certificate: prime set must be nonempty")
-    part = partition(spec, M, N, prime_set)
-    matched = [n for n in part.n_z if s_matches(spec, n, s)]
-    square_sum = sum(detector(spec, n, s, prime_set) ** 2 for n in matched)
-    rhs = Fraction(2 * square_sum, L)
-    return Certificate(
-        lhs=len(matched), rhs=rhs, holds=len(matched) <= rhs, matches=tuple(matched)
-    )
+    return run_sieve(spec, M, N, s, prime_set).cert
 
 
 @dataclass(frozen=True)
@@ -147,24 +139,17 @@ def diagnostics(
     The per-pair cap gcd(ell-1, p-1) <= C z^(1-alpha) for distinct-P+ pairs
     is reported exactly; it must hold for any honestly harvested set.
     """
-    rows = _symbol_rows(spec, M, N, s, prime_set)
+    R = _twisted(_symbols(spec, M, N, prime_set), s, prime_set)
     members = prime_set.members
-    U = V = T = Q = 0
-    max_cross = 0
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            if i == j:
-                continue
-            inner = sum(x * y for x, y in zip(rows[i], rows[j]))
-            if a.p_plus == b.p_plus:
-                U += inner
-            else:
-                V += inner
+    p_plus = np.array([sp.p_plus for sp in members])
+    U = sum(_off_diagonal(R[p_plus == q]) for q in set(p_plus.tolist()))
+    V = _off_diagonal(R) - U
+    T = Q = max_cross = 0
+    for a in members:
+        for b in members:
+            if a.p_plus != b.p_plus:
                 d = gcd(a.ell - 1, b.ell - 1)
-                T += d
-                Q += d * d
-                if d > max_cross:
-                    max_cross = d
+                T, Q, max_cross = T + d, Q + d * d, max(max_cross, d)
     z, alpha, C = prime_set.z, prime_set.alpha, prime_set.C
     logz = math.log(z)
     cap = C * z ** (1 - alpha)
@@ -182,6 +167,13 @@ def diagnostics(
         gcd_cap=cap,
         gcd_bound_holds=max_cross <= cap,
     )
+
+
+def _off_diagonal(rows):
+    # sum of <r_i, r_j> over ordered pairs i != j of rows, i.e. the Gram matrix
+    # less its diagonal: |sum of rows|^2 - sum of |r_i|^2, entries in {-1, 0, 1}
+    col = rows.sum(axis=0)
+    return int(col @ col) - int(np.count_nonzero(rows))
 
 
 @dataclass(frozen=True)
@@ -233,19 +225,17 @@ def run_sieve(
     spec: SequenceSpec, M: int, N: int, s: int, prime_set: SievePrimeSet
 ) -> SieveRun:
     """Assemble detector values, omega counts, partition, and certificate
-    for one window."""
-    rows = _symbol_rows(spec, M, N, s, prime_set)
+    for one window, all read from one symbol table."""
+    R = _symbols(spec, M, N, prime_set)
+    L = len(prime_set)
+    if L < 1:
+        raise ValueError("certificate: prime set must be nonempty")
+    Rs = _twisted(R, s, prime_set)
     ns = range(M + 1, M + N + 1)
-    detector_map = {n: sum(rows[i][j] for i in range(len(rows))) for j, n in enumerate(ns)}
-    omega_map = {n: sum(1 for row in rows if row[j] == 0) for j, n in enumerate(ns)}
-    return SieveRun(
-        spec=spec,
-        M=M,
-        N=N,
-        s=s,
-        prime_set=prime_set,
-        detector_map=detector_map,
-        omega_map=omega_map,
-        part=partition(spec, M, N, prime_set),
-        cert=certificate(spec, M, N, s, prime_set),
-    )
+    detector_map = dict(zip(ns, Rs.sum(axis=0).tolist()))
+    omega_map = dict(zip(ns, (Rs == 0).sum(axis=0).tolist()))
+    part = _partition(M, N, (R == 0).sum(axis=0), prime_set)
+    matched = tuple(n for n in part.n_z if s_matches(spec, n, s))
+    rhs = Fraction(2 * sum(detector_map[n] ** 2 for n in matched), L)
+    cert = Certificate(lhs=len(matched), rhs=rhs, holds=len(matched) <= rhs, matches=matched)
+    return SieveRun(spec, M, N, s, prime_set, detector_map, omega_map, part, cert)

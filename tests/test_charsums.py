@@ -15,6 +15,7 @@ from quadfields.charsums import (
     split_frequencies,
     weil_scan,
 )
+from quadfields import arith
 from quadfields.charsums import _orbit_sum
 from quadfields.arith import jacobi, multiplicative_order
 from quadfields.sequences import Polynomial
@@ -194,6 +195,19 @@ def test_weil_scan_rejections_and_csv():
     head, first = csv.splitlines()[:2]
     assert head == "modulus,period,frequency,re,im,ratio"
     assert first.startswith("3,")
+
+
+def test_weil_scan_periods_match_sympy(monkeypatch):
+    # every p-1 comes from one factor table, so no per-prime factorize runs
+    def no_factorize(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(arith, "factorize", no_factorize)
+    for f, lam in ((CUBIC, 2), (SHANKS, 3), (FX1, -7), (CUBIC, 10)):
+        rep = weil_scan(f, lam, 700)
+        assert [r.modulus for r in rep.rows] == [p for p in sympy.primerange(3, 701) if lam % p]
+        for r in rep.rows:
+            assert r.period == sympy.n_order(lam % r.modulus, r.modulus)
 
 
 def test_orbit_reduction_matches_discrete_log_form():

@@ -1,0 +1,185 @@
+"""The orbit-residue engine against the scalar loops it replaced.
+
+The oracles below are the per-cell code that sieve and charsums ran before
+`sequences.orbit_symbols`: one `u_eval_mod` and one `jacobi` per (ell, n)
+cell, the O(|L|^2 N) pair loop of `diagnostics`, and the one-symbol-at-a-time
+orbit sums.  Every fast path must agree with them exactly.
+"""
+
+import cmath
+import time
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from quadfields import sequences, sieve
+from quadfields.arith import TABLE_LIMIT, jacobi
+from quadfields.charsums import _orbit_sum, _symbol_cycles
+from quadfields.harvest import SievePrimeSet, build_prime_set
+from quadfields.sequences import Polynomial, orbit_symbols, u_eval_mod, validate
+
+SHANKS = Polynomial.parse("1,6,1")
+PRIME_SETS = {g: build_prime_set(g, 60.0) for g in range(2, 13)}
+
+
+def scalar_symbol_rows(spec, M, N, s, prime_set):
+    """rows[i][j] = (s*u(M+1+j) / ell_i), one jacobi call per cell."""
+    return [
+        [jacobi(s % ell * u_eval_mod(spec, n, ell) % ell, ell) for n in range(M + 1, M + N + 1)]
+        for ell in prime_set.ells
+    ]
+
+
+def scalar_pair_sums(rows, members):
+    """The ordered-pair double loop: U, V, T, Q and the largest cross gcd."""
+    U = V = T = Q = 0
+    max_cross = 0
+    for i, a in enumerate(members):
+        for j, b in enumerate(members):
+            if i == j:
+                continue
+            inner = sum(x * y for x, y in zip(rows[i], rows[j]))
+            if a.p_plus == b.p_plus:
+                U += inner
+            else:
+                V += inner
+                d = gcd(a.ell - 1, b.ell - 1)
+                T += d
+                Q += d * d
+                max_cross = max(max_cross, d)
+    return U, V, T, Q, max_cross
+
+
+def scalar_orbit_sum(f, lam, modulus, period, a):
+    """_orbit_sum as it was: a power and a jacobi call per step of the orbit."""
+    a %= period
+    power = lam % modulus
+    if a == 0:
+        acc = 0
+        for _ in range(period):
+            acc += jacobi(f.eval_mod(power, modulus), modulus)
+            power = power * lam % modulus
+        return complex(acc)
+    acc = 0j
+    for x in range(1, period + 1):
+        sym = jacobi(f.eval_mod(power, modulus), modulus)
+        if sym:
+            acc += sym * cmath.exp(2j * cmath.pi * (a * x % period) / period)
+        power = power * lam % modulus
+    return acc
+
+
+coefficient = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0, 2**64, 2**64 + 1, -(2**65) - 3]),
+)
+polynomial = st.lists(coefficient, min_size=2, max_size=4).map(
+    lambda cs: Polynomial(tuple(cs[:-1]) + (cs[-1] or 1,))
+)
+# small primes take the square-table path, large ones Euler's criterion
+modulus = st.sampled_from([3, 5, 7, 11, 101, 7919, 65537, 1000003, 2**31 - 1, 2147483629])
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial, st.integers(-(2**66), 2**66), st.lists(modulus, max_size=5),
+       st.integers(1, 300), st.integers(0, 10**4), st.integers(-(2**66), 2**66))
+@example(SHANKS, 2, [7], 1, 0, 1)
+@example(SHANKS, 14, [7, 3], 5, 0, 1)  # base = 0 mod 7: the orbit collapses to f(0)
+def test_orbit_symbols_match_scalar(f, base, moduli, count, start, shift):
+    got = orbit_symbols(f, base, moduli, count, start=start, shift=shift)
+    assert got.shape == (len(moduli), count)
+    want = [
+        [jacobi(f.eval_mod(shift * pow(base, start + j, p) % p, p), p) for j in range(count)]
+        for p in moduli
+    ]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("tile", [1, 3, 64, 450])
+def test_orbit_symbols_tiles_agree(monkeypatch, tile):
+    # tiles split both rows and columns; each column tile restarts its powers
+    moduli = (3, 7, 101, 7919, 1000003, 2**31 - 1)
+    f = Polynomial((-(2**65), 3, 0, 1))
+    whole = orbit_symbols(f, 10, moduli, 200, start=17, shift=-5)
+    monkeypatch.setattr(sequences, "_TILE", tile)
+    assert (orbit_symbols(f, 10, moduli, 200, start=17, shift=-5) == whole).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), polynomial, st.integers(2, 12), st.integers(0, 10**4),
+       st.integers(1, 25), st.integers(-40, 40))
+def test_sieve_matches_scalar_oracles(data, f, g, M, N, s):
+    pool = PRIME_SETS[g]
+    picked = data.draw(st.lists(st.sampled_from(pool.members), unique=True, max_size=6))
+    members = tuple(sorted(picked, key=lambda sp: sp.ell))
+    pset = SievePrimeSet(pool.z, pool.C, pool.alpha, g, pool.variant, members)
+    if members and data.draw(st.booleans()):
+        s *= data.draw(st.sampled_from(members)).ell  # a whole row of zeros
+    spec = validate(f, g)
+    rows = scalar_symbol_rows(spec, M, N, s, pset)
+    light = scalar_symbol_rows(spec, M, N, 1, pset)
+
+    U, V, T, Q, max_cross = scalar_pair_sums(rows, members)
+    d = sieve.diagnostics(spec, M, N, s, pset)
+    assert (d.U, d.V, d.W, d.T, d.Q_quantity, d.max_cross_gcd) == (U, V, U + V, T, Q, max_cross)
+
+    half = len(members) // 2
+    ns = range(M + 1, M + N + 1)
+    omega1 = [sum(1 for row in light if row[j] == 0) for j in range(N)]
+    part = sieve.partition(spec, M, N, pset)
+    assert part.n_z == tuple(n for n, w in zip(ns, omega1) if w <= half)
+    assert part.e_z == tuple(n for n, w in zip(ns, omega1) if w > half)
+    if not members:
+        with pytest.raises(ValueError, match="nonempty"):
+            sieve.run_sieve(spec, M, N, s, pset)
+        return
+    run = sieve.run_sieve(spec, M, N, s, pset)
+    assert run.part == part
+    D = {n: sum(row[j] for row in rows) for j, n in enumerate(ns)}
+    assert run.detector_map == D
+    assert run.omega_map == {n: sum(1 for row in rows if row[j] == 0) for j, n in enumerate(ns)}
+    matched = tuple(n for n in part.n_z if sieve.s_matches(spec, n, s))
+    assert run.cert.matches == matched
+    assert run.cert.rhs == Fraction(2 * sum(D[n] ** 2 for n in matched), len(members))
+    for n in ns[:3]:
+        assert D[n] == sieve.detector(spec, n, s, pset)
+
+
+@pytest.mark.parametrize("f", [SHANKS, Polynomial.parse("2,0,0,1"), Polynomial.parse("0,1")])
+@pytest.mark.parametrize("lam, p, period", [(2, 7, 3), (2, 11, 10), (3, 101, 100), (-5, 1009, 1008)])
+def test_orbit_sum_keeps_its_bits(f, lam, p, period):
+    for a in (0, 1, 7, period - 1):
+        assert _orbit_sum(f, lam, p, period, a) == scalar_orbit_sum(f, lam, p, period, a)
+
+
+def test_symbol_cycles_match_scalar():
+    for A in (1, 3, -4, 2**70 + 1):
+        jl, jp = _symbol_cycles(SHANKS, A, 2, 7, 101, 3, 100)
+        for cyc, q in ((jl, 7), (jp, 101)):
+            assert cyc.dtype.name == "int64"
+            assert cyc.tolist() == [
+                jacobi(SHANKS.eval_mod(A * pow(2, x, q), q), q) for x in range(1, len(cyc) + 1)
+            ]
+
+
+@pytest.mark.parametrize("moduli, count", [
+    ((2**31,), 5),
+    ((2**31 + 11,), 10**12),  # an allocation first would fail with MemoryError
+    ((10,), 3),
+    ((7, 4), 1),
+    ((1,), 1),
+    ((-7,), 1),
+    ((7,), 0),
+    ((7,), -3),
+    ((7,), TABLE_LIMIT + 1),  # the table cap, counted in symbols
+    ((3, 5, 7), TABLE_LIMIT // 2),
+])
+def test_orbit_symbols_rejects_before_allocating(moduli, count):
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="orbit_symbols"):
+        orbit_symbols(SHANKS, 2, moduli, count)
+    assert time.perf_counter() - t0 < 1.0

@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import pytest
 import sympy
 
-from quadfields.arith import factorize, is_prime, multiplicative_order
+from quadfields.arith import FactorTable, factorize, is_prime, multiplicative_order
 from quadfields.harvest import (
     SievePrime,
     bt_ratio,
@@ -147,6 +148,14 @@ def test_euler_sum_examples():
     assert euler_sum(4.0) == 4.75
     with pytest.raises(ValueError):
         euler_sum(1.0)
+
+
+@pytest.mark.parametrize("t", [10, 997, 10**4, 65537])
+def test_euler_sum_equals_fraction_form(t):
+    # int true division rounds n/phi(n)^2 once, exactly as float(Fraction) does
+    phi = FactorTable(t).totients()
+    exact_terms = (float(Fraction(n, phi[n] * phi[n])) for n in range(1, t + 1))
+    assert euler_sum(t) == math.fsum(exact_terms)
 
 
 def test_euler_sum_goldens_bounded():

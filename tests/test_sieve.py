@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from quadfields import arith, sieve
 from quadfields.arith import jacobi
 from quadfields.census import squarefree_kernel
 from quadfields.harvest import SievePrime, SievePrimeSet, build_prime_set
@@ -158,3 +159,24 @@ def test_run_sieve_consistency(cubic2, pset100):
         assert run.detector_map[n] == detector(cubic2, n, 5, pset100)
         assert run.omega_map[n] == omega_z(cubic2, n, 5, pset100)
     assert run.cert.holds
+
+
+def test_run_sieve_builds_symbols_once(monkeypatch, shanks, pset100):
+    # D(n), omega, the partition and the certificate all come from one table
+    builds, symbols = [], []
+    real = sieve.orbit_symbols
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    def counting_jacobi(a, m):
+        symbols.append(m)
+        return arith.jacobi(a, m)
+
+    monkeypatch.setattr(sieve, "orbit_symbols", counting)
+    monkeypatch.setattr(sieve, "jacobi", counting_jacobi)
+    run = run_sieve(shanks, 0, 200, 17, pset100)
+    assert len(builds) == 1
+    assert len(symbols) <= len(pset100)  # (s/ell) once per row, none per cell
+    assert run.cert.matches == (1,)
