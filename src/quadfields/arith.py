@@ -14,6 +14,7 @@ from math import gcd, isqrt, prod
 import numpy as np
 
 __all__ = [
+    "InvariantError",
     "Factorization",
     "OrderRecord",
     "isqrt",
@@ -32,6 +33,17 @@ __all__ = [
 
 U64_MAX = 2**64 - 1
 TABLE_LIMIT = 10**8  # largest table limit; checked before anything is allocated
+
+
+class InvariantError(Exception):
+    """An exact identity failed (a bug, not bad input); raised even under python -O."""
+
+
+def ensure(holds: bool, *detail) -> None:
+    """Raise InvariantError(*detail) unless holds; the package's own checks use it."""
+    if not holds:
+        raise InvariantError(*detail)
+
 
 # Sufficient for every n < 3_317_044_064_679_887_385_961_981, far past 64 bits.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

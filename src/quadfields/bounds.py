@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from statistics import linear_regression
 
+from .arith import ensure
+
 __all__ = [
     "TermSystem",
     "GrakolResult",
@@ -146,10 +148,9 @@ def exponent_table(alpha: float) -> ExponentTable:
         switch3=2 * alpha / 3,
         theta=(1 - alpha) ** 2 * (1 + 3 * alpha) / ((1 + alpha**2) * (3 * alpha - 1)),
     )
-    assert 0 < table.theta < 1
-    assert table.switch1 < table.switch2
-    if alpha > 2 / 3:
-        assert table.switch2 < table.switch3
+    ensure(0 < table.theta < 1, f"exponent_table: theta {table.theta} outside (0, 1)")
+    ensure(table.switch1 < table.switch2, "exponent_table: switch1 >= switch2")
+    ensure(alpha <= 2 / 3 or table.switch2 < table.switch3, "exponent_table: switch2 >= switch3")
     return table
 
 
@@ -215,7 +216,7 @@ def interpolation_check(alpha: float) -> InterpolationCheck:
         return (7 * a - 3) / (6 * a - 2)
 
     theta = theta_of(alpha)
-    assert 0 < theta < 1
+    ensure(0 < theta < 1, f"interpolation_check: theta {theta} outside (0, 1)")
     err = abs((1 - theta / 2) - lhs(alpha))
     grid = [0.501 + i * 0.002 for i in range(250)]  # 0.501 .. 0.999
     grid_ok = all(

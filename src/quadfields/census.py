@@ -10,16 +10,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 
+import numpy as np
+
 from .arith import U64_MAX, is_perfect_square, is_squarefree, jacobi, prime_chunks, primes_through
-from .sequences import SequenceSpec, u_eval, u_eval_mod
+from .sequences import SequenceSpec, orbit_symbols, u_eval
 
 __all__ = [
     "KernelResult",
     "CensusResult",
     "same_field",
     "s_matches",
+    "window_matches",
     "count_Q",
     "count_Q_total",
     "distinct_fields",
@@ -28,8 +32,9 @@ __all__ = [
 
 DEFAULT_KERNEL_BOUND = 10**6
 
-# Fixed witnesses for the residue prefilters.  Any odd primes work; these sit
-# above every coefficient the test suite uses so zero residues stay rare.
+# Fixed witnesses for the residue prefilters: (a/p)(b/p) = -1 at any of them
+# proves a*b is not a square.  Any odd primes work; these sit above every
+# coefficient the test suite uses so zero residues stay rare.
 _WITNESS_PRIMES = (
     10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079,
     10091, 10093, 10099, 10103, 10111, 10133, 10139, 10141,
@@ -120,19 +125,26 @@ def _window(M: int, N: int, who: str) -> range:
     return range(M + 1, M + N + 1)
 
 
-def _s_times_u_is_square(spec: SequenceSpec, n: int, s: int, u: int) -> bool:
-    # u > 0 known; witness symbols first, big multiply last
-    for p in _WITNESS_PRIMES:
-        r = (s % p) * u_eval_mod(spec, n, p) % p
-        if r and jacobi(r, p) == -1:
-            return False
-    return is_perfect_square(s * u)
+@lru_cache(maxsize=1)
+def _witnesses(spec: SequenceSpec, M: int, N: int) -> np.ndarray:
+    # (u(n)/p), witness p by n in [M+1, M+N]; kept, as count_Q sums many s on one window
+    W = orbit_symbols(spec.f, spec.g, _WITNESS_PRIMES, N, start=M + 1)
+    W.flags.writeable = False
+    return W
 
 
 def s_matches(spec: SequenceSpec, n: int, s: int) -> bool:
     """True when u(n) > 0 and s*u(n) is a perfect square."""
     u = u_eval(spec, n)
-    return u > 0 and _s_times_u_is_square(spec, n, s, u)
+    return u > 0 and is_perfect_square(s * u)
+
+
+def window_matches(spec: SequenceSpec, M: int, N: int, s: int) -> list[int]:
+    """The n in [M+1, M+N] with u(n) > 0 and s*u(n) a perfect square; only n
+    that no witness rejects get the exact u(n) and square test."""
+    chi = np.array([jacobi(s, p) for p in _WITNESS_PRIMES], dtype=np.int8)
+    hits = np.flatnonzero(~(_witnesses(spec, M, N) * chi[:, None] == -1).any(axis=0)) + M + 1
+    return [n for n in hits.tolist() if (u := u_eval(spec, n)) > 0 and is_perfect_square(s * u)]
 
 
 def count_Q(spec: SequenceSpec, M: int, N: int, s: int) -> int:
@@ -144,12 +156,8 @@ def count_Q(spec: SequenceSpec, M: int, N: int, s: int) -> int:
         raise ValueError("count_Q: cannot certify squarefreeness past 64 bits")
     if not is_squarefree(s):
         raise ValueError("count_Q: s must be squarefree")
-    count = 0
-    for n in _window(M, N, "count_Q"):
-        u = u_eval(spec, n)
-        if u > 0 and _s_times_u_is_square(spec, n, s, u):
-            count += 1
-    return count
+    _window(M, N, "count_Q")
+    return len(window_matches(spec, M, N, s))
 
 
 @dataclass(frozen=True)
@@ -178,15 +186,16 @@ def _fallback_matches(spec, n, u, small_kernel, S, B):
     # kernel undecidable from the certificate (only possible when B < S):
     # any matching s is small_kernel times a squarefree t whose prime
     # factors all exceed B, so enumerate those t directly.
-    matches = []
+    col = _witnesses(spec, n - 1, 1)[:, 0].tolist()
     for t in range(B + 1, S // small_kernel + 1):
         s = small_kernel * t  # <= S, since t <= S // small_kernel
         if any(t % p == 0 for p in primes_through(min(B, isqrt(t)))):
             continue
-        if _s_times_u_is_square(spec, n, s, u):
-            matches.append(s)
-            break  # the kernel is unique, nothing else can match
-    return matches
+        if any(w and jacobi(s, p) == -w for p, w in zip(_WITNESS_PRIMES, col)):
+            continue
+        if is_perfect_square(s * u):
+            return [s]  # the kernel is unique, nothing else can match
+    return []
 
 
 def count_Q_total(
@@ -233,21 +242,30 @@ def distinct_fields(spec: SequenceSpec, M: int, N: int) -> CensusResult:
 
     Each new n is compared against existing class representatives only;
     same_field is an equivalence, so that already decides membership, and
-    ascending n keeps the merge order deterministic.
+    ascending n keeps the merge order deterministic.  Witnesses test all
+    representatives at once: two columns clash when a +1 meets a -1.
     """
     _require_census_spec(spec, "distinct_fields")
+    ns = _window(M, N, "distinct_fields")
+    W = _witnesses(spec, M, N)
+    bits = 1 << np.arange(len(_WITNESS_PRIMES), dtype=np.int64)
+    plus, minus = bits @ (W == 1), bits @ (W == -1)
+    rep_plus, rep_minus = np.empty_like(plus), np.empty_like(minus)
     classes: list[tuple[int, list[int], int]] = []  # (rep_n, members, u(rep))
     skipped = []
-    for n in _window(M, N, "distinct_fields"):
+    for j, n in enumerate(ns):
         u = u_eval(spec, n)
         if u <= 0:
             skipped.append(n)
             continue
-        for rep, members, u_rep in classes:
-            if same_field(u_rep, u):
-                members.append(n)
+        k = len(classes)
+        clash = (rep_plus[:k] & minus[j]) | (rep_minus[:k] & plus[j])
+        for i in np.flatnonzero(clash == 0).tolist():
+            if is_perfect_square(classes[i][2] * u):
+                classes[i][1].append(n)
                 break
         else:
+            rep_plus[k], rep_minus[k] = plus[j], minus[j]
             classes.append((n, [n], u))
     return CensusResult(
         M=M,

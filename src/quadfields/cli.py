@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 flag parsing, 3 precondition violations
-(ValueError from any module), 4 invariant failures (AssertionError).
+(ValueError from any module), 4 invariant failures (InvariantError, which
+python -O does not strip, or a stray AssertionError).
 Outputs are deterministic for a fixed config and seed; artifacts are
 written only when -o is given, stdout carries the human summary.
 """
@@ -10,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import bounds, census, charsums, harvest, sieve
-from .arith import factorize, jacobi
+from .arith import InvariantError, ensure, factorize, is_squarefree, jacobi
 from .sequences import Polynomial, SequenceSpec, u_eval, u_eval_mod, validate
 
 __all__ = ["RunConfig", "main"]
@@ -36,16 +38,12 @@ class RunConfig:
     alpha: float = 0.677
     variant: str = "standard"
     out: str | None = None
-    fmt: str = "json"
     seed: int = 0
     options: dict = field(default_factory=dict)
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        known = {
-            "command", "f", "g", "M", "N", "s", "S", "z", "C",
-            "alpha", "variant", "out", "fmt", "seed",
-        }
+        known = {fd.name for fd in fields(cls)} - {"options"}
         ns = vars(args)
         base = {k: v for k, v in ns.items() if k in known and v is not None}
         extra = {k: v for k, v in ns.items() if k not in known}
@@ -72,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("-M", type=int, default=0, help="window offset (default 0)")
             p.add_argument("-N", type=int, default=1, help="window length")
         p.add_argument("-o", "--out", help="artifact output path")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("census", help="count square values of s*u(n) over a window")
@@ -147,8 +144,7 @@ def _run_census(cfg: RunConfig) -> int:
     if cfg.s is not None:
         count = census.count_Q(spec, cfg.M, cfg.N, cfg.s)
         print(count)
-        _emit(cfg, json.dumps(
-            {"M": cfg.M, "N": cfg.N, "s": cfg.s, "count": count}, sort_keys=True))
+        _emit(cfg, json.dumps({"M": cfg.M, "N": cfg.N, "s": cfg.s, "count": count}, sort_keys=True))
         return 0
     if cfg.S is not None:
         result = census.count_Q_total(
@@ -171,17 +167,13 @@ def _run_sieve(cfg: RunConfig) -> int:
     print(f"certificate lhs {run.cert.lhs} rhs {run.cert.rhs.numerator}/"
           f"{run.cert.rhs.denominator} holds {run.cert.holds}")
     if cfg.options.get("diag"):
-        d = sieve.diagnostics(spec, cfg.M, cfg.N, s, pset)
+        d = run.diagnostics()
         print(f"pairs U {d.U} V {d.V} W {d.W} T {d.T} Q {d.Q_quantity}")
         print(f"ratios U {d.U_ratio:.6g} V {d.V_ratio:.6g} "
               f"T {d.T_ratio:.6g} Q {d.Q_ratio:.6g}")
         print(f"gcd max {d.max_cross_gcd} cap {d.gcd_cap:.6g} holds {d.gcd_bound_holds}")
     _emit(cfg, run.to_json())
     return 0
-
-
-def _fmt_complex(v: complex) -> str:
-    return f"{v.real:.12g}{v.imag:+.12g}i"
 
 
 def _run_charsum(cfg: RunConfig) -> int:
@@ -204,7 +196,7 @@ def _run_charsum(cfg: RunConfig) -> int:
         r = charsums.complete_sum_p(f, lam, p, cfg.options["a"])
     ratio = "n/a" if r.bound_ratio is None else f"{r.bound_ratio:.12g}"
     print(f"{r.kind} modulus {r.modulus} period {r.period} "
-          f"value {_fmt_complex(r.value)} ratio {ratio}")
+          f"value {r.value.real:.12g}{r.value.imag:+.12g}i ratio {ratio}")
     _emit(cfg, json.dumps({
         "kind": r.kind, "modulus": r.modulus, "period": r.period,
         "frequency": r.frequency, "re": r.value.real, "im": r.value.imag,
@@ -238,8 +230,7 @@ def _run_bounds(cfg: RunConfig) -> int:
     chk = bounds.interpolation_check(cfg.alpha)
     print(f"interpolation theta {chk.theta:.10f} holds {chk.inequality_holds} "
           f"grid {chk.grid_holds}")
-    N = cfg.options.get("bN")
-    S = cfg.options.get("bS")
+    N, S = cfg.options.get("bN"), cfg.options.get("bS")
     if N is not None:
         print(f"default_z {bounds.default_z(N, cfg.alpha):.6g}")
     if N is not None and S is not None:
@@ -261,23 +252,15 @@ def _shanks() -> SequenceSpec:
     return validate(Polynomial.parse("1,6,1"), 2)
 
 
-def _cubic(g: int) -> SequenceSpec:
-    return validate(Polynomial.parse("2,0,0,1"), g)
-
-
 def _check_arith(rng: random.Random, quick: bool) -> None:
     rounds = 40 if quick else 200
     for _ in range(rounds):
         m = 2 * rng.randrange(1, 10**6) + 1
         a, b = rng.randrange(1, m), rng.randrange(1, m)
-        assert jacobi(a * b % m, m) == jacobi(a, m) * jacobi(b, m)
+        ensure(jacobi(a * b % m, m) == jacobi(a, m) * jacobi(b, m))
     for _ in range(rounds // 4):
         n = rng.randrange(2, 1 << 48)
-        fac = factorize(n)
-        prod = 1
-        for p, e in fac.factors:
-            prod *= p**e
-        assert prod == n
+        ensure(math.prod(p**e for p, e in factorize(n).factors) == n)
 
 
 def _check_sequences(rng: random.Random, quick: bool) -> None:
@@ -285,35 +268,30 @@ def _check_sequences(rng: random.Random, quick: bool) -> None:
     for _ in range(20 if quick else 100):
         n = rng.randrange(1, 60)
         m = rng.randrange(2, 10**6)
-        assert u_eval(spec, n) % m == u_eval_mod(spec, n, m)
+        ensure(u_eval(spec, n) % m == u_eval_mod(spec, n, m))
 
 
-def _check_detector(quick: bool) -> None:
+def _check_detector(rng: random.Random, quick: bool) -> None:
     N = 40 if quick else 120
-    for spec in (_shanks(), _cubic(3)):
+    for spec in (_shanks(), validate(Polynomial.parse("2,0,0,1"), 3)):
         pset = harvest.build_prime_set(spec.g, 50.0)
         for s in (1, 17):
             for n in range(1, N + 1):
                 if census.s_matches(spec, n, s):
                     D = sieve.detector(spec, n, s, pset)
                     w = sieve.omega_z(spec, n, s, pset)
-                    assert D == len(pset) - w, (spec.f.format(), n, s)
-        cert = sieve.certificate(spec, 0, N, 17, pset)
-        assert cert.holds
+                    ensure(D == len(pset) - w, (spec.f.format(), n, s))
+        ensure(sieve.certificate(spec, 0, N, 17, pset).holds)
         d = sieve.diagnostics(spec, 0, N, 17, pset)
-        assert d.gcd_bound_holds and d.W == d.U + d.V
+        ensure(d.gcd_bound_holds and d.W == d.U + d.V)
 
 
-def _check_census(quick: bool) -> None:
+def _check_census(rng: random.Random, quick: bool) -> None:
     spec = _shanks()
     N, S = (20, 100) if quick else (50, 2000)
     total = census.count_Q_total(spec, 0, N, S)
-    brute = sum(
-        census.count_Q(spec, 0, N, s)
-        for s in range(1, S + 1)
-        if all(s % (q * q) for q in range(2, int(s**0.5) + 1))
-    )
-    assert total.total == brute, (total.total, brute)
+    brute = sum(census.count_Q(spec, 0, N, s) for s in range(1, S + 1) if is_squarefree(s))
+    ensure(total.total == brute, (total.total, brute))
 
 
 def _check_product_formula(rng: random.Random, quick: bool) -> None:
@@ -324,53 +302,45 @@ def _check_product_formula(rng: random.Random, quick: bool) -> None:
             zero = charsums.product_formula_residual(f, 2, ell, p, 0)
         except ValueError:
             continue  # coprime-order hypothesis can fail; that pair is out of scope
-        assert zero == 0.0
+        ensure(zero == 0.0)
         tau = charsums.complete_sum_pair(f, 2, ell, p, 0).period
         a = rng.randrange(1, tau)
-        assert charsums.product_formula_residual(f, 2, ell, p, a) <= 1e-9 * tau
+        ensure(charsums.product_formula_residual(f, 2, ell, p, a) <= 1e-9 * tau)
 
 
-def _check_completion(quick: bool) -> None:
+def _check_completion(rng: random.Random, quick: bool) -> None:
     f = Polynomial.parse("2,0,0,1")
     for ell, p in ((3, 7), (5, 7))[: 1 if quick else 2]:
         pair = charsums.complete_sum_pair(f, 2, ell, p, 0)
         inc = charsums.incomplete_sum(f, 1, 2, ell, p, pair.period)
-        assert inc.value == pair.value, (ell, p)
+        ensure(inc.value == pair.value, (ell, p))
     for S in (1, 10, 100):
-        assert charsums.hb_average(1, S).lhs == float(S * S)
+        ensure(charsums.hb_average(1, S).lhs == float(S * S))
 
 
-def _check_bounds(quick: bool) -> None:
+def _check_bounds(rng: random.Random, quick: bool) -> None:
     ts = bounds.TermSystem(((1.0, 1.0),), ((1.0, 1.0),), 0.1, 10.0)
     r = bounds.grakol_optimize(ts)
-    assert abs(r.value - 2.0) <= 2e-3 and r.holds
+    ensure(abs(r.value - 2.0) <= 2e-3 and r.holds)
     t = bounds.exponent_table(0.677)
-    assert abs(t.beta - 0.7385524372) < 1e-9
-    assert abs(t.beta0 - 0.8944543828) < 1e-9
-    assert bounds.interpolation_check(0.677).grid_holds
+    ensure(abs(t.beta - 0.7385524372) < 1e-9)
+    ensure(abs(t.beta0 - 0.8944543828) < 1e-9)
+    ensure(bounds.interpolation_check(0.677).grid_holds)
 
 
-def _check_weil(quick: bool) -> None:
+def _check_weil(rng: random.Random, quick: bool) -> None:
     report = charsums.weil_scan(Polynomial.parse("2,0,0,1"), 2, 500 if quick else 2000)
-    assert report.ok, f"weil ratio {report.max_ratio}"
+    ensure(report.ok, f"weil ratio {report.max_ratio}")
 
 
 def _run_verify(cfg: RunConfig) -> int:
     quick = bool(cfg.options.get("quick"))
     rng = random.Random(cfg.seed)
-    checks = [
-        ("arith", lambda: _check_arith(rng, quick)),
-        ("sequences", lambda: _check_sequences(rng, quick)),
-        ("detector", lambda: _check_detector(quick)),
-        ("census", lambda: _check_census(quick)),
-        ("product_formula", lambda: _check_product_formula(rng, quick)),
-        ("completion", lambda: _check_completion(quick)),
-        ("bounds", lambda: _check_bounds(quick)),
-        ("weil", lambda: _check_weil(quick)),
-    ]
-    for name, check in checks:
-        check()
-        print(f"ok {name}")
+    checks = (_check_arith, _check_sequences, _check_detector, _check_census,
+              _check_product_formula, _check_completion, _check_bounds, _check_weil)
+    for check in checks:
+        check(rng, quick)
+        print(f"ok {check.__name__.removeprefix('_check_')}")
     print(f"verify: {len(checks)} checks passed")
     return 0
 
@@ -397,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except AssertionError as exc:
+    except (InvariantError, AssertionError) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 4
 

@@ -11,7 +11,7 @@ from math import gcd
 
 import numpy as np
 
-from .arith import TABLE_LIMIT
+from .arith import TABLE_LIMIT, ensure
 
 __all__ = [
     "Polynomial",
@@ -80,13 +80,6 @@ class Polynomial:
         )
 
 
-def _content(coeffs):
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
-    return g
-
-
 def _strip(coeffs):
     while coeffs and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
@@ -101,7 +94,7 @@ def _pseudo_rem(a, b):
     a = [c * lc ** (da - db + 1) for c in a]
     for shift in range(da - db, -1, -1):
         q, r = divmod(a[db + shift], lc)
-        assert r == 0
+        ensure(r == 0, "pseudo-remainder: inexact division")
         if q:
             for i, c in enumerate(b):
                 a[i + shift] -= q * c
@@ -120,7 +113,7 @@ def gcd_degree(f: Polynomial, g: Polynomial) -> int:
     while b:
         r = _pseudo_rem(a, b)
         if r:
-            c = _content(r)
+            c = gcd(*r)  # the content
             r = [x // c for x in r]
         a, b = b, r
     return len(a) - 1
@@ -203,8 +196,7 @@ def orbit_symbols(
         block = moduli[lo : lo + rows]
         for c0 in range(0, count, width):
             residues = _orbit_residues(f, base, block, min(width, count - c0), start + c0, shift)
-            for i, q in enumerate(block):
-                out[lo + i, c0 : c0 + width] = _legendre(residues[i], q)
+            out[lo : lo + len(block), c0 : c0 + width] = _legendre(residues, block)
     return out
 
 
@@ -228,24 +220,29 @@ def _orbit_residues(f, base, block, count, start, shift):
     return acc
 
 
-def _legendre(v: np.ndarray, p: int) -> np.ndarray:
-    # (v/p) for residues v in [0, p): a square table when it costs no more
-    # than the row, Euler's criterion v^((p-1)/2) in {0, 1, p-1} otherwise
-    if p <= 16 * len(v):
+def _legendre(v: np.ndarray, block) -> np.ndarray:
+    # (v_i/p_i) for residues v_i in [0, p_i): a square table per row when it costs no
+    # more than the row, else Euler's v^((p-1)/2) in {0, 1, p-1}, all such rows at once
+    out = np.empty(v.shape, dtype=np.int8)
+    euler = []
+    for i, p in enumerate(block):
+        if p > 16 * v.shape[1]:
+            euler.append(i)
+            continue
         table = np.full(p, -1, dtype=np.int8)
-        w = np.arange(1, (p + 1) // 2, dtype=np.int64)
-        table[w * w % p] = 1
+        table[np.arange(1, (p + 1) // 2, dtype=np.int64) ** 2 % p] = 1
         table[0] = 0
-        return table[v]
-    r = np.ones_like(v)
-    b = v.copy()
-    e = (p - 1) // 2
-    while e:
-        if e & 1:
-            r = r * b % p
-        b = b * b % p
-        e >>= 1
-    return np.where(r > 1, -1, r).astype(np.int8)
+        out[i] = table[v[i]]
+    if euler:
+        p = np.array([block[i] for i in euler], dtype=np.int64)[:, None]
+        e, b = (p - 1) // 2, v[euler]
+        r = np.ones_like(b)
+        while e.any():
+            r = np.where(e & 1, r * b % p, r)
+            b = b * b % p
+            e >>= 1
+        out[euler] = np.where(r > 1, -1, r)
+    return out
 
 
 def positivity_threshold(spec: SequenceSpec) -> int:

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
 
 from .arith import jacobi
-from .census import s_matches
+from .census import s_matches, window_matches  # noqa: F401  (s_matches re-exported)
 from .harvest import SievePrimeSet
 from .sequences import SequenceSpec, orbit_symbols, u_eval, u_eval_mod
 
@@ -40,20 +40,12 @@ def omega_z(spec: SequenceSpec, n: int, s: int, prime_set: SievePrimeSet) -> int
     """Distinct primes of the set dividing s*u(n), by modular tests only."""
     if u_eval(spec, n) == 0:
         raise ValueError("omega_z: u(n) = 0 has no omega")
-    return sum(
-        1
-        for ell in prime_set.ells
-        if s % ell == 0 or u_eval_mod(spec, n, ell) == 0
-    )
+    return sum(1 for ell in prime_set.ells if s % ell == 0 or u_eval_mod(spec, n, ell) == 0)
 
 
 def detector(spec: SequenceSpec, n: int, s: int, prime_set: SievePrimeSet) -> int:
     """D(n) = sum of (s*u(n) / ell) over the set, via residues mod each ell."""
-    total = 0
-    for ell in prime_set.ells:
-        r = (s % ell) * u_eval_mod(spec, n, ell) % ell
-        total += jacobi(r, ell)
-    return total
+    return sum(jacobi(s * u_eval_mod(spec, n, ell), ell) for ell in prime_set.ells)
 
 
 def _symbols(spec, M, N, prime_set):
@@ -139,7 +131,10 @@ def diagnostics(
     The per-pair cap gcd(ell-1, p-1) <= C z^(1-alpha) for distinct-P+ pairs
     is reported exactly; it must hold for any honestly harvested set.
     """
-    R = _twisted(_symbols(spec, M, N, prime_set), s, prime_set)
+    return _pair_sums(_twisted(_symbols(spec, M, N, prime_set), s, prime_set), N, prime_set)
+
+
+def _pair_sums(R, N, prime_set):
     members = prime_set.members
     p_plus = np.array([sp.p_plus for sp in members])
     U = sum(_off_diagonal(R[p_plus == q]) for q in set(p_plus.tolist()))
@@ -187,6 +182,11 @@ class SieveRun:
     omega_map: dict[int, int]  # omega_z(s*u(n))
     part: Partition
     cert: Certificate
+    symbols: np.ndarray = field(repr=False, compare=False)  # (s*u(n) / ell)
+
+    def diagnostics(self) -> Diagnostics:
+        """`diagnostics` for this window, read from the run's symbol table."""
+        return _pair_sums(self.symbols, self.N, self.prime_set)
 
     def to_json(self) -> str:
         doc = {
@@ -235,7 +235,7 @@ def run_sieve(
     detector_map = dict(zip(ns, Rs.sum(axis=0).tolist()))
     omega_map = dict(zip(ns, (Rs == 0).sum(axis=0).tolist()))
     part = _partition(M, N, (R == 0).sum(axis=0), prime_set)
-    matched = tuple(n for n in part.n_z if s_matches(spec, n, s))
+    matched = tuple(sorted(set(part.n_z).intersection(window_matches(spec, M, N, s))))
     rhs = Fraction(2 * sum(detector_map[n] ** 2 for n in matched), L)
     cert = Certificate(lhs=len(matched), rhs=rhs, holds=len(matched) <= rhs, matches=matched)
-    return SieveRun(spec, M, N, s, prime_set, detector_map, omega_map, part, cert)
+    return SieveRun(spec, M, N, s, prime_set, detector_map, omega_map, part, cert, Rs)

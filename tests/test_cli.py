@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +68,38 @@ def test_assertion_exits_4(capsys, monkeypatch):
     monkeypatch.setitem(cli._DISPATCH, "verify", boom)
     rc, _, err = run(capsys, "verify")
     assert rc == 4 and "invariant failure" in err
+
+
+def test_format_flag_is_gone(capsys):
+    rc, _, err = run(capsys, "census", "-f", "1,6,1", "-g", "2", "-N", "5", "-s", "17",
+                     "--format", "json")
+    assert rc == 2 and "--format" in err
+
+
+# verify --quick with count_Q_total made to overcount by one
+SABOTAGED_VERIFY = """
+import dataclasses, sys
+from quadfields import census, cli
+real = census.count_Q_total
+def off_by_one(*args, **kwargs):
+    result = real(*args, **kwargs)
+    return dataclasses.replace(result, total=result.total + 1)
+if sys.argv[1] == "sabotage":
+    census.count_Q_total = off_by_one
+sys.exit(cli.main(["verify", "--quick"]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "O"])
+@pytest.mark.parametrize("mode, code", [("sabotage", 4), ("honest", 0)])
+def test_invariants_survive_python_O(optimize, mode, code):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, *optimize, "-c", SABOTAGED_VERIFY, mode],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == code, proc.stderr
+    if code == 4:
+        assert "invariant failure" in proc.stderr and "ok census" not in proc.stdout
 
 
 def test_sieve_stdout_and_artifact(capsys, tmp_path):

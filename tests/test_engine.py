@@ -1,9 +1,11 @@
 """The orbit-residue engine against the scalar loops it replaced.
 
-The oracles below are the per-cell code that sieve and charsums ran before
-`sequences.orbit_symbols`: one `u_eval_mod` and one `jacobi` per (ell, n)
-cell, the O(|L|^2 N) pair loop of `diagnostics`, and the one-symbol-at-a-time
-orbit sums.  Every fast path must agree with them exactly.
+The oracles below are the per-cell code that sieve, charsums and census ran
+before `sequences.orbit_symbols`: one `u_eval_mod` and one `jacobi` per
+(ell, n) cell, the O(|L|^2 N) pair loop of `diagnostics`, the
+one-symbol-at-a-time orbit sums, and the census witness loops (per n for
+`count_Q`, per pair through `same_field` for `distinct_fields`).  Every fast
+path must agree with them exactly.
 """
 
 import cmath
@@ -12,14 +14,15 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadfields import sequences, sieve
-from quadfields.arith import TABLE_LIMIT, jacobi
+from quadfields import census, sequences, sieve
+from quadfields.arith import TABLE_LIMIT, is_perfect_square, is_squarefree, jacobi
+from quadfields.census import same_field
 from quadfields.charsums import _orbit_sum, _symbol_cycles
 from quadfields.harvest import SievePrimeSet, build_prime_set
-from quadfields.sequences import Polynomial, orbit_symbols, u_eval_mod, validate
+from quadfields.sequences import Polynomial, orbit_symbols, u_eval, u_eval_mod, validate
 
 SHANKS = Polynomial.parse("1,6,1")
 PRIME_SETS = {g: build_prime_set(g, 60.0) for g in range(2, 13)}
@@ -51,6 +54,43 @@ def scalar_pair_sums(rows, members):
                 Q += d * d
                 max_cross = max(max_cross, d)
     return U, V, T, Q, max_cross
+
+
+def scalar_s_times_u_is_square(spec, n, s, u):
+    """The old per-n census witness loop (u > 0 known): a u_eval_mod and a
+    jacobi call per witness prime, the big multiply last."""
+    for p in census._WITNESS_PRIMES:
+        r = (s % p) * u_eval_mod(spec, n, p) % p
+        if r and jacobi(r, p) == -1:
+            return False
+    return is_perfect_square(s * u)
+
+
+def scalar_s_matches(spec, n, s):
+    u = u_eval(spec, n)
+    return u > 0 and scalar_s_times_u_is_square(spec, n, s, u)
+
+
+def scalar_count_Q(spec, M, N, s):
+    """The old count_Q loop, without its argument checks."""
+    return sum(1 for n in range(M + 1, M + N + 1) if scalar_s_matches(spec, n, s))
+
+
+def scalar_distinct_fields(spec, M, N):
+    """The old distinct_fields loop: same_field against each representative."""
+    classes, skipped = [], []
+    for n in range(M + 1, M + N + 1):
+        u = u_eval(spec, n)
+        if u <= 0:
+            skipped.append(n)
+            continue
+        for _, members, u_rep in classes:
+            if same_field(u_rep, u):
+                members.append(n)
+                break
+        else:
+            classes.append((n, [n], u))
+    return tuple((rep, tuple(members)) for rep, members, _ in classes), tuple(skipped)
 
 
 def scalar_orbit_sum(f, lam, modulus, period, a):
@@ -183,3 +223,132 @@ def test_orbit_symbols_rejects_before_allocating(moduli, count):
     with pytest.raises(ValueError, match="orbit_symbols"):
         orbit_symbols(SHANKS, 2, moduli, count)
     assert time.perf_counter() - t0 < 1.0
+
+
+
+# f whose classes merge (k*g^n, the dipped 2^n - 5, a square times g^n) or
+# whose u(n) is 0 mod a witness prime, besides the random ones
+census_polynomial = st.one_of(
+    polynomial,
+    st.sampled_from([Polynomial.parse(t) for t in (
+        "-5,1", "0,3", "0,1", "-1,1", "0,10007", "1,6,1", "2,0,0,1", "-20,0,1")]),
+)
+# the prime 2419489 is a square mod every witness prime, so only the exact
+# test tells q^n with n odd from n even
+BLIND = 2419489
+base = st.one_of(st.integers(2, 12), st.sampled_from([10007, BLIND]))
+WITNESS_S = [10007, 10007 * 10009, 3 * 10141, 10037 * 10039 * 10061, BLIND]
+
+
+def _multiplier(data, spec, M, N):
+    # any s, one sharing witness primes, or u(n0) itself, which makes
+    # s*u(n0) a square whenever u(n0) > 0
+    return data.draw(st.one_of(
+        st.integers(-30, 10**6),
+        st.sampled_from(WITNESS_S),
+        st.integers(M + 1, M + N).map(lambda n0: u_eval(spec, n0)),
+    ))
+
+
+def _check_window(spec, M, N, s):
+    ns = range(M + 1, M + N + 1)
+    want = [n for n in ns if scalar_s_matches(spec, n, s)]
+    assert census.window_matches(spec, M, N, s) == want
+    assert [n for n in ns if census.s_matches(spec, n, s)] == want
+    if spec.separable and 1 <= s <= 2**64 - 1 and is_squarefree(s):
+        assert census.count_Q(spec, M, N, s) == scalar_count_Q(spec, M, N, s) == len(want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), census_polynomial, base, st.integers(0, 10**4), st.integers(1, 30))
+def test_window_matches_and_count_Q_match_scalar(data, f, g, M, N):
+    if g > 12:
+        M %= 100  # keeps u(n) under a million bits
+    spec = validate(f, g)
+    _check_window(spec, M, N, _multiplier(data, spec, M, N))
+
+
+@pytest.mark.parametrize("f, g, M, N, s, hits", [
+    ("-5,1", 2, 0, 12, 3, [3, 5, 9]),  # u(1), u(2) < 0; u(9) = 3 * 13^2
+    ("-5,1", 2, 0, 1, 3, []),
+    ("1,6,1", 2, 0, 1, 17, [1]),
+    ("0,1", 10007, 0, 9, 10007, [1, 3, 5, 7, 9]),  # u(n) = 0 mod the witness 10007
+    ("0,10007", 2, 0, 9, 10007, [2, 4, 6, 8]),
+    ("0,1", BLIND, 0, 6, 1, [2, 4, 6]),  # no witness rejects any n
+    ("0,1", BLIND, 0, 6, BLIND, [1, 3, 5]),
+    ("1,6,1", 2, 10**4 - 5, 5, 17, []),
+])
+def test_window_matches_examples(f, g, M, N, s, hits):
+    spec = validate(Polynomial.parse(f), g)
+    _check_window(spec, M, N, s)
+    assert census.window_matches(spec, M, N, s) == hits
+
+
+@settings(max_examples=60, deadline=None)
+@given(census_polynomial, base, st.integers(0, 10**4), st.integers(1, 30))
+@example(Polynomial.parse("-5,1"), 2, 0, 12)  # classes merge at n = 3, 5, 9
+@example(Polynomial.parse("0,3"), 4, 0, 1)
+@example(Polynomial.parse("0,1"), 10007, 0, 6)
+@example(Polynomial.parse("0,1"), BLIND, 0, 6)  # two classes no witness separates
+def test_distinct_fields_matches_scalar(f, g, M, N):
+    if g > 12:
+        M %= 100
+    spec = validate(f, g)
+    assume(spec.separable)
+    got = census.distinct_fields(spec, M, N)
+    assert (got.classes, got.skipped) == scalar_distinct_fields(spec, M, N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), polynomial, st.integers(2, 12), st.integers(0, 10**4), st.integers(1, 25))
+def test_run_sieve_matches_old_s_matches_filter(data, f, g, M, N):
+    pool = PRIME_SETS[g]
+    members = tuple(sorted(data.draw(st.lists(st.sampled_from(pool.members), unique=True,
+                                              min_size=1, max_size=6)), key=lambda sp: sp.ell))
+    pset = SievePrimeSet(pool.z, pool.C, pool.alpha, g, pool.variant, members)
+    spec = validate(f, g)
+    s = _multiplier(data, spec, M, N)
+    run = sieve.run_sieve(spec, M, N, s, pset)
+    assert run.cert.matches == tuple(n for n in run.part.n_z if scalar_s_matches(spec, n, s))
+
+
+# squarefree kernels, among them products of witness primes, 2^61 - 1 and 1
+KERNELS = (1, 2, 3, 6, 17, 30030, 10007, 10007 * 10009, 3 * 10141, 2**61 - 1, BLIND)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(KERNELS),
+                          st.one_of(st.integers(1, 2**80), st.integers(1, 10**6).map(lambda x: 10007 * x))),
+                min_size=1, max_size=6))
+def test_same_field_is_an_equivalence(pairs):
+    # k*x^2 and k'*y^2 with squarefree k, k' give one field iff k = k'
+    assert all(is_squarefree(k) for k in KERNELS)
+    vals = [k * x * x for k, x in pairs]
+    rel = [[same_field(a, b) for b in vals] for a in vals]
+    for i, (k, _) in enumerate(pairs):
+        assert rel[i][i]
+        for j, (k2, _) in enumerate(pairs):
+            assert rel[i][j] == rel[j][i] == (k == k2)
+            assert all(rel[i][m] for m in range(len(vals)) if rel[i][j] and rel[j][m])
+
+
+@settings(max_examples=40, deadline=None)
+@given(census_polynomial, st.integers(2, 12), st.integers(0, 50), st.integers(1, 8),
+       st.integers(2, 30), st.integers(31, 400))
+def test_fallback_scan_matches_scalar(f, g, M, N, B, S):
+    # B < S: kernels left incomplete go through the fallback scan, which reads
+    # one witness column per n instead of the per-s loop
+    spec = validate(f, g)
+    assume(spec.separable)
+    want = {}
+    for s in range(1, S + 1):
+        if is_squarefree(s) and (c := scalar_count_Q(spec, M, N, s)):
+            want[s] = c
+    assert census.count_Q_total(spec, M, N, S, B).per_s == want
+
+
+def test_fallback_scan_reads_a_zero_witness():
+    # u(n) = 10007^n: odd n have kernel 10007, a witness prime, found only by
+    # the fallback scan when B = 3
+    spec = validate(Polynomial.parse("0,1"), 10007)
+    assert census.count_Q_total(spec, 0, 7, 10007, B=3).per_s == {1: 3, 10007: 4}

@@ -180,3 +180,29 @@ def test_run_sieve_builds_symbols_once(monkeypatch, shanks, pset100):
     assert len(builds) == 1
     assert len(symbols) <= len(pset100)  # (s/ell) once per row, none per cell
     assert run.cert.matches == (1,)
+
+
+def test_sieve_diag_builds_symbols_once(monkeypatch, capsys):
+    # `sieve --diag` reads the certificate and the pair diagnostics from the
+    # table run_sieve built; the census witnesses are one more table
+    from quadfields import census, cli
+
+    builds = {}
+
+    def counting(module):
+        real = module.orbit_symbols
+
+        def wrapper(*args, **kwargs):
+            builds[module.__name__] = builds.get(module.__name__, 0) + 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    census._witnesses.cache_clear()
+    for module in (sieve, census):
+        monkeypatch.setattr(module, "orbit_symbols", counting(module))
+    rc = cli.main(["sieve", "-f", "1,6,1", "-g", "2", "-N", "300", "-s", "17",
+                   "--z", "200", "--diag"])
+    out = capsys.readouterr().out
+    assert rc == 0 and "pairs U" in out and "certificate lhs 1 " in out
+    assert builds == {"quadfields.sieve": 1, "quadfields.census": 1}
