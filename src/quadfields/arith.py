@@ -17,7 +17,6 @@ __all__ = [
     "InvariantError",
     "Factorization",
     "OrderRecord",
-    "isqrt",
     "is_perfect_square",
     "jacobi",
     "is_prime",
@@ -25,7 +24,6 @@ __all__ = [
     "primes_up_to",
     "primes_through",
     "factorize",
-    "largest_prime_factor",
     "multiplicative_order",
     "euler_phi",
     "is_squarefree",
@@ -69,10 +67,6 @@ class Factorization:
             prod *= p**e
         if prod != self.n:
             raise ValueError(f"factorization of {self.n} does not multiply back")
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
 
 
 @dataclass(frozen=True)
@@ -219,16 +213,6 @@ class FactorTable:
             out.append((p, e))
         return tuple(out)
 
-    def totients(self) -> list[int]:
-        """phi(n) for every n in [0, hi], phi(0) = 0, from phi(n/p) with p = spf(n)."""
-        read = self._spf.data
-        phi = list(range(len(read)))
-        for n in range(2, len(read)):
-            p = read[n]
-            m = n // p
-            phi[n] = phi[m] * (p if m % p == 0 else p - 1)
-        return phi
-
 
 # Trial division strips everything below this before rho takes over; any n
 # below the bound squared is finished by the strip alone.
@@ -295,11 +279,6 @@ def factorize(n: int) -> Factorization:
     if n > 1:
         _factor_into(n, out)
     return Factorization(orig, tuple(sorted(out.items())))
-
-
-def largest_prime_factor(n: int) -> int:
-    """P+(n), the largest prime dividing n; n >= 2."""
-    return factorize(n).factors[-1][0]
 
 
 def euler_phi(n: int) -> int:

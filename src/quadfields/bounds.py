@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import linear_regression
 
 from .arith import ensure
 
@@ -25,9 +24,7 @@ __all__ = [
     "regime_bound",
     "bound_curve_csv",
     "interpolation_check",
-    "fit_exponent",
     "default_z",
-    "endgame_terms",
     "endgame_system",
     "av1_system",
 ]
@@ -230,30 +227,13 @@ def interpolation_check(alpha: float) -> InterpolationCheck:
     )
 
 
-def fit_exponent(points: list[tuple[float, float]]) -> float:
-    """Log-log least-squares slope of count against N."""
-    if len(points) < 3:
-        raise ValueError("fit_exponent: need at least 3 points")
-    if any(n <= 0 or c <= 0 for n, c in points):
-        raise ValueError("fit_exponent: N and count must be positive")
-    xs = [math.log(n) for n, _ in points]
-    ys = [math.log(c) for _, c in points]
-    if max(xs) == min(xs):
-        raise ValueError("fit_exponent: N values must not all coincide")
-    return linear_regression(xs, ys).slope
-
-
 def default_z(N: float, alpha: float) -> float:
-    """z = N^(1/(2 alpha)) (log N)^(-1/alpha), the endgame balancing choice."""
+    """z = N^(1/(2 alpha)) (log N)^(-1/alpha), the choice that balances the
+    endgame terms N z^(1-2 alpha) and z (log z)^2."""
     _require_alpha(alpha, "default_z")
     if N < 3:
         raise ValueError("default_z: N must be >= 3")
     return N ** (1 / (2 * alpha)) * math.log(N) ** (-1 / alpha)
-
-
-def endgame_terms(N: float, alpha: float, z: float) -> tuple[float, float]:
-    """The two terms N z^(1-2 alpha) and z (log z)^2 the default z balances."""
-    return N * z ** (1 - 2 * alpha), z * math.log(z) ** 2
 
 
 def endgame_system(N: float, alpha: float, z1: float, z2: float) -> TermSystem:

@@ -32,6 +32,11 @@ __all__ = [
 
 DEFAULT_KERNEL_BOUND = 10**6
 
+# Kernel extraction costs at most about 4 ns per (bit of u(n) + 2048) per 64-prime
+# chunk <= B (100- to 64,000-bit u(n), B = 10^6 and 10^7, Python 3.11 on a 2-core
+# x86-64; the 2048 stands for the per-chunk gcd), so this cap is about a minute.
+KERNEL_WORK_CAP = 15 * 10**9
+
 # Fixed witnesses for the residue prefilters: (a/p)(b/p) = -1 at any of them
 # proves a*b is not a square.  Any odd primes work; these sit above every
 # coefficient the test suite uses so zero residues stay rare.
@@ -115,6 +120,12 @@ def same_field(a: int, b: int) -> bool:
 def _require_census_spec(spec: SequenceSpec, who: str) -> None:
     if not spec.separable:
         raise ValueError(f"{who}: census requires a separable f")
+
+
+def _window_bits(spec: SequenceSpec, M: int, N: int) -> int:
+    # bound on the sum of bitlen(u(n)) over the window: |u(n)| <= sum |c_i| * g^(deg n)
+    coeff_bits = sum(map(abs, spec.f.coefficients)).bit_length()
+    return spec.f.degree * spec.g.bit_length() * (N * (2 * M + N + 1) // 2) + N * coeff_bits
 
 
 def _window(M: int, N: int, who: str) -> range:
@@ -207,13 +218,23 @@ def count_Q_total(
     For each n the kernel of u(n) either comes out exact (counted iff <= S)
     or is certified to exceed B; when B >= S that already decides the
     question, and when B < S a direct fallback scan keeps the result exact.
+    A window whose kernel work, bounded before any u(n) is built, passes
+    KERNEL_WORK_CAP raises ValueError.
     """
     _require_census_spec(spec, "count_Q_total")
     if S < 1:
         raise ValueError("count_Q_total: S must be >= 1")
+    ns = _window(M, N, "count_Q_total")
+    chunks = len(prime_chunks(B))  # first, so an oversized B fails on the table cap
+    work = (_window_bits(spec, M, N) + 2048 * N) * chunks
+    if work > KERNEL_WORK_CAP:
+        raise ValueError(
+            f"count_Q_total: kernel extraction needs about {work:.3g} steps (bits of u(n) "
+            f"times {chunks} prime chunks <= B), past the cap {KERNEL_WORK_CAP:.3g}"
+        )
     per_s: dict[int, int] = {}
     skipped = []
-    for n in _window(M, N, "count_Q_total"):
+    for n in ns:
         u = u_eval(spec, n)
         if u <= 0:
             skipped.append(n)

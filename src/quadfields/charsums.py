@@ -1,6 +1,6 @@
 """Character sums over the orbit of lam: complete sums mod p and mod ell*p,
 the exact frequency-split product identity, incomplete sums with their bound
-ratios, Weil-ratio scans, and the averaged and conditional measurements.
+ratios, Weil-ratio scans, and the Heath-Brown average.
 
 Conventions: e(t) = exp(2*pi*i*t), sums run over x = 1..tau unless a K says
 otherwise, and every a = 0 path is computed in exact integers.
@@ -37,7 +37,6 @@ __all__ = [
     "incomplete_sum",
     "weil_scan",
     "hb_average",
-    "conditional_char_measure",
 ]
 
 WEIL_SLACK = 1  # asserted bound is (degree + WEIL_SLACK) * sqrt(p)
@@ -70,7 +69,7 @@ class CharSumResult:
     frequency: int
     lam: int
     kind: str  # complete_p | complete_lp | incomplete
-    bound_ratio: float | None = None
+    bound_ratio: float
 
     def __post_init__(self):
         if abs(self.value) > self.period + 1e-6:
@@ -259,10 +258,6 @@ class WeilScanReport:
         return max((r.ratio for r in self.rows if r.admissible), default=0.0)
 
     @property
-    def max_ratio_any(self) -> float:
-        return max((r.ratio for r in self.rows), default=0.0)
-
-    @property
     def violations(self) -> tuple[WeilScanRow, ...]:
         return tuple(r for r in self.rows if r.admissible and r.ratio > self.slack)
 
@@ -349,11 +344,3 @@ def hb_average(R: int, S: int, psi=None) -> HbAverage:
         return HbAverage(lhs=float(lhs), normalized=0.0)
     return HbAverage(lhs=float(lhs), normalized=float(lhs) / (S * (R + S) * peak**2))
 
-
-def conditional_char_measure(q: int, k: int) -> float:
-    """|sum_{n<=k} (n/q)| / sqrt(k) for the quadratic character mod q."""
-    if q == 2 or not is_prime(q):
-        raise ValueError("conditional_char_measure: q must be an odd prime")
-    if not 1 <= k < q:
-        raise ValueError("conditional_char_measure: need 1 <= k < q")
-    return abs(sum(jacobi(n, q) for n in range(1, k + 1))) / math.sqrt(k)

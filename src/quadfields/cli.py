@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 flag parsing, 3 precondition violations
 (ValueError from any module), 4 invariant failures (InvariantError, which
 python -O does not strip, or a stray AssertionError).
-Outputs are deterministic for a fixed config and seed; artifacts are
+Outputs are deterministic for fixed flags; artifacts are
 written only when -o is given, stdout carries the human summary.
 """
 
@@ -14,45 +14,19 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import bounds, census, charsums, harvest, sieve
 from .arith import InvariantError, ensure, factorize, is_squarefree, jacobi
 from .sequences import Polynomial, SequenceSpec, u_eval, u_eval_mod, validate
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    f: str | None = None
-    g: int | None = None
-    M: int = 0
-    N: int = 1
-    s: int | None = None
-    S: int | None = None
-    z: float | None = None
-    C: float = 2.0
-    alpha: float = 0.677
-    variant: str = "standard"
-    out: str | None = None
-    seed: int = 0
-    options: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        known = {fd.name for fd in fields(cls)} - {"options"}
-        ns = vars(args)
-        base = {k: v for k, v in ns.items() if k in known and v is not None}
-        extra = {k: v for k, v in ns.items() if k not in known}
-        return cls(options=extra, **base)
-
-    def spec(self) -> SequenceSpec:
-        if self.f is None or self.g is None:
-            raise ValueError("this command needs -f and -g")
-        return validate(Polynomial.parse(self.f), self.g)
+def _spec(args: argparse.Namespace) -> SequenceSpec:
+    if args.f is None or args.g is None:
+        raise ValueError("this command needs -f and -g")
+    return validate(Polynomial.parse(args.f), args.g)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("-M", type=int, default=0, help="window offset (default 0)")
             p.add_argument("-N", type=int, default=1, help="window length")
         p.add_argument("-o", "--out", help="artifact output path")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("census", help="count square values of s*u(n) over a window")
     common(p, spec=True, window=True)
@@ -113,135 +86,129 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="exponent table, regimes, and curve export")
     common(p, spec=False)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("-N", type=float, dest="bN")
-    p.add_argument("-S", type=float, dest="bS")
+    p.add_argument("-N", type=float)
+    p.add_argument("-S", type=float)
     p.add_argument("--curve", action="store_true", help="emit a CSV bound curve over S")
     p.add_argument("--smax", type=float, default=10**6)
     p.add_argument("--points", type=int, default=25)
 
     p = sub.add_parser("verify", help="run the exact-invariant suite")
     common(p, spec=False)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quick", action="store_true")
     return top
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        Path(cfg.out).write_text(text)
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        Path(args.out).write_text(text)
 
 
-def _run_census(cfg: RunConfig) -> int:
-    spec = cfg.spec()
-    if cfg.options.get("classes"):
-        result = census.distinct_fields(spec, cfg.M, cfg.N)
+def _run_census(args: argparse.Namespace) -> int:
+    spec = _spec(args)
+    if args.classes:
+        result = census.distinct_fields(spec, args.M, args.N)
         print(f"classes {len(result.classes)}")
         for rep, members in result.classes:
             print(f"  n={rep}: {' '.join(map(str, members))}")
-        _emit(cfg, result.to_json())
+        _emit(args, result.to_json())
         return 0
-    if cfg.s is not None and cfg.S is not None:
+    if args.s is not None and args.S is not None:
         raise ValueError("census: give -s or -S, not both")
-    if cfg.s is not None:
-        count = census.count_Q(spec, cfg.M, cfg.N, cfg.s)
+    if args.s is not None:
+        count = census.count_Q(spec, args.M, args.N, args.s)
         print(count)
-        _emit(cfg, json.dumps({"M": cfg.M, "N": cfg.N, "s": cfg.s, "count": count}, sort_keys=True))
+        _emit(args, json.dumps({"M": args.M, "N": args.N, "s": args.s, "count": count}, sort_keys=True))
         return 0
-    if cfg.S is not None:
-        result = census.count_Q_total(
-            spec, cfg.M, cfg.N, cfg.S, B=cfg.options.get("kernel_bound", census.DEFAULT_KERNEL_BOUND))
+    if args.S is not None:
+        result = census.count_Q_total(spec, args.M, args.N, args.S, B=args.kernel_bound)
         print(result.total)
-        _emit(cfg, result.to_json())
+        _emit(args, result.to_json())
         return 0
     raise ValueError("census: need -s, -S, or --classes")
 
 
-def _run_sieve(cfg: RunConfig) -> int:
-    spec = cfg.spec()
-    z = cfg.z if cfg.z is not None else bounds.default_z(cfg.N, cfg.alpha)
-    pset = harvest.build_prime_set(cfg.g, z, cfg.C, cfg.alpha, cfg.variant)
-    s = cfg.s if cfg.s is not None else 1
-    run = sieve.run_sieve(spec, cfg.M, cfg.N, s, pset)
+def _run_sieve(args: argparse.Namespace) -> int:
+    spec = _spec(args)
+    z = args.z if args.z is not None else bounds.default_z(args.N, args.alpha)
+    pset = harvest.build_prime_set(args.g, z, args.C, args.alpha, args.variant)
+    run = sieve.run_sieve(spec, args.M, args.N, args.s, pset)
     print(f"z {z:.6g} primes {len(pset)}")
     print(f"partition light {len(run.part.n_z)} heavy {len(run.part.e_z)} "
           f"heavy_ratio {run.part.e_ratio:.6g}")
     print(f"certificate lhs {run.cert.lhs} rhs {run.cert.rhs.numerator}/"
           f"{run.cert.rhs.denominator} holds {run.cert.holds}")
-    if cfg.options.get("diag"):
+    if args.diag:
         d = run.diagnostics()
         print(f"pairs U {d.U} V {d.V} W {d.W} T {d.T} Q {d.Q_quantity}")
         print(f"ratios U {d.U_ratio:.6g} V {d.V_ratio:.6g} "
               f"T {d.T_ratio:.6g} Q {d.Q_ratio:.6g}")
         print(f"gcd max {d.max_cross_gcd} cap {d.gcd_cap:.6g} holds {d.gcd_bound_holds}")
-    _emit(cfg, run.to_json())
+    _emit(args, run.to_json())
     return 0
 
 
-def _run_charsum(cfg: RunConfig) -> int:
-    f = Polynomial.parse(cfg.f)
-    lam = cfg.options["lam"]
-    if cfg.options.get("scan"):
-        report = charsums.weil_scan(f, lam, cfg.options["pmax"])
+def _run_charsum(args: argparse.Namespace) -> int:
+    f = Polynomial.parse(args.f)
+    if args.scan:
+        report = charsums.weil_scan(f, args.lam, args.pmax)
         print(f"max_ratio {report.max_ratio:.12g} slack {report.slack:.6g} ok {report.ok}")
-        _emit(cfg, report.to_csv())
+        _emit(args, report.to_csv())
         return 0
-    p = cfg.options.get("p")
-    ell = cfg.options.get("ell")
-    if p is None:
+    if args.p is None:
         raise ValueError("charsum: need --p (and optionally --ell)")
-    if ell is not None and cfg.options.get("K") is not None:
-        r = charsums.incomplete_sum(f, cfg.options["A"], lam, ell, p, cfg.options["K"])
-    elif ell is not None:
-        r = charsums.complete_sum_pair(f, lam, ell, p, cfg.options["a"])
+    if args.ell is not None and args.K is not None:
+        r = charsums.incomplete_sum(f, args.A, args.lam, args.ell, args.p, args.K)
+    elif args.ell is not None:
+        r = charsums.complete_sum_pair(f, args.lam, args.ell, args.p, args.a)
     else:
-        r = charsums.complete_sum_p(f, lam, p, cfg.options["a"])
-    ratio = "n/a" if r.bound_ratio is None else f"{r.bound_ratio:.12g}"
+        r = charsums.complete_sum_p(f, args.lam, args.p, args.a)
     print(f"{r.kind} modulus {r.modulus} period {r.period} "
-          f"value {r.value.real:.12g}{r.value.imag:+.12g}i ratio {ratio}")
-    _emit(cfg, json.dumps({
+          f"value {r.value.real:.12g}{r.value.imag:+.12g}i ratio {r.bound_ratio:.12g}")
+    _emit(args, json.dumps({
         "kind": r.kind, "modulus": r.modulus, "period": r.period,
         "frequency": r.frequency, "re": r.value.real, "im": r.value.imag,
         "bound_ratio": r.bound_ratio}, sort_keys=True))
     return 0
 
 
-def _run_primes(cfg: RunConfig) -> int:
-    if cfg.options.get("density"):
-        rep = harvest.density_report(cfg.g, cfg.z, cfg.alpha)
+def _run_primes(args: argparse.Namespace) -> int:
+    if args.density:
+        rep = harvest.density_report(args.g, args.z, args.alpha)
         print(f"primes {rep.primes_counted} smooth_shift {rep.count_alpha} "
               f"large_order {rep.count_order}")
         print(f"ratio {rep.ratio_alpha:.6g} dickman_reference {rep.dickman_reference:.6g}")
         return 0
-    pset = harvest.build_prime_set(cfg.g, cfg.z, cfg.C, cfg.alpha, cfg.variant)
+    pset = harvest.build_prime_set(args.g, args.z, args.C, args.alpha, args.variant)
     text = harvest.format_records(pset)
     print(f"members {len(pset)}")
-    if cfg.out:
-        _emit(cfg, text)
+    if args.out:
+        _emit(args, text)
     elif text:
         print(text, end="")
     return 0
 
 
-def _run_bounds(cfg: RunConfig) -> int:
-    t = bounds.exponent_table(cfg.alpha)
+def _run_bounds(args: argparse.Namespace) -> int:
+    t = bounds.exponent_table(args.alpha)
     for name in ("alpha", "beta", "gamma", "beta0", "gamma0",
                  "switch1", "switch2", "switch3", "theta"):
         print(f"{name} {getattr(t, name):.10f}")
-    print(f"one_over_one_plus_alpha {1 / (1 + cfg.alpha):.10f}")
-    chk = bounds.interpolation_check(cfg.alpha)
+    print(f"one_over_one_plus_alpha {1 / (1 + args.alpha):.10f}")
+    chk = bounds.interpolation_check(args.alpha)
     print(f"interpolation theta {chk.theta:.10f} holds {chk.inequality_holds} "
           f"grid {chk.grid_holds}")
-    N, S = cfg.options.get("bN"), cfg.options.get("bS")
-    if N is not None:
-        print(f"default_z {bounds.default_z(N, cfg.alpha):.6g}")
-    if N is not None and S is not None:
-        rb = bounds.regime_bound(cfg.alpha, N, S)
+    if args.N is not None:
+        print(f"default_z {bounds.default_z(args.N, args.alpha):.6g}")
+    if args.N is not None and args.S is not None:
+        rb = bounds.regime_bound(args.alpha, args.N, args.S)
         print(f"regime {rb.regime} bound {rb.value:.6g}")
-    if cfg.options.get("curve"):
-        if N is None:
+    if args.curve:
+        if args.N is None:
             raise ValueError("bounds: --curve needs -N")
-        smax, pts = cfg.options["smax"], cfg.options["points"]
+        smax, pts = args.smax, args.points
         svals = [smax ** (i / (pts - 1)) for i in range(pts)] if pts > 1 else [1.0]
-        _emit(cfg, bounds.bound_curve_csv(cfg.alpha, N, svals))
+        _emit(args, bounds.bound_curve_csv(args.alpha, args.N, svals))
     return 0
 
 
@@ -333,9 +300,9 @@ def _check_weil(rng: random.Random, quick: bool) -> None:
     ensure(report.ok, f"weil ratio {report.max_ratio}")
 
 
-def _run_verify(cfg: RunConfig) -> int:
-    quick = bool(cfg.options.get("quick"))
-    rng = random.Random(cfg.seed)
+def _run_verify(args: argparse.Namespace) -> int:
+    quick = args.quick
+    rng = random.Random(args.seed)
     checks = (_check_arith, _check_sequences, _check_detector, _check_census,
               _check_product_formula, _check_completion, _check_bounds, _check_weil)
     for check in checks:
@@ -361,9 +328,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse prints its own message; code 2 on bad flags
         return int(exc.code or 0)
-    cfg = RunConfig.from_args(args)
     try:
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,6 +1,6 @@
 """Harvest sieving primes: ell in [z, Cz] with a large P+(ell-1) and large
-multiplicative order of g, plus the empirical density and progression checks
-that back the harvest up.
+multiplicative order of g, plus the empirical density report that backs the
+harvest up.
 """
 
 from __future__ import annotations
@@ -8,18 +8,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import FactorTable, euler_phi, is_prime, order_descent, primes_through
+from .arith import FactorTable, is_prime, order_descent
 
 __all__ = [
     "SievePrime",
     "SievePrimeSet",
     "DensityReport",
-    "primes_in_range",
     "build_prime_set",
     "density_report",
-    "pi_progression",
-    "bt_ratio",
-    "euler_sum",
     "format_records",
     "parse_records",
 ]
@@ -61,11 +57,6 @@ class SievePrimeSet:
     @property
     def ells(self) -> tuple[int, ...]:
         return tuple(sp.ell for sp in self.members)
-
-
-def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes in [lo, hi], read from a factor table over [0, hi]."""
-    return FactorTable(max(hi, 0)).primes(lo)
 
 
 def build_prime_set(
@@ -161,36 +152,6 @@ def density_report(g: int, z: float, alpha: float) -> DensityReport:
         ratio_alpha=count_alpha / len(primes),
         dickman_reference=dickman_reference(alpha),
     )
-
-
-def pi_progression(t: float, m: int, a: int) -> int:
-    """Exact count of primes p <= t with p = a (mod m)."""
-    if t < 2:
-        raise ValueError("pi_progression: t must be >= 2")
-    if not 1 <= m <= t:
-        raise ValueError("pi_progression: need 1 <= m <= t")
-    a %= m
-    return sum(1 for p in primes_through(math.floor(t)) if p % m == a)
-
-
-def bt_ratio(t: float, m: int, a: int) -> float:
-    """Companion ratio pi(t;m,a) * phi(m) * log(t) / t for the
-    Brun-Titchmarsh comparison."""
-    return pi_progression(t, m, a) * euler_phi(m) * math.log(t) / t
-
-
-def euler_sum(t: float) -> float:
-    """Sum of n/phi(n)^2 over n <= t.
-
-    Each term is int true division, which rounds the exact rational once,
-    and accumulation uses fsum.  A single exact Fraction accumulator is
-    hopeless here: the common denominator over n <= 10^6 has millions of
-    digits.
-    """
-    if t < 2:
-        raise ValueError("euler_sum: t must be >= 2")
-    phi = FactorTable(math.floor(t)).totients()
-    return math.fsum(n / (phi[n] * phi[n]) for n in range(1, len(phi)))
 
 
 def format_records(pset: SievePrimeSet) -> str:

@@ -1,7 +1,7 @@
 """Integer polynomials f, the base g, and the sequence u(n) = f(g^n).
 
-Validation decides the hypotheses downstream code cares about (separable,
-monic, degree, sign of the leading coefficient) exactly over the integers.
+Validation decides separability, the hypothesis the census needs, exactly
+over the integers.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "u_eval",
     "u_eval_mod",
     "orbit_symbols",
-    "positivity_threshold",
 ]
 
 _TILE = 1 << 16  # int64 temporaries are built this many cells at a time
@@ -126,13 +125,10 @@ class SequenceSpec:
     f: Polynomial
     g: int
     separable: bool
-    positive_leading: bool
-    degree_ge_3: bool
-    monic: bool
 
 
 def validate(f: Polynomial, g: int) -> SequenceSpec:
-    """Decide the hypotheses on f exactly and package the sequence.
+    """Decide whether f is separable, exactly, and package the sequence.
 
     Separability is gcd(f, f') having degree 0; everything is integer
     arithmetic, no floating point anywhere.
@@ -141,14 +137,7 @@ def validate(f: Polynomial, g: int) -> SequenceSpec:
         raise ValueError("validate: deg f must be >= 1")
     if g <= 1:
         raise ValueError("validate: g must be > 1")
-    return SequenceSpec(
-        f=f,
-        g=g,
-        separable=gcd_degree(f, f.derivative()) == 0,
-        positive_leading=f.leading > 0,
-        degree_ge_3=f.degree >= 3,
-        monic=f.leading == 1,
-    )
+    return SequenceSpec(f=f, g=g, separable=gcd_degree(f, f.derivative()) == 0)
 
 
 def u_eval(spec: SequenceSpec, n: int) -> int:
@@ -244,23 +233,3 @@ def _legendre(v: np.ndarray, block) -> np.ndarray:
         out[euler] = np.where(r > 1, -1, r)
     return out
 
-
-def positivity_threshold(spec: SequenceSpec) -> int:
-    """Smallest n0 such that u(n) > 0 for every n >= n0.
-
-    For x > 1 + max|c_i|/c_d the sign of f(x) is the sign of the leading
-    coefficient, so scan up to the first n clearing that bound, then walk
-    back down while the values stay positive.
-    """
-    if not spec.positive_leading:
-        raise ValueError("positivity threshold needs a positive leading coefficient")
-    lead = spec.f.leading
-    tail_max = max((abs(c) for c in spec.f.coefficients[:-1]), default=0)
-    n_star = 0
-    # g^n > 1 + tail_max/lead, kept in integers as lead*(g^n - 1) > tail_max
-    while lead * (spec.g**n_star - 1) <= tail_max:
-        n_star += 1
-    n0 = n_star
-    while n0 > 0 and u_eval(spec, n0 - 1) > 0:
-        n0 -= 1
-    return n0

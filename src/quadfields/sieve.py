@@ -18,7 +18,7 @@ from math import gcd
 import numpy as np
 
 from .arith import jacobi
-from .census import s_matches, window_matches  # noqa: F401  (s_matches re-exported)
+from .census import window_matches
 from .harvest import SievePrimeSet
 from .sequences import SequenceSpec, orbit_symbols, u_eval, u_eval_mod
 

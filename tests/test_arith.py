@@ -11,7 +11,6 @@ from quadfields.arith import (
     is_prime,
     is_squarefree,
     jacobi,
-    largest_prime_factor,
     multiplicative_order,
     primes_up_to,
 )
@@ -143,14 +142,6 @@ def test_factorize_matches_sympy():
     for _ in range(100):
         n = rng.randrange(2, 1 << 50)
         assert dict(factorize(n).factors) == sympy.factorint(n)
-
-
-def test_largest_prime_factor():
-    assert largest_prime_factor(10) == 5
-    assert largest_prime_factor(106) == 53
-    assert largest_prime_factor(8) == 2
-    with pytest.raises(ValueError):
-        largest_prime_factor(1)
 
 
 def test_multiplicative_order_examples():

@@ -8,9 +8,7 @@ from quadfields.bounds import (
     bound_curve_csv,
     default_z,
     endgame_system,
-    endgame_terms,
     exponent_table,
-    fit_exponent,
     grakol_optimize,
     interpolation_check,
     regime_bound,
@@ -141,34 +139,19 @@ def test_interpolation_check():
     assert interpolation_check(0.677).theta == pytest.approx(0.2103181745, abs=1e-9)
 
 
-def test_fit_exponent():
-    pts = [(n, n**0.5) for n in (10.0, 100.0, 1000.0, 10000.0)]
-    assert fit_exponent(pts) == pytest.approx(0.5, abs=1e-9)
-    assert fit_exponent([(10.0, 3.0), (100.0, 3.0), (1000.0, 3.0)]) == pytest.approx(
-        0.0, abs=1e-12
-    )
-    with pytest.raises(ValueError):
-        fit_exponent([(10.0, 1.0), (20.0, 2.0)])
-    with pytest.raises(ValueError):
-        fit_exponent([(10.0, 1.0), (20.0, 0.0), (30.0, 2.0)])
-    with pytest.raises(ValueError):
-        fit_exponent([(10.0, 1.0), (10.0, 2.0), (10.0, 3.0)])
-
-
 def test_fit_exponent_census_doubling(shanks):
-    # the s = 17 census count is flat in N: only n = 1 ever matches
-    pts = [(float(N), float(count_Q(shanks, 0, N, 17))) for N in (100, 200, 400, 800)]
-    assert fit_exponent(pts) == pytest.approx(0.0, abs=1e-12)
+    # the s = 17 census count is flat in N (log-log slope 0): only n = 1 ever matches
+    counts = [count_Q(shanks, 0, N, 17) for N in (100, 200, 400, 800)]
+    assert counts == [1, 1, 1, 1]
 
 
 def test_default_z_balance():
+    # ratio of the endgame terms N z^(1-2 alpha) and z (log z)^2 at the default z
     for N, want in ((1e3, 9.450609), (1e6, 4.771175), (1e9, 3.663036)):
         z = default_z(N, 0.677)
-        up, down = endgame_terms(N, 0.677, z)
-        assert up / down == pytest.approx(want, rel=1e-3)
-    z9 = default_z(1e9, 0.677)
-    up, down = endgame_terms(1e9, 0.677, z9)
-    assert up / down <= 4.0  # the claimed factor closes only near 10^9
+        ratio = N * z ** (1 - 2 * 0.677) / (z * math.log(z) ** 2)
+        assert ratio == pytest.approx(want, rel=1e-3)
+    assert ratio <= 4.0  # the claimed factor closes only near 10^9
     with pytest.raises(ValueError):
         default_z(2.0, 0.677)
     with pytest.raises(ValueError):

@@ -1,13 +1,14 @@
 import json
 import math
 import random
+import time
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadfields import arith, census
+from quadfields import arith, census, cli
 from quadfields.arith import is_perfect_square, is_squarefree
 from quadfields.census import (
     count_Q,
@@ -17,7 +18,7 @@ from quadfields.census import (
     same_field,
     squarefree_kernel,
 )
-from quadfields.sequences import Polynomial, validate
+from quadfields.sequences import Polynomial, u_eval, validate
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +107,29 @@ def test_count_Q_total_skips_negative(dipped):
     res = count_Q_total(dipped, 0, 5, 50)
     assert res.skipped == (1, 2)
     assert res.per_s == {3: 2, 11: 1}  # u(3) = 3, u(5) = 27, u(4) = 11
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=5).filter(lambda c: c[-1]),
+       st.integers(2, 10**4), st.integers(0, 300), st.integers(1, 30))
+def test_window_bits_bounds_every_u(coeffs, g, M, N):
+    spec = validate(Polynomial(tuple(coeffs)), g)
+    true_bits = sum(u_eval(spec, n).bit_length() for n in range(M + 1, M + N + 1))
+    assert census._window_bits(spec, M, N) >= true_bits
+
+
+def test_window_bits_example(shanks):
+    # 2 * bitlen(2) * (1 + ... + 5) + 5 * bitlen(1 + 6 + 1)
+    assert census._window_bits(shanks, 0, 5) == 80
+
+
+@pytest.mark.parametrize("mode", [["-S", "10"], ["-s", "17"], ["--classes"]],
+                         ids=["S", "s", "classes"])
+def test_huge_census_window_exits_3_fast(mode, capsys):
+    t0 = time.perf_counter()
+    assert cli.main(["census", "-f", "1,6,1", "-g", "2", "-N", "7000000", *mode]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "cap" in capsys.readouterr().err
 
 
 def test_census_json_roundtrip(shanks):

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -70,10 +71,17 @@ def test_assertion_exits_4(capsys, monkeypatch):
     assert rc == 4 and "invariant failure" in err
 
 
-def test_format_flag_is_gone(capsys):
-    rc, _, err = run(capsys, "census", "-f", "1,6,1", "-g", "2", "-N", "5", "-s", "17",
-                     "--format", "json")
-    assert rc == 2 and "--format" in err
+@pytest.mark.parametrize("argv, flag", [
+    (["census", "-f", "1,6,1", "-g", "2", "-N", "5", "-s", "17", "--format", "json"], "--format"),
+    (["census", "-f", "1,6,1", "-g", "2", "-N", "5", "-s", "17", "--seed", "7"], "--seed"),
+    (["sieve", "-f", "1,6,1", "-g", "2", "-N", "200", "--z", "100", "--seed", "7"], "--seed"),
+    (["charsum", "-f", "2,0,0,1", "--lam", "2", "--p", "101", "--seed", "7"], "--seed"),
+    (["primes", "-g", "2", "--z", "100", "--seed", "7"], "--seed"),
+    (["bounds", "--alpha", "0.677", "--seed", "7"], "--seed"),
+], ids=["format", "census-seed", "sieve-seed", "charsum-seed", "primes-seed", "bounds-seed"])
+def test_removed_flags_exit_2(argv, flag, capsys):
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2 and flag in err
 
 
 # verify --quick with count_Q_total made to overcount by one
@@ -215,3 +223,27 @@ def test_verify_quick(capsys):
 
 def test_verify_seeded(capsys):
     assert run(capsys, "verify", "--quick", "--seed", "7")[0] == 0
+
+
+def test_readme_cli_examples(capsys, tmp_path, monkeypatch):
+    # every command in README's CLI block runs; lines right after a command,
+    # up to a blank line, are its exact stdout
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text().split("\n## CLI\n", 1)[1].split("```")[1].splitlines()
+    monkeypatch.chdir(tmp_path)
+    commands = checked = 0
+    for i, line in enumerate(lines):
+        if not line.startswith("quadfields "):
+            continue
+        rc, out, err = run(capsys, *shlex.split(line)[1:])
+        assert rc == 0, (line, err)
+        commands += 1
+        shown = []
+        for nxt in lines[i + 1:]:
+            if not nxt or nxt.startswith(("#", "quadfields ")):
+                break
+            shown.append(nxt)
+        if shown:
+            assert out == "\n".join(shown) + "\n", line
+            checked += 1
+    assert commands >= 10 and checked >= 1

@@ -182,7 +182,7 @@ def test_sieve_matches_scalar_oracles(data, f, g, M, N, s):
     D = {n: sum(row[j] for row in rows) for j, n in enumerate(ns)}
     assert run.detector_map == D
     assert run.omega_map == {n: sum(1 for row in rows if row[j] == 0) for j, n in enumerate(ns)}
-    matched = tuple(n for n in part.n_z if sieve.s_matches(spec, n, s))
+    matched = tuple(n for n in part.n_z if census.s_matches(spec, n, s))
     assert run.cert.matches == matched
     assert run.cert.rhs == Fraction(2 * sum(D[n] ** 2 for n in matched), len(members))
     for n in ns[:3]:

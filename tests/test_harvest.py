@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 import sympy
@@ -7,23 +6,19 @@ import sympy
 from quadfields.arith import FactorTable, factorize, is_prime, multiplicative_order
 from quadfields.harvest import (
     SievePrime,
-    bt_ratio,
     build_prime_set,
     density_report,
     dickman_reference,
-    euler_sum,
     format_records,
     parse_records,
-    pi_progression,
-    primes_in_range,
 )
 
 
 def test_primes_in_range():
-    assert primes_in_range(10, 30) == [11, 13, 17, 19, 23, 29]
-    assert primes_in_range(2, 2) == [2]
-    assert primes_in_range(24, 28) == []
-    assert primes_in_range(9973, 9973) == [9973]
+    assert FactorTable(30).primes(10) == [11, 13, 17, 19, 23, 29]
+    assert FactorTable(2).primes(2) == [2]
+    assert FactorTable(28).primes(24) == []
+    assert FactorTable(9973).primes(9973) == [9973]
 
 
 def test_build_prime_set_window_example():
@@ -132,40 +127,6 @@ def test_dickman_reference_bounds():
         dickman_reference(0.4)
 
 
-def test_pi_progression_examples():
-    assert pi_progression(100, 4, 1) == 11
-    assert pi_progression(10, 2, 0) == 1
-    assert pi_progression(100, 1, 0) == 25
-
-
-def test_bt_ratio_finite():
-    r = bt_ratio(1000, 4, 1)
-    assert 0 < r < 10
-
-
-def test_euler_sum_examples():
-    assert euler_sum(2.0) == 3.0
-    assert euler_sum(4.0) == 4.75
-    with pytest.raises(ValueError):
-        euler_sum(1.0)
-
-
-@pytest.mark.parametrize("t", [10, 997, 10**4, 65537])
-def test_euler_sum_equals_fraction_form(t):
-    # int true division rounds n/phi(n)^2 once, exactly as float(Fraction) does
-    phi = FactorTable(t).totients()
-    exact_terms = (float(Fraction(n, phi[n] * phi[n])) for n in range(1, t + 1))
-    assert euler_sum(t) == math.fsum(exact_terms)
-
-
-def test_euler_sum_goldens_bounded():
-    small = euler_sum(10**3) / math.log(10**3)
-    big = euler_sum(10**6) / math.log(10**6)
-    assert abs(small - 4.033588) < 1e-4  # golden value
-    assert abs(big - 4.231672) < 1e-4  # golden value
-    assert big <= small + 1  # the normalized sum should stay near-flat in t
-
-
 def test_records_roundtrip():
     pset = build_prime_set(2, 100.0)
     text = format_records(pset)
@@ -178,4 +139,4 @@ def test_records_roundtrip():
 def test_orders_recomputable():
     for sp in build_prime_set(3, 100.0).members:
         assert multiplicative_order(3, sp.ell).order == sp.order_g
-        assert max(factorize(sp.ell - 1).primes) == sp.p_plus
+        assert factorize(sp.ell - 1).factors[-1][0] == sp.p_plus

@@ -6,7 +6,6 @@ from quadfields.arith import is_prime
 from quadfields.sequences import (
     Polynomial,
     gcd_degree,
-    positivity_threshold,
     u_eval,
     u_eval_mod,
     validate,
@@ -34,9 +33,6 @@ def test_polynomial_basic_fields():
 
 def test_validate_shanks_flags(shanks):
     assert shanks.separable
-    assert shanks.monic
-    assert shanks.positive_leading
-    assert not shanks.degree_ge_3
 
 
 def test_validate_double_root():
@@ -45,7 +41,7 @@ def test_validate_double_root():
 
 
 def test_validate_cubic(cubic3):
-    assert cubic3.separable and cubic3.degree_ge_3
+    assert cubic3.separable
 
 
 def test_validate_rejections():
@@ -104,19 +100,3 @@ def test_gcd_degree_detects_shared_factors():
     )
     assert gcd_degree(h, h.derivative()) >= 1
 
-
-def test_positivity_threshold(shanks):
-    n0 = positivity_threshold(shanks)
-    assert n0 == 0  # u(0) = 9 > 0 already
-    spec = validate(Polynomial.parse("-100,1"), 2)  # 2^n - 100
-    n0 = positivity_threshold(spec)
-    assert u_eval(spec, n0) > 0
-    assert n0 == 0 or u_eval(spec, n0 - 1) <= 0
-    for n in range(n0, n0 + 50):
-        assert u_eval(spec, n) > 0
-
-
-def test_positivity_threshold_negative_leading():
-    spec = validate(Polynomial.parse("0,0,-1"), 2)
-    with pytest.raises(ValueError):
-        positivity_threshold(spec)

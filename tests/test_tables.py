@@ -8,7 +8,6 @@ versions must agree with it member for member.
 
 import math
 import time
-from fractions import Fraction
 
 import pytest
 import sympy
@@ -25,13 +24,7 @@ from quadfields.arith import (
     primes_through,
     primes_up_to,
 )
-from quadfields.harvest import (
-    SievePrime,
-    build_prime_set,
-    density_report,
-    euler_sum,
-    primes_in_range,
-)
+from quadfields.harvest import SievePrime, build_prime_set, density_report
 
 windows = st.integers(-3, 5000).flatmap(
     lambda lo: st.tuples(st.just(lo), st.integers(lo - 20, lo + 3000))
@@ -46,18 +39,15 @@ windows = st.integers(-3, 5000).flatmap(
 @example((9973, 9973))
 def test_table_primes_match_sympy(window):
     lo, hi = window
-    want = list(sympy.primerange(lo, hi + 1))
-    assert primes_in_range(lo, hi) == want
-    if hi >= 0:
-        assert FactorTable(hi).primes(lo) == want
+    assert FactorTable(max(hi, 0)).primes(lo) == list(sympy.primerange(lo, hi + 1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 10**5))
 def test_table_single_prime_windows(n):
     p = sympy.nextprime(n)
-    assert primes_in_range(p, p) == [p]
-    assert primes_in_range(p + 1, sympy.nextprime(p) - 1) == []
+    assert FactorTable(p).primes(p) == [p]
+    assert FactorTable(sympy.nextprime(p) - 1).primes(p + 1) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -142,27 +132,6 @@ def test_density_report_matches_scalar_harvest(g, z, alpha):
     rep = density_report(g, z, alpha)
     assert (rep.primes_counted, rep.count_alpha, rep.count_order) == \
         _scalar_density(g, z, alpha)
-
-
-_TOTIENTS = [0] + [int(sympy.totient(n)) for n in range(1, 3001)]
-
-
-def test_table_totients_match_sympy():
-    assert FactorTable(3000).totients() == _TOTIENTS
-    assert FactorTable(2).totients() == [0, 1, 1]
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 3000))
-@example(2)
-@example(4)
-def test_euler_sum_matches_exact_sum(t):
-    terms = [Fraction(n, _TOTIENTS[n] ** 2) for n in range(1, t + 1)]
-    got = euler_sum(t)
-    assert got == math.fsum(float(x) for x in terms)
-    exact = sum(terms)
-    # each term and the final fsum round once, 2^-53 relative apiece
-    assert abs(Fraction(got) - exact) <= exact / 2**51
 
 
 def test_table_limit_rejects_before_allocating():
