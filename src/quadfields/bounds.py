@@ -160,10 +160,10 @@ class RegimeBound:
 def regime_bound(alpha: float, N: float, S: float) -> RegimeBound:
     """Piecewise averaged-count bound with o(1) = 0 (shape comparison only)."""
     _require_alpha(alpha, "regime_bound")
-    if N < 2:
-        raise ValueError("regime_bound: N must be >= 2")
-    if S < 1:
-        raise ValueError("regime_bound: S must be >= 1")
+    if not 2 <= N < math.inf:
+        raise ValueError("regime_bound: N must be finite and >= 2")
+    if not 1 <= S < math.inf:
+        raise ValueError("regime_bound: S must be finite and >= 1")
     t = exponent_table(alpha)
     logS = math.log(S) / math.log(N)
     if logS <= t.switch1:
@@ -231,8 +231,8 @@ def default_z(N: float, alpha: float) -> float:
     """z = N^(1/(2 alpha)) (log N)^(-1/alpha), the choice that balances the
     endgame terms N z^(1-2 alpha) and z (log z)^2."""
     _require_alpha(alpha, "default_z")
-    if N < 3:
-        raise ValueError("default_z: N must be >= 3")
+    if not 3 <= N < math.inf:
+        raise ValueError("default_z: N must be finite and >= 3")
     return N ** (1 / (2 * alpha)) * math.log(N) ** (-1 / alpha)
 
 

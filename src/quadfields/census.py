@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 import numpy as np
 
-from .arith import U64_MAX, is_perfect_square, is_squarefree, jacobi, prime_chunks, primes_through
+from .arith import U64_MAX, ensure, is_perfect_square, is_squarefree, jacobi, prime_chunks
 from .sequences import SequenceSpec, orbit_symbols, u_eval
 
 __all__ = [
@@ -30,10 +30,8 @@ __all__ = [
     "squarefree_kernel",
 ]
 
-DEFAULT_KERNEL_BOUND = 10**6
-
 # Kernel extraction costs at most about 4 ns per (bit of u(n) + 2048) per 64-prime
-# chunk <= B (100- to 64,000-bit u(n), B = 10^6 and 10^7, Python 3.11 on a 2-core
+# chunk <= B (100- to 120,000-bit u(n), B = 10, 10^6 and 10^7, Python 3.11 on a 2-core
 # x86-64; the 2048 stands for the per-chunk gcd), so this cap is about a minute.
 KERNEL_WORK_CAP = 15 * 10**9
 
@@ -122,10 +120,15 @@ def _require_census_spec(spec: SequenceSpec, who: str) -> None:
         raise ValueError(f"{who}: census requires a separable f")
 
 
-def _window_bits(spec: SequenceSpec, M: int, N: int) -> int:
-    # bound on the sum of bitlen(u(n)) over the window: |u(n)| <= sum |c_i| * g^(deg n)
+def _u_bits(spec: SequenceSpec, n: int) -> int:
+    # |u(n)| <= sum |c_i| * g^(deg n) < 2^_u_bits(spec, n)
     coeff_bits = sum(map(abs, spec.f.coefficients)).bit_length()
-    return spec.f.degree * spec.g.bit_length() * (N * (2 * M + N + 1) // 2) + N * coeff_bits
+    return spec.f.degree * spec.g.bit_length() * n + coeff_bits
+
+
+def _window_bits(spec: SequenceSpec, M: int, N: int) -> int:
+    # bound on the sum of bitlen(u(n)) over the window; _u_bits is affine in n
+    return (_u_bits(spec, M + 1) + _u_bits(spec, M + N)) * N // 2
 
 
 def _window(M: int, N: int, who: str) -> range:
@@ -193,44 +196,28 @@ class CensusResult:
         return json.dumps(doc, sort_keys=True)
 
 
-def _fallback_matches(spec, n, u, small_kernel, S, B):
-    # kernel undecidable from the certificate (only possible when B < S):
-    # any matching s is small_kernel times a squarefree t whose prime
-    # factors all exceed B, so enumerate those t directly.
-    col = _witnesses(spec, n - 1, 1)[:, 0].tolist()
-    for t in range(B + 1, S // small_kernel + 1):
-        s = small_kernel * t  # <= S, since t <= S // small_kernel
-        if any(t % p == 0 for p in primes_through(min(B, isqrt(t)))):
-            continue
-        if any(w and jacobi(s, p) == -w for p, w in zip(_WITNESS_PRIMES, col)):
-            continue
-        if is_perfect_square(s * u):
-            return [s]  # the kernel is unique, nothing else can match
-    return []
-
-
-def count_Q_total(
-    spec: SequenceSpec, M: int, N: int, S: int, B: int = DEFAULT_KERNEL_BOUND
-) -> CensusResult:
+def count_Q_total(spec: SequenceSpec, M: int, N: int, S: int) -> CensusResult:
     """Sum of count_Q over all squarefree s <= S, computed per n by kernel
     extraction instead of a loop over s.
 
-    For each n the kernel of u(n) either comes out exact (counted iff <= S)
-    or is certified to exceed B; when B >= S that already decides the
-    question, and when B < S a direct fallback scan keeps the result exact.
-    A window whose kernel work, bounded before any u(n) is built, passes
-    KERNEL_WORK_CAP raises ValueError.
+    Trial division runs to B = min(S, 2^ceil(top/2)), where every u(n) in the
+    window is below 2^top.  For B = S each kernel comes out exact (counted iff
+    <= S) or certified to exceed S; for B < S, B^2 > u(n) leaves no kernel
+    incomplete.  A window whose kernel work, bounded before any u(n) is
+    built, passes KERNEL_WORK_CAP raises ValueError.
     """
     _require_census_spec(spec, "count_Q_total")
     if S < 1:
         raise ValueError("count_Q_total: S must be >= 1")
     ns = _window(M, N, "count_Q_total")
+    top = _u_bits(spec, M + N)  # every u(n) in the window is below 2^top
+    B = max(2, min(S, 1 << (top + 1) // 2))
     chunks = len(prime_chunks(B))  # first, so an oversized B fails on the table cap
     work = (_window_bits(spec, M, N) + 2048 * N) * chunks
     if work > KERNEL_WORK_CAP:
         raise ValueError(
             f"count_Q_total: kernel extraction needs about {work:.3g} steps (bits of u(n) "
-            f"times {chunks} prime chunks <= B), past the cap {KERNEL_WORK_CAP:.3g}"
+            f"times {chunks} prime chunks <= {B}), past the cap {KERNEL_WORK_CAP:.3g}"
         )
     per_s: dict[int, int] = {}
     skipped = []
@@ -240,13 +227,9 @@ def count_Q_total(
             skipped.append(n)
             continue
         k = squarefree_kernel(u, B)
-        if k.complete:
-            if k.kernel <= S:
-                per_s[k.kernel] = per_s.get(k.kernel, 0) + 1
-        elif B < S:
-            for s in _fallback_matches(spec, n, u, k.small_part, S, B):
-                per_s[s] = per_s.get(s, 0) + 1
-        # else: true kernel > B >= S, nothing to count
+        ensure(k.complete or B >= S, f"count_Q_total: kernel of u({n}) left open at B = {B} < S")
+        if k.complete and k.kernel <= S:
+            per_s[k.kernel] = per_s.get(k.kernel, 0) + 1
     return CensusResult(
         M=M,
         N=N,

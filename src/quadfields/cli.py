@@ -29,6 +29,9 @@ def _spec(args: argparse.Namespace) -> SequenceSpec:
     return validate(Polynomial.parse(args.f), args.g)
 
 
+_F_HELP = "polynomial coefficients, constant first, e.g. 1,6,1; a negative constant needs -f=-5,1"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="quadfields",
@@ -38,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, spec=False, window=False):
         if spec:
-            p.add_argument("-f", help="polynomial coefficients, constant first, e.g. 1,6,1")
+            p.add_argument("-f", help=_F_HELP)
             p.add_argument("-g", type=int, help="base of the geometric argument")
         if window:
             p.add_argument("-M", type=int, default=0, help="window offset (default 0)")
@@ -50,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-s", type=int, help="single squarefree multiplier")
     p.add_argument("-S", type=int, help="aggregate over all squarefree s <= S")
     p.add_argument("--classes", action="store_true", help="list distinct-field classes")
-    p.add_argument("--kernel-bound", type=int, default=census.DEFAULT_KERNEL_BOUND)
 
     p = sub.add_parser("sieve", help="square-sieve run over a window")
     common(p, spec=True, window=True)
@@ -63,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("charsum", help="complete, paired, and incomplete character sums")
     common(p, spec=False)
-    p.add_argument("-f", required=True, help="polynomial coefficients, constant first")
+    p.add_argument("-f", required=True, help=_F_HELP)
     p.add_argument("--lam", type=int, required=True, help="multiplier inside f(lam * A^n)")
     p.add_argument("--p", type=int, help="odd prime modulus")
     p.add_argument("--ell", type=int, help="second prime for the pair modulus ell*p")
@@ -106,6 +108,8 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 def _run_census(args: argparse.Namespace) -> int:
     spec = _spec(args)
+    if (args.s is not None) + (args.S is not None) + args.classes != 1:
+        raise ValueError("census: give one of -s, -S or --classes")
     if args.classes:
         result = census.distinct_fields(spec, args.M, args.N)
         print(f"classes {len(result.classes)}")
@@ -113,23 +117,21 @@ def _run_census(args: argparse.Namespace) -> int:
             print(f"  n={rep}: {' '.join(map(str, members))}")
         _emit(args, result.to_json())
         return 0
-    if args.s is not None and args.S is not None:
-        raise ValueError("census: give -s or -S, not both")
     if args.s is not None:
         count = census.count_Q(spec, args.M, args.N, args.s)
         print(count)
         _emit(args, json.dumps({"M": args.M, "N": args.N, "s": args.s, "count": count}, sort_keys=True))
         return 0
-    if args.S is not None:
-        result = census.count_Q_total(spec, args.M, args.N, args.S, B=args.kernel_bound)
-        print(result.total)
-        _emit(args, result.to_json())
-        return 0
-    raise ValueError("census: need -s, -S, or --classes")
+    result = census.count_Q_total(spec, args.M, args.N, args.S)
+    print(result.total)
+    _emit(args, result.to_json())
+    return 0
 
 
 def _run_sieve(args: argparse.Namespace) -> int:
     spec = _spec(args)
+    if args.s < 1:
+        raise ValueError("sieve: s must be >= 1")
     z = args.z if args.z is not None else bounds.default_z(args.N, args.alpha)
     pset = harvest.build_prime_set(args.g, z, args.C, args.alpha, args.variant)
     run = sieve.run_sieve(spec, args.M, args.N, args.s, pset)
@@ -207,6 +209,8 @@ def _run_bounds(args: argparse.Namespace) -> int:
         if args.N is None:
             raise ValueError("bounds: --curve needs -N")
         smax, pts = args.smax, args.points
+        if not smax >= 1:
+            raise ValueError("bounds: --smax must be >= 1")
         svals = [smax ** (i / (pts - 1)) for i in range(pts)] if pts > 1 else [1.0]
         _emit(args, bounds.bound_curve_csv(args.alpha, args.N, svals))
     return 0

@@ -67,10 +67,10 @@ def build_prime_set(
     The erh variant keeps only members whose order additionally beats
     ell/log ell.  Output is ascending in ell and fully deterministic.
     """
-    if z < 10:
-        raise ValueError("build_prime_set: z must be >= 10")
-    if C <= 1:
-        raise ValueError("build_prime_set: C must be > 1")
+    if not 10 <= z < math.inf:
+        raise ValueError("build_prime_set: z must be finite and >= 10")
+    if not 1 < C < math.inf:
+        raise ValueError("build_prime_set: C must be finite and > 1")
     if not 0.5 < alpha < 1:
         raise ValueError("build_prime_set: alpha must lie in (1/2, 1)")
     if variant not in VARIANTS:
@@ -128,8 +128,8 @@ def density_report(g: int, z: float, alpha: float) -> DensityReport:
     Factorizations of ell-1 come from one smallest-prime-factor table, not
     per-number factoring.
     """
-    if z < 10**3:
-        raise ValueError("density_report: z must be >= 10^3")
+    if not 10**3 <= z < math.inf:
+        raise ValueError("density_report: z must be finite and >= 10^3")
     if not 0.5 <= alpha < 1:
         raise ValueError("density_report: alpha must lie in [1/2, 1)")
     table = FactorTable(math.floor(z))

@@ -94,8 +94,8 @@ def test_count_Q_total_all_squares():
 
 
 def test_count_Q_total_fallback_matches_definition(shanks):
-    # B < S forces the fallback scan; compare against the plain s-loop
-    res = count_Q_total(shanks, 0, 5, 200, B=50)
+    # compare against the plain s-loop
+    res = count_Q_total(shanks, 0, 5, 200)
     brute = sum(
         count_Q(shanks, 0, 5, s) for s in range(1, 201) if is_squarefree(s)
     )
@@ -109,13 +109,49 @@ def test_count_Q_total_skips_negative(dipped):
     assert res.per_s == {3: 2, 11: 1}  # u(3) = 3, u(5) = 27, u(4) = 11
 
 
+# f, g, M, N
+windows = given(
+    st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=5).filter(lambda c: c[-1]),
+    st.integers(2, 10**4), st.integers(0, 300), st.integers(1, 30))
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=5).filter(lambda c: c[-1]),
-       st.integers(2, 10**4), st.integers(0, 300), st.integers(1, 30))
+@windows
 def test_window_bits_bounds_every_u(coeffs, g, M, N):
     spec = validate(Polynomial(tuple(coeffs)), g)
     true_bits = sum(u_eval(spec, n).bit_length() for n in range(M + 1, M + N + 1))
     assert census._window_bits(spec, M, N) >= true_bits
+
+
+@settings(max_examples=100, deadline=None)
+@windows
+def test_u_bits_bounds_every_u(coeffs, g, M, N):
+    spec = validate(Polynomial(tuple(coeffs)), g)
+    top = census._u_bits(spec, M + N)
+    assert all(abs(u_eval(spec, n)) < 1 << top for n in range(M + 1, M + N + 1))
+
+
+@pytest.mark.parametrize("f, g, M, N", [
+    ("1,6,1", 2, 0, 7),  # B = 2^16
+    ("2,0,0,1", 3, 0, 4),  # B = 2^13
+    ("0,1", 4, 0, 6),  # squares, B = 2^10
+    ("0,1", 10007, 0, 1),  # u = 10007, a prime in (B, B^2) for B = 2^8
+    ("-5,1", 2, 0, 8),  # skips n = 1, 2
+])
+def test_count_Q_total_kernels_complete_below_S(f, g, M, N, monkeypatch):
+    # when the derived bound B falls below S, every kernel must come out exact
+    calls, real = [], census.squarefree_kernel
+
+    def spy(u, B):
+        k = real(u, B)
+        calls.append((B, k.complete))
+        return k
+
+    monkeypatch.setattr(census, "squarefree_kernel", spy)
+    S = 10**5
+    res = count_Q_total(validate(Polynomial.parse(f), g), M, N, S)
+    assert calls and all(B < S and complete for B, complete in calls)
+    assert len(calls) == N - len(res.skipped)
 
 
 def test_window_bits_example(shanks):

@@ -47,13 +47,31 @@ def test_census_errors(capsys):
     rc, _, err = run(capsys, "census", "-f", "1,6,1", "-g", "2", "-N", "5",
                      "-s", "12")
     assert rc == 3 and "squarefree" in err
-    rc, _, err = run(capsys, "census", "-f", "1,6,1", "-g", "2", "-N", "5",
-                     "-s", "2", "-S", "10")
-    assert rc == 3 and "not both" in err
-    rc, _, err = run(capsys, "census", "-f", "1,6,1", "-g", "2", "-N", "5")
-    assert rc == 3
+    for modes in (["-s", "2", "-S", "10"], [], ["--classes", "-S", "30"],
+                  ["--classes", "-s", "17"]):
+        rc, out, err = run(capsys, "census", "-f", "1,6,1", "-g", "2", "-N", "5", *modes)
+        assert rc == 3 and out == "" and "give one of -s, -S or --classes" in err
     rc, _, err = run(capsys, "census", "-N", "5", "-s", "2")
     assert rc == 3 and "-f and -g" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sieve", "-f", "1,6,1", "-g", "2", "-N", "200", "-s", "0", "--z", "100"],
+    ["sieve", "-f", "1,6,1", "-g", "2", "-N", "200", "-s", "-3", "--z", "100"],
+    ["primes", "-g", "2", "--z", "inf"],
+    ["primes", "-g", "2", "--z", "inf", "--density"],
+    ["primes", "-g", "2", "--z", "nan", "--density"],
+    ["sieve", "-f", "1,6,1", "-g", "2", "-N", "200", "--z", "inf"],
+    ["sieve", "-f", "1,6,1", "-g", "2", "-N", "200", "--C", "inf", "--z", "100"],
+    ["bounds", "--alpha", "0.677", "-N", "100", "--curve", "--smax", "-5"],
+    ["bounds", "--alpha", "0.677", "-N", "100", "--curve", "--smax", "inf"],
+    ["bounds", "--alpha", "0.677", "-N", "inf", "-S", "5"],
+    ["bounds", "--alpha", "0.677", "-N", "nan", "-S", "5"],
+    ["bounds", "--alpha", "0.677", "-N", "1e8", "-S", "nan"],
+])
+def test_bad_values_exit_3(argv, capsys):
+    rc, _, err = run(capsys, *argv)
+    assert rc == 3 and err.startswith("error: ")
 
 
 def test_bad_flags_exit_2(capsys):
@@ -78,7 +96,10 @@ def test_assertion_exits_4(capsys, monkeypatch):
     (["charsum", "-f", "2,0,0,1", "--lam", "2", "--p", "101", "--seed", "7"], "--seed"),
     (["primes", "-g", "2", "--z", "100", "--seed", "7"], "--seed"),
     (["bounds", "--alpha", "0.677", "--seed", "7"], "--seed"),
-], ids=["format", "census-seed", "sieve-seed", "charsum-seed", "primes-seed", "bounds-seed"])
+    (["census", "-f", "1,6,1", "-g", "2", "-N", "5", "-S", "100", "--kernel-bound", "10"],
+     "--kernel-bound"),
+], ids=["format", "census-seed", "sieve-seed", "charsum-seed", "primes-seed", "bounds-seed",
+        "kernel-bound"])
 def test_removed_flags_exit_2(argv, flag, capsys):
     rc, _, err = run(capsys, *argv)
     assert rc == 2 and flag in err

@@ -334,21 +334,22 @@ def test_same_field_is_an_equivalence(pairs):
 
 @settings(max_examples=40, deadline=None)
 @given(census_polynomial, st.integers(2, 12), st.integers(0, 50), st.integers(1, 8),
-       st.integers(2, 30), st.integers(31, 400))
-def test_fallback_scan_matches_scalar(f, g, M, N, B, S):
-    # B < S: kernels left incomplete go through the fallback scan, which reads
-    # one witness column per n instead of the per-s loop
+       st.integers(1, 1000))
+@example(SHANKS, 2, 0, 3, 1000)  # 2^ceil(top/2) = 256 < S: trial division to 256
+@example(SHANKS, 2, 0, 8, 1000)  # 2^ceil(top/2) = 2^18 > S: trial division to S
+def test_fallback_scan_matches_scalar(f, g, M, N, S):
+    # count_Q_total's trial division bound min(S, 2^ceil(top/2)) on either
+    # side of S, against the per-s loop
     spec = validate(f, g)
     assume(spec.separable)
     want = {}
     for s in range(1, S + 1):
         if is_squarefree(s) and (c := scalar_count_Q(spec, M, N, s)):
             want[s] = c
-    assert census.count_Q_total(spec, M, N, S, B).per_s == want
+    assert census.count_Q_total(spec, M, N, S).per_s == want
 
 
 def test_fallback_scan_reads_a_zero_witness():
-    # u(n) = 10007^n: odd n have kernel 10007, a witness prime, found only by
-    # the fallback scan when B = 3
+    # u(n) = 10007^n: odd n have kernel 10007, one of the witness primes
     spec = validate(Polynomial.parse("0,1"), 10007)
-    assert census.count_Q_total(spec, 0, 7, 10007, B=3).per_s == {1: 3, 10007: 4}
+    assert census.count_Q_total(spec, 0, 7, 10007).per_s == {1: 3, 10007: 4}

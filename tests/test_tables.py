@@ -143,8 +143,7 @@ def test_table_limit_rejects_before_allocating():
 
 
 @pytest.mark.parametrize("argv", [
-    ["census", "-f", "1,6,1", "-g", "2", "-N", "5", "-S", "100",
-     "--kernel-bound", "1000000000000"],
+    ["census", "-f", "1,6,1", "-g", "2", "-M", "1000", "-N", "5", "-S", "1000000000000"],
     ["charsum", "-f", "2,0,0,1", "--lam", "2", "--scan", "--pmax", "1000000000000"],
     ["primes", "-g", "2", "--z", "1e12"],
     ["primes", "-g", "2", "--z", "1e12", "--density"],
