@@ -21,7 +21,6 @@ from .arith import (
     is_squarefree,
     jacobi,
     multiplicative_order,
-    order_descent,
 )
 from .sequences import Polynomial, gcd_degree, orbit_symbols
 
@@ -288,10 +287,10 @@ def weil_scan(f: Polynomial, lam: int, p_max: int):
         raise ValueError("weil_scan: lam must be nonzero")
     rows = []
     table = FactorTable(max(p_max, 0))
-    for p in table.primes(3):
-        if lam % p == 0:
+    primes = table.primes(3)
+    for p, period in zip(primes, table.orders(lam, primes)[1].tolist()):
+        if period == 0:  # p divides lam
             continue
-        period = order_descent(lam % p, p, p - 1, table.factors(p - 1))
         terms = orbit_symbols(f, lam, (p,), period, start=1)[0].astype(np.float64)
         # terms[x-1] holds x = 1..period; numpy's fft sign convention means
         # our sum at frequency a is e(a/period) * conj(fft[a])

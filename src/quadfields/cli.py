@@ -192,27 +192,35 @@ def _run_primes(args: argparse.Namespace) -> int:
 
 
 def _run_bounds(args: argparse.Namespace) -> int:
+    # every value is computed, and so every flag checked, before the first print
+    if args.curve:
+        if args.N is None:
+            raise ValueError("bounds: --curve needs -N")
+        if not args.smax >= 1:
+            raise ValueError("bounds: --smax must be >= 1")
+        if args.points < 2:
+            raise ValueError("bounds: --points must be >= 2")
     t = bounds.exponent_table(args.alpha)
+    chk = bounds.interpolation_check(args.alpha)
+    z = bounds.default_z(args.N, args.alpha) if args.N is not None else None
+    both = args.N is not None and args.S is not None
+    rb = bounds.regime_bound(args.alpha, args.N, args.S) if both else None
+    curve = None
+    if args.curve:
+        svals = [args.smax ** (i / (args.points - 1)) for i in range(args.points)]
+        curve = bounds.bound_curve_csv(args.alpha, args.N, svals)
     for name in ("alpha", "beta", "gamma", "beta0", "gamma0",
                  "switch1", "switch2", "switch3", "theta"):
         print(f"{name} {getattr(t, name):.10f}")
     print(f"one_over_one_plus_alpha {1 / (1 + args.alpha):.10f}")
-    chk = bounds.interpolation_check(args.alpha)
     print(f"interpolation theta {chk.theta:.10f} holds {chk.inequality_holds} "
           f"grid {chk.grid_holds}")
-    if args.N is not None:
-        print(f"default_z {bounds.default_z(args.N, args.alpha):.6g}")
-    if args.N is not None and args.S is not None:
-        rb = bounds.regime_bound(args.alpha, args.N, args.S)
+    if z is not None:
+        print(f"default_z {z:.6g}")
+    if rb is not None:
         print(f"regime {rb.regime} bound {rb.value:.6g}")
-    if args.curve:
-        if args.N is None:
-            raise ValueError("bounds: --curve needs -N")
-        smax, pts = args.smax, args.points
-        if not smax >= 1:
-            raise ValueError("bounds: --smax must be >= 1")
-        svals = [smax ** (i / (pts - 1)) for i in range(pts)] if pts > 1 else [1.0]
-        _emit(args, bounds.bound_curve_csv(args.alpha, args.N, svals))
+    if curve is not None:
+        _emit(args, curve)
     return 0
 
 

@@ -8,7 +8,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import FactorTable, is_prime, order_descent
+import numpy as np
+
+from .arith import FactorTable, is_prime
 
 __all__ = [
     "SievePrime",
@@ -67,6 +69,8 @@ def build_prime_set(
     The erh variant keeps only members whose order additionally beats
     ell/log ell.  Output is ascending in ell and fully deterministic.
     """
+    if g <= 1:
+        raise ValueError("build_prime_set: g must be > 1")
     if not 10 <= z < math.inf:
         raise ValueError("build_prime_set: z must be finite and >= 10")
     if not 1 < C < math.inf:
@@ -78,23 +82,19 @@ def build_prime_set(
     lo, hi = math.ceil(z), math.floor(C * z)
     if hi < lo:
         raise ValueError("build_prime_set: window [z, Cz] contains no integer")
-    threshold = z**alpha
     table = FactorTable(hi)
+    ells = np.array(table.primes(lo), dtype=np.int64)
+    p_plus, _ = table.orders(0, ells)  # 0 has no order mod any prime: the P+ column alone
+    keep = p_plus >= z**alpha
+    ells, p_plus = ells[keep], p_plus[keep]
+    _, order = table.orders(g, ells)  # 0 where ell divides g, so it fails order >= p_plus
+    keep = order >= p_plus
     members = []
-    for ell in table.primes(lo):
-        if g % ell == 0:
-            continue
-        fac = table.factors(ell - 1)
-        p_plus = fac[-1][0]
-        if p_plus < threshold:
-            continue
-        order = order_descent(g % ell, ell, ell - 1, fac)
-        if order < p_plus:
-            continue
-        large = order > ell / math.log(ell)
+    for ell, pp, order_g in zip(ells[keep].tolist(), p_plus[keep].tolist(), order[keep].tolist()):
+        large = order_g > ell / math.log(ell)
         if variant == "erh" and not large:
             continue
-        members.append(SievePrime(ell, p_plus, order, large))
+        members.append(SievePrime(ell, pp, order_g, large))
     return SievePrimeSet(z, C, alpha, g, variant, tuple(members))
 
 
@@ -125,23 +125,23 @@ def density_report(g: int, z: float, alpha: float) -> DensityReport:
     """Measure, over all primes ell <= z, how often P+(ell-1) >= ell^alpha
     and how often the order of g mod ell clears the same bar.
 
-    Factorizations of ell-1 come from one smallest-prime-factor table, not
-    per-number factoring.
+    Both columns come from the order engine over one smallest-prime-factor
+    table; the bars are Python floats, so every comparison is exact.
     """
+    if g <= 1:
+        raise ValueError("density_report: g must be > 1")
     if not 10**3 <= z < math.inf:
         raise ValueError("density_report: z must be finite and >= 10^3")
     if not 0.5 <= alpha < 1:
         raise ValueError("density_report: alpha must lie in [1/2, 1)")
     table = FactorTable(math.floor(z))
     primes = table.primes()
-    count_alpha = count_order = 0
-    for ell in primes[1:]:  # ell = 2 counts in the denominator only
-        bar = ell**alpha
-        fac = table.factors(ell - 1)
-        if fac[-1][0] >= bar:
-            count_alpha += 1
-        if g % ell and order_descent(g % ell, ell, ell - 1, fac) >= bar:
-            count_order += 1
+    bar = np.fromiter((ell**alpha for ell in primes), np.float64, len(primes))
+    primes = np.array(primes)  # the list of Python ints is freed before the engine runs
+    p_plus, order = table.orders(g, primes)
+    # ell = 2 counts in the denominator only: P+(1) = 1 and an order <= 1 stay below 2^alpha
+    count_alpha = int(np.count_nonzero(p_plus >= bar))
+    count_order = int(np.count_nonzero(order >= bar))  # order 0 where ell | g
     return DensityReport(
         z=z,
         alpha=alpha,

@@ -11,7 +11,7 @@ from math import gcd
 
 import numpy as np
 
-from .arith import TABLE_LIMIT, ensure
+from .arith import TABLE_LIMIT, ensure, pow_mod
 
 __all__ = [
     "Polynomial",
@@ -224,12 +224,7 @@ def _legendre(v: np.ndarray, block) -> np.ndarray:
         out[i] = table[v[i]]
     if euler:
         p = np.array([block[i] for i in euler], dtype=np.int64)[:, None]
-        e, b = (p - 1) // 2, v[euler]
-        r = np.ones_like(b)
-        while e.any():
-            r = np.where(e & 1, r * b % p, r)
-            b = b * b % p
-            e >>= 1
+        r = pow_mod(v[euler], (p - 1) // 2, p)
         out[euler] = np.where(r > 1, -1, r)
     return out
 

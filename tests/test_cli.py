@@ -68,10 +68,22 @@ def test_census_errors(capsys):
     ["bounds", "--alpha", "0.677", "-N", "inf", "-S", "5"],
     ["bounds", "--alpha", "0.677", "-N", "nan", "-S", "5"],
     ["bounds", "--alpha", "0.677", "-N", "1e8", "-S", "nan"],
+    ["bounds", "--alpha", "0.677", "-N", "100", "--curve", "--points", "0"],
+    ["bounds", "--alpha", "0.677", "-N", "100", "--curve", "--points", "-3"],
+    ["bounds", "--alpha", "0.677", "-N", "100", "--curve", "--points", "1"],
+    ["bounds", "--alpha", "0.677", "--curve"],
+    ["primes", "-g", "0", "--z", "100"],
+    ["primes", "-g", "-3", "--z", "100"],
+    ["primes", "-g", "1", "--z", "100"],
+    ["primes", "-g", "0", "--z", "1000", "--density"],
+    ["primes", "-g", "-3", "--z", "1000", "--density"],
 ])
-def test_bad_values_exit_3(argv, capsys):
-    rc, _, err = run(capsys, *argv)
-    assert rc == 3 and err.startswith("error: ")
+def test_bad_values_exit_3(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, *argv, "-o", "art")
+    # a failed run prints nothing to stdout and writes no artifact
+    assert rc == 3 and out == "" and err.startswith("error: ")
+    assert not (tmp_path / "art").exists()
 
 
 def test_bad_flags_exit_2(capsys):

@@ -82,6 +82,11 @@ def test_build_prime_set_rejections():
         build_prime_set(2, 10.2, 1.02)  # [10.2, 10.4] holds no integer
     with pytest.raises(ValueError):
         build_prime_set(2, 100.0, 2.0, 0.677, "borel")
+    for g in (1, 0, -3):
+        with pytest.raises(ValueError, match="g must be > 1"):
+            build_prime_set(g, 100.0)
+        with pytest.raises(ValueError, match="g must be > 1"):
+            density_report(g, 1000, 0.677)
 
 
 def test_sieve_prime_invariants():

@@ -9,6 +9,7 @@ versions must agree with it member for member.
 import math
 import time
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings
@@ -81,6 +82,64 @@ def test_table_factors_match_sympy(lo, width):
         assert dict(fac) == sympy.factorint(n)
         assert [p for p, _ in fac] == sorted(p for p, _ in fac)
         assert all(type(p) is int and type(e) is int for p, e in fac)
+
+
+bases = st.one_of(
+    st.integers(-10**6, 10**6), st.integers(2**63 - 5, 2**63 + 5), st.integers(2**64, 2**80)
+)
+
+
+def _scalar_orders(g, ells):
+    # P+(ell-1) by factorize and the order by the scalar descent, 0 where ell | g
+    return (
+        [factorize(ell - 1).factors[-1][0] if ell > 2 else 1 for ell in ells],
+        [multiplicative_order(g, ell).order if g % ell else 0 for ell in ells],
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(bases, st.integers(2, 3 * 10**5), st.integers(0, 3000), st.integers(1, 40))
+@example(2, 2, 0, 1)  # ell = 2: P+(1) = 1
+@example(-7, 257, 0, 1)  # 256 and 65536 are powers of 2
+@example(2**64 + 1, 65537, 0, 1)
+@example(0, 2, 100, 7)  # 0 has no order anywhere
+@example(30, 2, 40, 4)  # ell = 2, 3, 5 divide the base
+def test_orders_match_scalar_descent_and_sympy(g, lo, width, tile):
+    table = FactorTable(lo + width)
+    ells = table.primes(lo)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_TILE", tile)  # so the windows straddle tile edges
+        p_plus, order = table.orders(g, ells)
+    assert p_plus.dtype == order.dtype == np.int64
+    assert (p_plus.tolist(), order.tolist()) == _scalar_orders(g, ells)
+    for ell, pp, t in zip(ells, p_plus.tolist(), order.tolist()):
+        assert pp == (max(sympy.factorint(ell - 1)) if ell > 2 else 1)
+        assert t == (sympy.n_order(g % ell, ell) if g % ell else 0)
+        if ell > 2:
+            assert pp == table.factors(ell - 1)[-1][0]
+
+
+def test_orders_edge_cases():
+    table = FactorTable(200000)
+    p_plus, order = table.orders(3, [2, 3, 257, 65537])
+    assert p_plus.tolist() == [1, 2, 2, 2]
+    assert order.tolist() == [1, 0, 256, 65536]  # 3 is a primitive root of the Fermat primes
+    assert table.orders(-3, [2, 7])[1].tolist() == [1, 3]
+    assert table.orders(2**64 + 1, [2, 3, 5])[1].tolist() == [1, 2, 4]
+    assert table.orders(2**64 * 257, [257])[1].tolist() == [0]  # masked, never 1
+    assert [a.tolist() for a in table.orders(5, [])] == [[], []]
+    ells = table.primes(3)
+    assert len(ells) > 2 * arith._TILE  # more than two tiles, one partial
+    assert (table.orders(2, ells)[1] == table.orders(2, ells[::-1])[1][::-1]).all()
+
+
+@pytest.mark.parametrize("ells", [[2**31 + 11], [2**31 - 1], [101], [91], [1], [0], [-5]])
+def test_orders_guard_fails_fast(ells):
+    # past the table, past 2^31, not prime or below 2: rejected before any descent
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="must be a prime <= 100"):
+        FactorTable(100).orders(2, [3, 5, *ells])
+    assert time.perf_counter() - t0 < 0.1
 
 
 def _scalar_prime_set(g, z, C, alpha, variant):
