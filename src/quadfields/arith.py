@@ -8,15 +8,13 @@ identical path.  Everything here is shareable across threads.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt, prod
 
 import numpy as np
 
 __all__ = [
     "InvariantError",
-    "Factorization",
-    "OrderRecord",
     "is_perfect_square",
     "jacobi",
     "is_prime",
@@ -51,36 +49,6 @@ _PREFILTER_MODULI = (64, 63, 65, 11)
 _SQUARE_RESIDUES = tuple(
     frozenset(i * i % m for i in range(m)) for m in _PREFILTER_MODULI
 )
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Complete factorization of n, pairs (prime, exponent) ascending."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        prod = 1
-        for p, e in self.factors:
-            if e < 1:
-                raise ValueError("exponent < 1 in factorization")
-            prod *= p**e
-        if prod != self.n:
-            raise ValueError(f"factorization of {self.n} does not multiply back")
-
-
-@dataclass(frozen=True)
-class OrderRecord:
-    """Multiplicative order of lam modulo m, with minimality witnesses."""
-
-    lam: int
-    m: int
-    order: int
-
-    def __post_init__(self):
-        if pow(self.lam, self.order, self.m) != 1 % self.m:
-            raise ValueError("order does not annihilate the base")
 
 
 def is_perfect_square(n: int) -> bool:
@@ -172,18 +140,11 @@ def primes_through(bound: int) -> list[int]:
     return primes[: bisect_right(primes, bound)]
 
 
-_chunked: tuple[int, tuple] = (0, ())  # (bound, chunks)
-
-
-def prime_chunks(bound: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Primes <= bound in chunks of 64 with their products, cached for the last bound."""
-    global _chunked
-    cached, chunks = _chunked
-    if bound != cached:
-        primes = tuple(primes_through(bound))
-        chunks = tuple((primes[i : i + 64], prod(primes[i : i + 64])) for i in range(0, len(primes), 64))
-        _chunked = bound, chunks
-    return chunks
+@lru_cache(maxsize=1)
+def prime_chunks(bound: int) -> tuple[tuple[int, int], ...]:
+    """(smallest prime, product) of each run of 64 primes <= bound, cached for the last bound."""
+    primes = primes_through(bound)
+    return tuple((primes[i], prod(primes[i : i + 64])) for i in range(0, len(primes), 64))
 
 
 class FactorTable:
@@ -197,11 +158,11 @@ class FactorTable:
         for p in reversed(primes_up_to(isqrt(hi))):  # smaller primes overwrite
             self._spf[p * p :: p] = p
 
-    def primes(self, lo: int = 2) -> list[int]:
-        """Primes in [lo, hi], ascending."""
+    def primes(self, lo: int = 2) -> np.ndarray:
+        """Primes in [lo, hi], ascending, as an int64 array."""
         lo = max(lo, 2)
         prime = self._spf[lo:] == np.arange(lo, len(self._spf), dtype=np.int32)
-        return (np.flatnonzero(prime) + lo).tolist()
+        return np.flatnonzero(prime) + lo
 
     def factors(self, n: int) -> tuple[tuple[int, int], ...]:
         """(prime, exponent) pairs of 2 <= n <= hi, ascending."""
@@ -320,8 +281,9 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
     _factor_into(n // d, out)
 
 
-def factorize(n: int) -> Factorization:
-    """Factor 2 <= n <= 2^64-1: trial division, then deterministic rho."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of 2 <= n <= 2^64-1, ascending: trial division,
+    then deterministic rho."""
     if n < 2:
         raise ValueError("factorize: n must be >= 2")
     if n > U64_MAX:
@@ -335,7 +297,9 @@ def factorize(n: int) -> Factorization:
             n //= p
     if n > 1:
         _factor_into(n, out)
-    return Factorization(orig, tuple(sorted(out.items())))
+    factors = tuple(sorted(out.items()))
+    ensure(prod(p**e for p, e in factors) == orig, f"factorization of {orig} does not multiply back")
+    return factors
 
 
 def euler_phi(n: int) -> int:
@@ -344,17 +308,16 @@ def euler_phi(n: int) -> int:
     if n == 1:
         return 1
     phi = 1
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         phi *= (p - 1) * p ** (e - 1)
     return phi
 
 
-def multiplicative_order(lam: int, m: int) -> OrderRecord:
+def multiplicative_order(lam: int, m: int) -> int:
     """Least t >= 1 with lam^t = 1 mod m, via divisor descent from phi(m).
 
     Descent: start at phi(m) and strip each prime q of it while the power
-    lam^(t/q) still fixes 1; what survives is minimal, which is exactly the
-    OrderRecord invariant.
+    lam^(t/q) still fixes 1; what survives is minimal.
     """
     if lam == 0:
         raise ValueError("multiplicative_order: base must be nonzero")
@@ -363,10 +326,11 @@ def multiplicative_order(lam: int, m: int) -> OrderRecord:
     if gcd(lam, m) != 1:
         raise ValueError("multiplicative_order: base and modulus share a factor")
     t = euler_phi(m)
-    for q, _ in factorize(t).factors if t > 1 else ():
+    for q, _ in factorize(t) if t > 1 else ():
         while t % q == 0 and pow(lam, t // q, m) == 1:
             t //= q
-    return OrderRecord(lam, m, t)
+    ensure(pow(lam, t, m) == 1, f"order {t} of {lam} mod {m} does not annihilate the base")
+    return t
 
 
 def is_squarefree(n: int) -> bool:
@@ -375,4 +339,4 @@ def is_squarefree(n: int) -> bool:
         raise ValueError("is_squarefree: n must be >= 1")
     if n == 1:
         return True
-    return all(e == 1 for _, e in factorize(n).factors)
+    return all(e == 1 for _, e in factorize(n))

@@ -32,7 +32,11 @@ __all__ = [
 
 # Kernel extraction costs at most about 4 ns per (bit of u(n) + 2048) per 64-prime
 # chunk <= B (100- to 120,000-bit u(n), B = 10, 10^6 and 10^7, Python 3.11 on a 2-core
-# x86-64; the 2048 stands for the per-chunk gcd), so this cap is about a minute.
+# x86-64; the 2048 stands for the per-chunk gcd).  When f(0) = 0, g^n divides u(n) and
+# the layer strip divides u(n) by powers of g up to its own size: about 4 ns more per
+# bits(u(n))^2 / 2048 (1.0-4.5 ns measured on f = X and X^2 + X, g from 2 to 30030,
+# u(n) of 0.2 to 5 million bits).  For f(0) != 0 the exponent of a prime <= B in u(n)
+# stays small, and the chunk term covers the strip.  So this cap is about a minute.
 KERNEL_WORK_CAP = 15 * 10**9
 
 # Fixed witnesses for the residue prefilters: (a/p)(b/p) = -1 at any of them
@@ -61,9 +65,11 @@ class KernelResult:
 def squarefree_kernel(n: int, B: int) -> KernelResult:
     """Strip primes <= B to even multiplicity and classify what remains.
 
-    Primes are consumed in chunks: one big modulus against the chunk product
-    tells whether the chunk holds any divisor at all, which keeps the number
-    of big-integer operations near the number of actual prime divisors.
+    Primes are consumed in chunks: g = gcd(m mod P, P) against the chunk
+    product P is the product of the chunk's primes that divide m.  Each layer
+    divides out the largest power g^t (O(log t) big divisions by repeated
+    squares); the primes of g that no longer divide m had exponent exactly the
+    depth reached, and join the kernel when that depth is odd.
     """
     if n <= 0:
         raise ValueError("squarefree_kernel: n must be positive")
@@ -71,20 +77,22 @@ def squarefree_kernel(n: int, B: int) -> KernelResult:
         raise ValueError("squarefree_kernel: B must be >= 2")
     m = n
     small_kernel = 1
-    for chunk, prod in prime_chunks(B):
-        if chunk[0] * chunk[0] > m:
-            break  # no factor below chunk[0] <= B, so m is 1 or a prime below B^2
-        g = gcd(m % prod, prod)
-        if g == 1:
-            continue
-        for p in chunk:
-            if g % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                if e & 1:
-                    small_kernel *= p
+    for p, prod in prime_chunks(B):
+        if p * p > m:
+            break  # no factor below p <= B, so m is 1 or a prime below B^2
+        g, depth = gcd(m % prod, prod), 0
+        while g > 1:
+            squares = [g]  # g^(2^i) while it divides m; g itself always does
+            while (sq := squares[-1] * squares[-1]) <= m and m % sq == 0:
+                squares.append(sq)
+            for i in reversed(range(len(squares))):
+                q, r = divmod(m, squares[i])
+                if not r:
+                    m, depth = q, depth + (1 << i)
+            h = gcd(m, g)
+            if depth & 1:
+                small_kernel *= g // h
+            g = h
     if m == 1 or is_perfect_square(m):
         return KernelResult(kernel=small_kernel, complete=True, small_part=small_kernel, cofactor=m if m > 1 else 1)
     if m <= B * B:
@@ -214,10 +222,12 @@ def count_Q_total(spec: SequenceSpec, M: int, N: int, S: int) -> CensusResult:
     B = max(2, min(S, 1 << (top + 1) // 2))
     chunks = len(prime_chunks(B))  # first, so an oversized B fails on the table cap
     work = (_window_bits(spec, M, N) + 2048 * N) * chunks
+    if spec.f.constant == 0:
+        work += N * top * top // 2048
     if work > KERNEL_WORK_CAP:
         raise ValueError(
             f"count_Q_total: kernel extraction needs about {work:.3g} steps (bits of u(n) "
-            f"times {chunks} prime chunks <= {B}), past the cap {KERNEL_WORK_CAP:.3g}"
+            f"and {chunks} prime chunks <= {B}), past the cap {KERNEL_WORK_CAP:.3g}"
         )
     per_s: dict[int, int] = {}
     skipped = []

@@ -124,7 +124,7 @@ def complete_sum_p(f: Polynomial, lam: int, p: int, a: int) -> CharSumResult:
         raise ValueError("complete_sum_p: p must be an odd prime")
     if (lam * f.constant) % p == 0:
         raise ValueError("complete_sum_p: p divides lam*f(0)")
-    period = multiplicative_order(lam, p).order
+    period = multiplicative_order(lam, p)
     value = _orbit_sum(f, lam, p, period, a)
     return CharSumResult(
         value=value,
@@ -145,8 +145,8 @@ def _pair_orders(f, lam, ell, p, who):
             raise ValueError(f"{who}: {q} must be an odd prime")
     if lam == 0 or lam % ell == 0 or lam % p == 0:
         raise ValueError(f"{who}: lam must be coprime to ell*p")
-    t_ell = multiplicative_order(lam, ell).order
-    t_p = multiplicative_order(lam, p).order
+    t_ell = multiplicative_order(lam, ell)
+    t_p = multiplicative_order(lam, p)
     if gcd(t_ell, t_p) != 1:
         raise ValueError(f"{who}: orders of lam mod ell and mod p share a factor")
     return t_ell, t_p
@@ -288,7 +288,7 @@ def weil_scan(f: Polynomial, lam: int, p_max: int):
     rows = []
     table = FactorTable(max(p_max, 0))
     primes = table.primes(3)
-    for p, period in zip(primes, table.orders(lam, primes)[1].tolist()):
+    for p, period in zip(primes.tolist(), table.orders(lam, primes)[1].tolist()):
         if period == 0:  # p divides lam
             continue
         terms = orbit_symbols(f, lam, (p,), period, start=1)[0].astype(np.float64)

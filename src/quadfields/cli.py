@@ -95,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=25)
 
     p = sub.add_parser("verify", help="run the exact-invariant suite")
-    common(p, spec=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quick", action="store_true")
     return top
@@ -159,6 +158,8 @@ def _run_charsum(args: argparse.Namespace) -> int:
         return 0
     if args.p is None:
         raise ValueError("charsum: need --p (and optionally --ell)")
+    if args.K is not None and args.ell is None:
+        raise ValueError("charsum: --K needs --ell")
     if args.ell is not None and args.K is not None:
         r = charsums.incomplete_sum(f, args.A, args.lam, args.ell, args.p, args.K)
     elif args.ell is not None:
@@ -193,6 +194,8 @@ def _run_primes(args: argparse.Namespace) -> int:
 
 def _run_bounds(args: argparse.Namespace) -> int:
     # every value is computed, and so every flag checked, before the first print
+    if args.S is not None and args.N is None:
+        raise ValueError("bounds: -S needs -N")
     if args.curve:
         if args.N is None:
             raise ValueError("bounds: --curve needs -N")
@@ -239,7 +242,7 @@ def _check_arith(rng: random.Random, quick: bool) -> None:
         ensure(jacobi(a * b % m, m) == jacobi(a, m) * jacobi(b, m))
     for _ in range(rounds // 4):
         n = rng.randrange(2, 1 << 48)
-        ensure(math.prod(p**e for p, e in factorize(n).factors) == n)
+        ensure(math.prod(p**e for p, e in factorize(n)) == n)
 
 
 def _check_sequences(rng: random.Random, quick: bool) -> None:

@@ -83,7 +83,7 @@ def build_prime_set(
     if hi < lo:
         raise ValueError("build_prime_set: window [z, Cz] contains no integer")
     table = FactorTable(hi)
-    ells = np.array(table.primes(lo), dtype=np.int64)
+    ells = table.primes(lo)
     p_plus, _ = table.orders(0, ells)  # 0 has no order mod any prime: the P+ column alone
     keep = p_plus >= z**alpha
     ells, p_plus = ells[keep], p_plus[keep]
@@ -136,8 +136,7 @@ def density_report(g: int, z: float, alpha: float) -> DensityReport:
         raise ValueError("density_report: alpha must lie in [1/2, 1)")
     table = FactorTable(math.floor(z))
     primes = table.primes()
-    bar = np.fromiter((ell**alpha for ell in primes), np.float64, len(primes))
-    primes = np.array(primes)  # the list of Python ints is freed before the engine runs
+    bar = np.fromiter((ell**alpha for ell in primes.tolist()), np.float64, len(primes))
     p_plus, order = table.orders(g, primes)
     # ell = 2 counts in the denominator only: P+(1) = 1 and an order <= 1 stay below 2^alpha
     count_alpha = int(np.count_nonzero(p_plus >= bar))

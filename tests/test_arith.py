@@ -4,7 +4,9 @@ import random
 import pytest
 import sympy
 
+from quadfields import arith
 from quadfields.arith import (
+    InvariantError,
     euler_phi,
     factorize,
     is_perfect_square,
@@ -98,10 +100,10 @@ def test_jacobi_matches_sympy():
 
 
 def test_factorize_examples():
-    assert factorize(10).factors == ((2, 1), (5, 1))
-    assert factorize(49).factors == ((7, 2),)
+    assert factorize(10) == ((2, 1), (5, 1))
+    assert factorize(49) == ((7, 2),)
     fermat = ((3, 1), (5, 1), (17, 1), (257, 1), (641, 1), (65537, 1), (6700417, 1))
-    assert factorize(2**64 - 1).factors == fermat
+    assert factorize(2**64 - 1) == fermat
 
 
 def test_factorize_rejects_small():
@@ -118,7 +120,7 @@ def test_factorize_roundtrip_64bit():
     for _ in range(10**5):
         n = rng.randrange(2, 1 << 64)
         prod = 1
-        for p, e in factorize(n).factors:
+        for p, e in factorize(n):
             prod *= p**e
         assert prod == n
 
@@ -133,7 +135,7 @@ def test_factorize_hard_semiprimes():
             pool.append(c)
     for i in range(0, 20, 2):
         p, q = sorted(pool[i : i + 2])
-        got = factorize(p * q).factors
+        got = factorize(p * q)
         assert got == ((p, 1), (q, 1)) if p != q else ((p, 2),)
 
 
@@ -141,13 +143,13 @@ def test_factorize_matches_sympy():
     rng = random.Random(9)
     for _ in range(100):
         n = rng.randrange(2, 1 << 50)
-        assert dict(factorize(n).factors) == sympy.factorint(n)
+        assert dict(factorize(n)) == sympy.factorint(n)
 
 
 def test_multiplicative_order_examples():
-    assert multiplicative_order(2, 7).order == 3
-    assert multiplicative_order(2, 11).order == 10
-    assert multiplicative_order(1, 97).order == 1
+    assert multiplicative_order(2, 7) == 3
+    assert multiplicative_order(2, 11) == 10
+    assert multiplicative_order(1, 97) == 1
 
 
 def test_multiplicative_order_rejects_non_coprime():
@@ -164,11 +166,11 @@ def test_multiplicative_order_record_invariants():
         lam = rng.randrange(2, m)
         if math.gcd(lam, m) != 1:
             continue
-        rec = multiplicative_order(lam, m)
-        assert euler_phi(m) % rec.order == 0
-        assert pow(lam, rec.order, m) == 1
-        for q, _ in factorize(rec.order).factors if rec.order > 1 else ():
-            assert pow(lam, rec.order // q, m) != 1
+        t = multiplicative_order(lam, m)
+        assert euler_phi(m) % t == 0
+        assert pow(lam, t, m) == 1
+        for q, _ in factorize(t) if t > 1 else ():
+            assert pow(lam, t // q, m) != 1
 
 
 def test_multiplicative_order_matches_sympy():
@@ -178,7 +180,18 @@ def test_multiplicative_order_matches_sympy():
         lam = rng.randrange(2, m)
         if math.gcd(lam, m) != 1:
             continue
-        assert multiplicative_order(lam, m).order == sympy.n_order(lam, m)
+        assert multiplicative_order(lam, m) == sympy.n_order(lam, m)
+
+
+def test_arith_checks_raise_invariant_error(monkeypatch):
+    # a factorization that does not multiply back, an order that does not annihilate
+    with monkeypatch.context() as mp:
+        mp.setattr(arith, "_factor_into", lambda n, out: out.update({n + 2: 1}))
+        with pytest.raises(InvariantError, match="multiply back"):
+            factorize(10**12 + 39)
+    monkeypatch.setattr(arith, "euler_phi", lambda m: m)
+    with pytest.raises(InvariantError, match="annihilate"):
+        multiplicative_order(2, 7)
 
 
 def test_euler_phi():

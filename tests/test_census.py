@@ -159,11 +159,16 @@ def test_window_bits_example(shanks):
     assert census._window_bits(shanks, 0, 5) == 80
 
 
-@pytest.mark.parametrize("mode", [["-S", "10"], ["-s", "17"], ["--classes"]],
-                         ids=["S", "s", "classes"])
-def test_huge_census_window_exits_3_fast(mode, capsys):
+@pytest.mark.parametrize("argv", [
+    ["-f", "1,6,1", "-g", "2", "-N", "7000000", "-S", "10"],
+    ["-f", "1,6,1", "-g", "2", "-N", "7000000", "-s", "17"],
+    ["-f", "1,6,1", "-g", "2", "-N", "7000000", "--classes"],
+    # f(0) = 0 puts g^n inside u(n), so the layer strip is quadratic in its bits
+    ["-f", "0,1", "-g", "2", "-M", "10000000", "-N", "1", "-S", "10"],
+], ids=["S", "s", "classes", "high-multiplicity"])
+def test_huge_census_window_exits_3_fast(argv, capsys):
     t0 = time.perf_counter()
-    assert cli.main(["census", "-f", "1,6,1", "-g", "2", "-N", "7000000", *mode]) == 3
+    assert cli.main(["census", *argv]) == 3
     assert time.perf_counter() - t0 < 1.0
     assert "cap" in capsys.readouterr().err
 
@@ -262,7 +267,7 @@ def test_kernel_primes_sieved_once(monkeypatch):
         if getattr(mod, "primes_up_to", None) is real:
             monkeypatch.setattr(mod, "primes_up_to", counting)
     monkeypatch.setattr(arith, "_sieved", (0, []), raising=False)
-    monkeypatch.setattr(arith, "_chunked", (0, ()), raising=False)
+    arith.prime_chunks.cache_clear()
     n = 17 * sympy.nextprime(10**7) ** 3
     for B in (10**6, 10**6, 5000):
         squarefree_kernel(n, B)
@@ -271,10 +276,15 @@ def test_kernel_primes_sieved_once(monkeypatch):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(2, 3000), max_size=8), st.integers(1, 10**12),
+       st.lists(st.tuples(st.sampled_from([2, 3, 5, 97, 991, 4999, 100003]),
+                          st.integers(1, 3000)), max_size=3),
        st.sampled_from([2, 97, 1000, 5000, 10**5]))
-def test_squarefree_kernel_matches_sympy(small, big, B):
-    n = math.prod(small) * big
-    fac = sympy.factorint(n)
+def test_squarefree_kernel_matches_sympy(small, big, powers, B):
+    # powers: prime powers p^e up to e = 3000, deep in the gcd layers
+    fac = sympy.factorint(math.prod(small) * big)
+    for p, e in powers:
+        fac[p] = fac.get(p, 0) + e
+    n = math.prod(p**e for p, e in fac.items())
     k = squarefree_kernel(n, B)
     smooth_kernel = math.prod(p for p, e in fac.items() if p <= B and e % 2)
     rough = math.prod(p**e for p, e in fac.items() if p > B)
@@ -284,3 +294,18 @@ def test_squarefree_kernel_matches_sympy(small, big, B):
     else:
         assert k.cofactor == rough and not is_perfect_square(rough)
         assert k.kernel == smooth_kernel * (B + 1)
+
+
+def test_squarefree_kernel_high_multiplicity_is_fast():
+    # 400,001 factors of 2: one division per exponent would take about 40 s
+    t0 = time.perf_counter()
+    k = squarefree_kernel(2**400001 * 3, 10)
+    assert time.perf_counter() - t0 < 5.0
+    assert (k.kernel, k.complete, k.cofactor) == (6, True, 1)
+
+
+@pytest.mark.parametrize("g, M, count", [(2, 100000, 1), (3, 20001, 1), (10, 20000, 1), (30, 20000, 0)])
+def test_census_f_zero_at_zero(g, M, count, capsys):
+    # u(n) = g^n: the kernel of g^(M+1) is the product of g's primes at odd exponent
+    assert cli.main(["census", "-f", "0,1", "-g", str(g), "-M", str(M), "-N", "1", "-S", "10"]) == 0
+    assert capsys.readouterr().out == f"{count}\n"

@@ -77,6 +77,9 @@ def test_census_errors(capsys):
     ["primes", "-g", "1", "--z", "100"],
     ["primes", "-g", "0", "--z", "1000", "--density"],
     ["primes", "-g", "-3", "--z", "1000", "--density"],
+    ["bounds", "--alpha", "0.677", "-S", "nan"],  # -S is read only with -N
+    ["bounds", "--alpha", "0.677", "-S", "-5"],
+    ["charsum", "-f", "2,0,0,1", "--lam", "2", "--p", "101", "--K", "5"],  # --K needs --ell
 ])
 def test_bad_values_exit_3(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -110,8 +113,9 @@ def test_assertion_exits_4(capsys, monkeypatch):
     (["bounds", "--alpha", "0.677", "--seed", "7"], "--seed"),
     (["census", "-f", "1,6,1", "-g", "2", "-N", "5", "-S", "100", "--kernel-bound", "10"],
      "--kernel-bound"),
+    (["verify", "--quick", "-o", "x"], "-o"),
 ], ids=["format", "census-seed", "sieve-seed", "charsum-seed", "primes-seed", "bounds-seed",
-        "kernel-bound"])
+        "kernel-bound", "verify-out"])
 def test_removed_flags_exit_2(argv, flag, capsys):
     rc, _, err = run(capsys, *argv)
     assert rc == 2 and flag in err

@@ -1,11 +1,14 @@
 import json
+import math
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quadfields import arith, sieve
-from quadfields.arith import jacobi
+from quadfields.arith import factorize, is_perfect_square, jacobi
 from quadfields.census import squarefree_kernel
 from quadfields.harvest import SievePrime, SievePrimeSet, build_prime_set
 from quadfields.sequences import Polynomial, u_eval, u_eval_mod, validate
@@ -52,6 +55,25 @@ def test_detector_square_identity(shanks, pset100):
         assert k.complete
         d = detector(shanks, n, k.kernel, pset100)
         assert d == len(pset100) - omega_z(shanks, n, k.kernel, pset100)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=3), st.integers(2, 12),
+       st.integers(1, 400), st.sampled_from([50.0, 100.0, 200.0]), st.data())
+def test_detector_identity_on_constructed_squares(low, g, t, z, data):
+    # s = t^2 times the exact kernel of u(n) makes s*u(n) a positive square, so
+    # D(n) = |L| - omega, in the run's table and by the scalar routines alike
+    spec = validate(Polynomial((*low, 1)), g)
+    n = data.draw(st.integers(1, 60 // (len(low) * g.bit_length())))  # g^(n deg) < 2^60
+    u = u_eval(spec, n)
+    assume(1 < u <= arith.U64_MAX)
+    s = t * t * math.prod(p for p, e in factorize(u) if e % 2)
+    assert is_perfect_square(s * u)
+    pset = build_prime_set(g, z)
+    run = run_sieve(spec, n - 1, 1, s, pset)
+    D, w = detector(spec, n, s, pset), omega_z(spec, n, s, pset)
+    assert run.detector_map == {n: D} and run.omega_map == {n: w}
+    assert D == len(pset) - w
 
 
 def test_detector_basics(shanks, pset100):
