@@ -32,11 +32,13 @@ __all__ = [
 
 # Kernel extraction costs at most about 4 ns per (bit of u(n) + 2048) per 64-prime
 # chunk <= B (100- to 120,000-bit u(n), B = 10, 10^6 and 10^7, Python 3.11 on a 2-core
-# x86-64; the 2048 stands for the per-chunk gcd).  When f(0) = 0, g^n divides u(n) and
-# the layer strip divides u(n) by powers of g up to its own size: about 4 ns more per
-# bits(u(n))^2 / 2048 (1.0-4.5 ns measured on f = X and X^2 + X, g from 2 to 30030,
-# u(n) of 0.2 to 5 million bits).  For f(0) != 0 the exponent of a prime <= B in u(n)
-# stays small, and the chunk term covers the strip.  So this cap is about a minute.
+# x86-64; the 2048 stands for the per-chunk gcd).  The layer strip also divides u(n) by
+# powers of g's primes, up to peel bits of them: all of u(n) when f(0) = 0 (g^n divides
+# it), else at most the part of f(0) built from g's primes.  That costs about 4 ns more
+# per bits(u(n)) * peel / 2048: 1.0-4.5 ns measured on f = X and X^2 + X (g from 2 to
+# 30030, u(n) of 0.2 to 5 million bits), 1.4-1.7 ns on X + 2^k with g = 2 and X + 6^k
+# with g = 6 (k up to 400,000).  A large f(0) coprime to g has peel 1 and the chunk
+# term covers its strip (1.5-1.9 ns per unit).  So this cap is about a minute.
 KERNEL_WORK_CAP = 15 * 10**9
 
 # Fixed witnesses for the residue prefilters: (a/p)(b/p) = -1 at any of them
@@ -58,8 +60,6 @@ class KernelResult:
 
     kernel: int
     complete: bool
-    small_part: int  # squarefree kernel of the B-smooth part, always exact
-    cofactor: int  # leftover: 1, a square, or a certified prime when complete
 
 
 def squarefree_kernel(n: int, B: int) -> KernelResult:
@@ -94,18 +94,10 @@ def squarefree_kernel(n: int, B: int) -> KernelResult:
                 small_kernel *= g // h
             g = h
     if m == 1 or is_perfect_square(m):
-        return KernelResult(kernel=small_kernel, complete=True, small_part=small_kernel, cofactor=m if m > 1 else 1)
-    if m <= B * B:
-        # a leftover below B^2 with no factor up to B is prime
-        if m <= B:
-            return KernelResult(kernel=small_kernel * m, complete=True, small_part=small_kernel * m, cofactor=1)
-        return KernelResult(kernel=small_kernel * m, complete=True, small_part=small_kernel, cofactor=m)
-    return KernelResult(
-        kernel=small_kernel * (B + 1),
-        complete=False,
-        small_part=small_kernel,
-        cofactor=m,
-    )
+        return KernelResult(kernel=small_kernel, complete=True)
+    if m <= B * B:  # a leftover below B^2 with no factor up to B is prime
+        return KernelResult(kernel=small_kernel * m, complete=True)
+    return KernelResult(kernel=small_kernel * (B + 1), complete=False)
 
 
 def same_field(a: int, b: int) -> bool:
@@ -221,9 +213,9 @@ def count_Q_total(spec: SequenceSpec, M: int, N: int, S: int) -> CensusResult:
     top = _u_bits(spec, M + N)  # every u(n) in the window is below 2^top
     B = max(2, min(S, 1 << (top + 1) // 2))
     chunks = len(prime_chunks(B))  # first, so an oversized B fails on the table cap
-    work = (_window_bits(spec, M, N) + 2048 * N) * chunks
-    if spec.f.constant == 0:
-        work += N * top * top // 2048
+    c = abs(spec.f.constant)
+    peel = gcd(c, pow(spec.g, c.bit_length(), c)).bit_length() if c else top
+    work = (_window_bits(spec, M, N) + 2048 * N) * chunks + N * top * peel // 2048
     if work > KERNEL_WORK_CAP:
         raise ValueError(
             f"count_Q_total: kernel extraction needs about {work:.3g} steps (bits of u(n) "

@@ -17,6 +17,7 @@ import numpy as np
 
 from .arith import (
     FactorTable,
+    ensure,
     is_prime,
     is_squarefree,
     jacobi,
@@ -25,7 +26,6 @@ from .arith import (
 from .sequences import Polynomial, gcd_degree, orbit_symbols
 
 __all__ = [
-    "FrequencySplit",
     "CharSumResult",
     "WeilScanReport",
     "HbAverage",
@@ -42,49 +42,31 @@ WEIL_SLACK = 1  # asserted bound is (degree + WEIL_SLACK) * sqrt(p)
 
 
 @dataclass(frozen=True)
-class FrequencySplit:
-    """a split into per-prime frequencies: a_ell*tau_p + a_p*tau_ell = a
-    mod tau_ell*tau_p."""
-
-    a: int
-    tau_ell: int
-    tau_p: int
-    a_ell: int
-    a_p: int
-
-    def __post_init__(self):
-        if gcd(self.tau_ell, self.tau_p) != 1:
-            raise ValueError("frequency split needs coprime periods")
-        t = self.tau_ell * self.tau_p
-        if (self.a_ell * self.tau_p + self.a_p * self.tau_ell - self.a) % t:
-            raise ValueError("split congruence violated")
-
-
-@dataclass(frozen=True)
 class CharSumResult:
     value: complex
     modulus: int
     period: int
     frequency: int
-    lam: int
     kind: str  # complete_p | complete_lp | incomplete
     bound_ratio: float
 
     def __post_init__(self):
-        if abs(self.value) > self.period + 1e-6:
-            raise ValueError("character sum exceeds its trivial bound")
+        ensure(abs(self.value) <= self.period + 1e-6, "character sum exceeds its trivial bound")
 
 
-def split_frequencies(a: int, tau_ell: int, tau_p: int) -> FrequencySplit:
-    """Split a frequency along coprime periods: a_ell = a/tau_p mod tau_ell
-    and symmetrically, so the two split sums multiply back to the pair sum."""
+def split_frequencies(a: int, tau_ell: int, tau_p: int) -> tuple[int, int]:
+    """Split a frequency along coprime periods into (a_ell, a_p) with
+    a_ell*tau_p + a_p*tau_ell = a mod tau_ell*tau_p, so the two split sums
+    multiply back to the pair sum."""
     if tau_ell < 1 or tau_p < 1:
         raise ValueError("split_frequencies: periods must be >= 1")
     if gcd(tau_ell, tau_p) != 1:
         raise ValueError("split_frequencies: periods must be coprime")
     a_ell = a * pow(tau_p, -1, tau_ell) % tau_ell
     a_p = a * pow(tau_ell, -1, tau_p) % tau_p
-    return FrequencySplit(a, tau_ell, tau_p, a_ell, a_p)
+    ensure((a_ell * tau_p + a_p * tau_ell - a) % (tau_ell * tau_p) == 0,
+           "split congruence violated")
+    return a_ell, a_p
 
 
 def _require_monic_separable(f: Polynomial, who: str) -> None:
@@ -131,13 +113,15 @@ def complete_sum_p(f: Polynomial, lam: int, p: int, a: int) -> CharSumResult:
         modulus=p,
         period=period,
         frequency=a,
-        lam=lam,
         kind="complete_p",
         bound_ratio=abs(value) / math.sqrt(p),
     )
 
 
-def _pair_orders(f, lam, ell, p, who):
+def _pair_cycles(f, A, lam, ell, p, who):
+    # J[x] = (f(A lam^x) / q) for x = 1..t_q with t_q the order of lam mod q;
+    # the sequence mod q has period t_q in x, so two short cycles replace
+    # every symbol mod ell*p, and each period is the length of its cycle.
     if ell == p:
         raise ValueError(f"{who}: ell and p must be distinct")
     for q in (ell, p):
@@ -149,12 +133,6 @@ def _pair_orders(f, lam, ell, p, who):
     t_p = multiplicative_order(lam, p)
     if gcd(t_ell, t_p) != 1:
         raise ValueError(f"{who}: orders of lam mod ell and mod p share a factor")
-    return t_ell, t_p
-
-
-def _symbol_cycles(f, A, lam, ell, p, t_ell, t_p):
-    # J[x] = (f(A lam^x) / q) for x = 1..t_q; the sequence mod q has period
-    # t_q in x, so two short cycles replace every symbol mod ell*p.
     return [
         orbit_symbols(f, lam, (q,), t, start=1, shift=A)[0].astype(np.int64)
         for q, t in ((ell, t_ell), (p, t_p))
@@ -183,16 +161,14 @@ def complete_sum_pair(f: Polynomial, lam: int, ell: int, p: int, a: int) -> Char
     No monic gate here: the product identity this feeds is exact for any
     integer f, and the coprimality conditions are the whole hypothesis.
     """
-    t_ell, t_p = _pair_orders(f, lam, ell, p, "complete_sum_pair")
-    period = t_ell * t_p
-    jl, jp = _symbol_cycles(f, 1, lam, ell, p, t_ell, t_p)
+    jl, jp = _pair_cycles(f, 1, lam, ell, p, "complete_sum_pair")
+    period = len(jl) * len(jp)
     value = _fourier_sum(_pair_terms(jl, jp, period), a)
     return CharSumResult(
         value=value,
         modulus=ell * p,
         period=period,
         frequency=a,
-        lam=lam,
         kind="complete_lp",
         bound_ratio=abs(value) / math.sqrt(ell * p),
     )
@@ -201,18 +177,17 @@ def complete_sum_pair(f: Polynomial, lam: int, ell: int, p: int, a: int) -> Char
 def product_formula_residual(f: Polynomial, lam: int, ell: int, p: int, a: int) -> float:
     """|pair sum - product of split sums|; 0 exactly on the a=0 integer path,
     pure roundoff otherwise."""
-    t_ell, t_p = _pair_orders(f, lam, ell, p, "product_formula_residual")
-    jl, jp = _symbol_cycles(f, 1, lam, ell, p, t_ell, t_p)
-    split = split_frequencies(a, t_ell, t_p)
-    lhs = _fourier_sum(_pair_terms(jl, jp, t_ell * t_p), a)
-    return abs(lhs - _fourier_sum(jl, split.a_ell) * _fourier_sum(jp, split.a_p))
+    jl, jp = _pair_cycles(f, 1, lam, ell, p, "product_formula_residual")
+    a_ell, a_p = split_frequencies(a, len(jl), len(jp))
+    lhs = _fourier_sum(_pair_terms(jl, jp, len(jl) * len(jp)), a)
+    return abs(lhs - _fourier_sum(jl, a_ell) * _fourier_sum(jp, a_p))
 
 
 def incomplete_sum(f: Polynomial, A: int, lam: int, ell: int, p: int, K: int) -> CharSumResult:
     """Exact integer sum of (f(A lam^n)/ell*p) for n = 1..K, with the ratio
     against K*sqrt(ell*p)/tau + sqrt(ell*p)*log(ell*p) attached."""
     _require_monic_separable(f, "incomplete_sum")
-    t_ell, t_p = _pair_orders(f, lam, ell, p, "incomplete_sum")
+    jl, jp = _pair_cycles(f, A, lam, ell, p, "incomplete_sum")
     m = ell * p
     if gcd(A, m) != 1:
         raise ValueError("incomplete_sum: A must be coprime to ell*p")
@@ -220,8 +195,7 @@ def incomplete_sum(f: Polynomial, A: int, lam: int, ell: int, p: int, K: int) ->
         raise ValueError("incomplete_sum: ell*p must be coprime to lam*f(0)")
     if K < 0:
         raise ValueError("incomplete_sum: K must be >= 0")
-    period = t_ell * t_p
-    jl, jp = _symbol_cycles(f, A, lam, ell, p, t_ell, t_p)
+    period = len(jl) * len(jp)
     total = int(_pair_terms(jl, jp, K).sum())
     bound = K * math.sqrt(m) / period + math.sqrt(m) * math.log(m)
     return CharSumResult(
@@ -229,7 +203,6 @@ def incomplete_sum(f: Polynomial, A: int, lam: int, ell: int, p: int, K: int) ->
         modulus=m,
         period=period,
         frequency=0,
-        lam=lam,
         kind="incomplete",
         bound_ratio=abs(total) / bound,
     )
@@ -248,7 +221,6 @@ class WeilScanRow:
 @dataclass(frozen=True)
 class WeilScanReport:
     degree: int
-    lam: int
     slack: float  # asserted ceiling for admissible ratios, (d+1)
     rows: tuple[WeilScanRow, ...]
 
@@ -257,12 +229,8 @@ class WeilScanReport:
         return max((r.ratio for r in self.rows if r.admissible), default=0.0)
 
     @property
-    def violations(self) -> tuple[WeilScanRow, ...]:
-        return tuple(r for r in self.rows if r.admissible and r.ratio > self.slack)
-
-    @property
     def ok(self) -> bool:
-        return not self.violations
+        return not any(r.admissible and r.ratio > self.slack for r in self.rows)
 
     def to_csv(self) -> str:
         lines = ["modulus,period,frequency,re,im,ratio"]
@@ -309,7 +277,7 @@ def weil_scan(f: Polynomial, lam: int, p_max: int):
             )
         )
     return WeilScanReport(
-        degree=f.degree, lam=lam, slack=float(f.degree + WEIL_SLACK), rows=tuple(rows)
+        degree=f.degree, slack=float(f.degree + WEIL_SLACK), rows=tuple(rows)
     )
 
 
@@ -319,27 +287,14 @@ class HbAverage:
     normalized: float
 
 
-def hb_average(R: int, S: int, psi=None) -> HbAverage:
-    """Average of |sum of psi(s)(s/m)|^2 over odd squarefree m <= R,
-    normalized by S(R+S)max|psi|^2.
-
-    psi is a table of S values (default all ones); integer tables keep the
-    whole computation exact.
-    """
+def hb_average(R: int, S: int) -> HbAverage:
+    """Average of |sum of (s/m) over s <= S|^2 over odd squarefree m <= R,
+    normalized by S(R+S); lhs is the exact integer sum."""
     if R < 1 or S < 1:
         raise ValueError("hb_average: R and S must be >= 1")
-    if psi is None:
-        psi = [1] * S
-    if len(psi) != S:
-        raise ValueError("hb_average: psi must have exactly S entries")
     lhs = 0
     for m in range(1, R + 1, 2):
-        if not is_squarefree(m):
-            continue
-        inner = sum(psi[s - 1] * jacobi(s, m) for s in range(1, S + 1))
-        lhs += abs(inner) ** 2
-    peak = max(abs(w) for w in psi)
-    if peak == 0:
-        return HbAverage(lhs=float(lhs), normalized=0.0)
-    return HbAverage(lhs=float(lhs), normalized=float(lhs) / (S * (R + S) * peak**2))
+        if is_squarefree(m):
+            lhs += sum(jacobi(s, m) for s in range(1, S + 1)) ** 2
+    return HbAverage(lhs=float(lhs), normalized=float(lhs) / (S * (R + S)))
 

@@ -47,6 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("-M", type=int, default=0, help="window offset (default 0)")
             p.add_argument("-N", type=int, default=1, help="window length")
         p.add_argument("-o", "--out", help="artifact output path")
+        p.set_defaults(parser=p)
 
     p = sub.add_parser("census", help="count square values of s*u(n) over a window")
     common(p, spec=True, window=True)
@@ -98,6 +99,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quick", action="store_true")
     return top
+
+
+def _reject_unread(args: argparse.Namespace, mode: str, *flags: str) -> None:
+    """A flag that this mode never reads is an error, unless it is left at its default."""
+    unread = [f for f in flags
+              if getattr(args, f.lstrip("-")) != args.parser.get_default(f.lstrip("-"))]
+    if unread:
+        raise ValueError(f"{mode} does not read {', '.join(unread)}")
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -152,20 +161,22 @@ def _run_sieve(args: argparse.Namespace) -> int:
 def _run_charsum(args: argparse.Namespace) -> int:
     f = Polynomial.parse(args.f)
     if args.scan:
+        _reject_unread(args, "charsum --scan", "--p", "--ell", "-a", "--K", "--A")
         report = charsums.weil_scan(f, args.lam, args.pmax)
         print(f"max_ratio {report.max_ratio:.12g} slack {report.slack:.6g} ok {report.ok}")
         _emit(args, report.to_csv())
         return 0
     if args.p is None:
         raise ValueError("charsum: need --p (and optionally --ell)")
-    if args.K is not None and args.ell is None:
-        raise ValueError("charsum: --K needs --ell")
-    if args.ell is not None and args.K is not None:
-        r = charsums.incomplete_sum(f, args.A, args.lam, args.ell, args.p, args.K)
-    elif args.ell is not None:
+    if args.ell is None:
+        _reject_unread(args, "charsum without --ell", "--pmax", "--A", "--K")
+        r = charsums.complete_sum_p(f, args.lam, args.p, args.a)
+    elif args.K is None:
+        _reject_unread(args, "charsum without --K", "--pmax", "--A")
         r = charsums.complete_sum_pair(f, args.lam, args.ell, args.p, args.a)
     else:
-        r = charsums.complete_sum_p(f, args.lam, args.p, args.a)
+        _reject_unread(args, "charsum --K", "--pmax", "-a")
+        r = charsums.incomplete_sum(f, args.A, args.lam, args.ell, args.p, args.K)
     print(f"{r.kind} modulus {r.modulus} period {r.period} "
           f"value {r.value.real:.12g}{r.value.imag:+.12g}i ratio {r.bound_ratio:.12g}")
     _emit(args, json.dumps({
@@ -177,6 +188,7 @@ def _run_charsum(args: argparse.Namespace) -> int:
 
 def _run_primes(args: argparse.Namespace) -> int:
     if args.density:
+        _reject_unread(args, "primes --density", "--out", "--C", "--variant")
         rep = harvest.density_report(args.g, args.z, args.alpha)
         print(f"primes {rep.primes_counted} smooth_shift {rep.count_alpha} "
               f"large_order {rep.count_order}")
@@ -194,15 +206,16 @@ def _run_primes(args: argparse.Namespace) -> int:
 
 def _run_bounds(args: argparse.Namespace) -> int:
     # every value is computed, and so every flag checked, before the first print
-    if args.S is not None and args.N is None:
-        raise ValueError("bounds: -S needs -N")
-    if args.curve:
-        if args.N is None:
-            raise ValueError("bounds: --curve needs -N")
-        if not args.smax >= 1:
-            raise ValueError("bounds: --smax must be >= 1")
-        if args.points < 2:
-            raise ValueError("bounds: --points must be >= 2")
+    if args.N is None:
+        _reject_unread(args, "bounds without -N", "-S")
+    if not args.curve:
+        _reject_unread(args, "bounds without --curve", "--out", "--smax", "--points")
+    elif args.N is None:
+        raise ValueError("bounds: --curve needs -N")
+    elif not args.smax >= 1:
+        raise ValueError("bounds: --smax must be >= 1")
+    elif args.points < 2:
+        raise ValueError("bounds: --points must be >= 2")
     t = bounds.exponent_table(args.alpha)
     chk = bounds.interpolation_check(args.alpha)
     z = bounds.default_z(args.N, args.alpha) if args.N is not None else None

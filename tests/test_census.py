@@ -173,6 +173,16 @@ def test_huge_census_window_exits_3_fast(argv, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_large_g_part_of_f0_exits_3_fast():
+    # u(n) = 2^400000 * (2^(n - 400000) + 1): the strip takes 400,000 factors of 2 off
+    # each 1.2-million-bit u(n), about ten minutes over this window
+    spec = validate(Polynomial((2**400000, 1)), 2)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="cap"):
+        count_Q_total(spec, 400000, 2000, 10)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_census_json_roundtrip(shanks):
     res = count_Q_total(shanks, 0, 5, 1300)
     doc = json.loads(res.to_json())
@@ -217,13 +227,16 @@ def test_squarefree_kernel_examples():
     assert (k.kernel, k.complete) == (2, True)
     k = squarefree_kernel(17 * 2**100 * 9, 10**6)
     assert (k.kernel, k.complete) == (17, True)
-    assert k.small_part == 17
     k = squarefree_kernel(49, 10)
     assert (k.kernel, k.complete) == (1, True)
     # leftover certified prime above B still yields an exact kernel
     k = squarefree_kernel(5 * 2796203, 10**6)
     assert (k.kernel, k.complete) == (5 * 2796203, True)
-    assert (k.small_part, k.cofactor) == (5, 2796203)
+    # 1673^2 > 2796203 > 1672^2: the prime leftover is certified only up to B^2
+    k = squarefree_kernel(5 * 2796203, 1673)
+    assert (k.kernel, k.complete) == (5 * 2796203, True)
+    k = squarefree_kernel(5 * 2796203, 1672)
+    assert (k.kernel, k.complete) == (5 * 1673, False)
     with pytest.raises(ValueError):
         squarefree_kernel(0, 10)
     with pytest.raises(ValueError):
@@ -235,9 +248,7 @@ def test_squarefree_kernel_incomplete_is_certified_lower_bound():
     q = sympy.nextprime(p)
     k = squarefree_kernel(3 * p * q, 10**6)
     assert not k.complete
-    assert k.kernel > 10**6
-    assert k.small_part == 3
-    assert k.cofactor == p * q
+    assert k.kernel == 3 * (10**6 + 1)
 
 
 def test_squarefree_kernel_reconstruction_seeded():
@@ -250,7 +261,10 @@ def test_squarefree_kernel_reconstruction_seeded():
             assert is_perfect_square(n // k.kernel)
             assert is_squarefree(k.kernel)
         else:
-            assert k.cofactor > 10**4 and not is_perfect_square(k.cofactor)
+            # kernel = (kernel of the smooth part) * (B + 1); what is left is no square
+            small, r = divmod(k.kernel, 10**4 + 1)
+            assert r == 0 and n % small == 0
+            assert n // small > 10**8 and not is_perfect_square(n // small)
 
 
 def test_kernel_primes_sieved_once(monkeypatch):
@@ -288,11 +302,10 @@ def test_squarefree_kernel_matches_sympy(small, big, powers, B):
     k = squarefree_kernel(n, B)
     smooth_kernel = math.prod(p for p, e in fac.items() if p <= B and e % 2)
     rough = math.prod(p**e for p, e in fac.items() if p > B)
-    assert k.small_part == smooth_kernel
+    assert k.complete == (rough == 1 or is_perfect_square(rough) or rough <= B * B)
     if k.complete:
         assert k.kernel == math.prod(p for p, e in fac.items() if e % 2)
     else:
-        assert k.cofactor == rough and not is_perfect_square(rough)
         assert k.kernel == smooth_kernel * (B + 1)
 
 
@@ -301,7 +314,7 @@ def test_squarefree_kernel_high_multiplicity_is_fast():
     t0 = time.perf_counter()
     k = squarefree_kernel(2**400001 * 3, 10)
     assert time.perf_counter() - t0 < 5.0
-    assert (k.kernel, k.complete, k.cofactor) == (6, True, 1)
+    assert (k.kernel, k.complete) == (6, True)
 
 
 @pytest.mark.parametrize("g, M, count", [(2, 100000, 1), (3, 20001, 1), (10, 20000, 1), (30, 20000, 0)])

@@ -26,16 +26,14 @@ CUBIC = Polynomial.parse("2,0,0,1")
 
 
 def test_split_frequencies_example():
-    s = split_frequencies(7, 3, 10)
-    assert (s.a_ell, s.a_p) == (1, 9)
-    assert (s.a_ell * s.tau_p + s.a_p * s.tau_ell - s.a) % 30 == 0
+    a_ell, a_p = split_frequencies(7, 3, 10)
+    assert (a_ell, a_p) == (1, 9)
+    assert (a_ell * 10 + a_p * 3 - 7) % 30 == 0
 
 
 def test_split_frequencies_zero_and_full_period():
-    assert split_frequencies(0, 3, 10).a_ell == 0
-    assert split_frequencies(0, 3, 10).a_p == 0
-    full = split_frequencies(30, 3, 10)
-    assert (full.a_ell, full.a_p) == (0, 0)
+    assert split_frequencies(0, 3, 10) == (0, 0)
+    assert split_frequencies(30, 3, 10) == (0, 0)
 
 
 def test_split_frequencies_rejections():
@@ -238,7 +236,6 @@ def test_orbit_reduction_matches_discrete_log_form():
 def test_hb_average_trivial_modulus():
     for S in (1, 10, 100):
         assert hb_average(1, S).lhs == S**2
-    assert hb_average(10, 4, psi=[0, 0, 0, 0]).normalized == 0.0
 
 
 def test_hb_average_golden():
@@ -251,6 +248,4 @@ def test_hb_average_golden():
 def test_hb_average_rejections():
     with pytest.raises(ValueError):
         hb_average(0, 5)
-    with pytest.raises(ValueError):
-        hb_average(5, 5, psi=[1, 2])
 

@@ -87,6 +87,50 @@ def test_bad_values_exit_3(argv, capsys, tmp_path, monkeypatch):
     # a failed run prints nothing to stdout and writes no artifact
     assert rc == 3 and out == "" and err.startswith("error: ")
     assert not (tmp_path / "art").exists()
+    # the value itself is rejected, not only an -o that the mode does not read
+    assert run(capsys, *argv)[:2] == (3, "")
+
+
+_SCAN = ["charsum", "-f", "2,0,0,1", "--lam", "2", "--scan", "--pmax", "50", "-o", "art"]
+_SUM_P = ["charsum", "-f", "2,0,0,1", "--lam", "2", "--p", "101", "-o", "art"]
+_SUM_PAIR = ["charsum", "-f", "2,0,0,1", "--lam", "2", "--p", "11", "--ell", "7", "-o", "art"]
+_SUM_K = [*_SUM_PAIR, "--K", "15"]
+_DENSITY = ["primes", "-g", "2", "--z", "1000", "--density"]
+_TABLE = ["bounds", "--alpha", "0.677", "-N", "100"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ([*_SCAN, "--p", "7"], "--p"),
+    ([*_SCAN, "--ell", "5"], "--ell"),
+    ([*_SCAN, "-a", "3"], "-a"),
+    ([*_SCAN, "--K", "4"], "--K"),
+    ([*_SCAN, "--A", "5"], "--A"),
+    ([*_SUM_P, "--pmax", "50"], "--pmax"),
+    ([*_SUM_P, "--A", "5"], "--A"),
+    ([*_SUM_PAIR, "--pmax", "50"], "--pmax"),
+    ([*_SUM_PAIR, "--A", "5"], "--A"),
+    ([*_SUM_K, "--pmax", "50"], "--pmax"),
+    ([*_SUM_K, "-a", "3"], "-a"),
+    ([*_DENSITY, "-o", "art"], "--out"),
+    ([*_DENSITY, "--C", "5"], "--C"),
+    ([*_DENSITY, "--variant", "erh"], "--variant"),
+    (["bounds", "--alpha", "0.677", "-o", "art"], "--out"),
+    ([*_TABLE, "--smax", "50"], "--smax"),
+    ([*_TABLE, "--points", "3"], "--points"),
+], ids=["scan-p", "scan-ell", "scan-a", "scan-K", "scan-A", "p-pmax", "p-A", "pair-pmax",
+        "pair-A", "K-pmax", "K-a", "density-out", "density-C", "density-variant",
+        "table-out", "table-smax", "table-points"])
+def test_unread_flags_exit_3(argv, flag, capsys, tmp_path, monkeypatch):
+    # a flag that the chosen mode never reads is an error, not silently dropped
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3 and out == "" and f"does not read {flag}" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_unread_flag_at_its_default_passes(capsys):
+    assert run(capsys, *_DENSITY, "--C", "2", "--variant", "standard")[0] == 0
+    assert run(capsys, "charsum", "-f", "2,0,0,1", "--lam", "2", "--p", "101", "--A", "1")[0] == 0
 
 
 def test_bad_flags_exit_2(capsys):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from quadfields import census, sequences, sieve
 from quadfields.arith import TABLE_LIMIT, is_perfect_square, is_squarefree, jacobi
 from quadfields.census import same_field
-from quadfields.charsums import _orbit_sum, _symbol_cycles
+from quadfields.charsums import _orbit_sum, _pair_cycles
 from quadfields.harvest import SievePrimeSet, build_prime_set
 from quadfields.sequences import Polynomial, orbit_symbols, u_eval, u_eval_mod, validate
 
@@ -198,7 +198,8 @@ def test_orbit_sum_keeps_its_bits(f, lam, p, period):
 
 def test_symbol_cycles_match_scalar():
     for A in (1, 3, -4, 2**70 + 1):
-        jl, jp = _symbol_cycles(SHANKS, A, 2, 7, 101, 3, 100)
+        jl, jp = _pair_cycles(SHANKS, A, 2, 7, 101, "test")
+        assert (len(jl), len(jp)) == (3, 100)  # the orders of 2 mod 7 and mod 101
         for cyc, q in ((jl, 7), (jp, 101)):
             assert cyc.dtype.name == "int64"
             assert cyc.tolist() == [
