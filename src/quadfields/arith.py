@@ -11,14 +11,11 @@ from bisect import bisect_right
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
-import numpy as np
-
 __all__ = [
     "InvariantError",
     "is_perfect_square",
     "jacobi",
     "is_prime",
-    "FactorTable",
     "primes_up_to",
     "primes_through",
     "factorize",
@@ -29,7 +26,6 @@ __all__ = [
 
 U64_MAX = 2**64 - 1
 TABLE_LIMIT = 10**8  # largest table limit; checked before anything is allocated
-_TILE = 1 << 12  # primes per pass of the order engine; bounds its int64 temporaries
 
 
 class InvariantError(Exception):
@@ -145,91 +141,6 @@ def prime_chunks(bound: int) -> tuple[tuple[int, int], ...]:
     """(smallest prime, product) of each run of 64 primes <= bound, cached for the last bound."""
     primes = primes_through(bound)
     return tuple((primes[i], prod(primes[i : i + 64])) for i in range(0, len(primes), 64))
-
-
-class FactorTable:
-    """Smallest prime factor of every n in [0, hi] (n itself when prime) in
-    one int32 array, read back as Python ints for big-integer code."""
-
-    def __init__(self, hi: int):
-        if hi > TABLE_LIMIT:
-            raise ValueError(f"FactorTable: limit {hi} exceeds the table cap {TABLE_LIMIT}")
-        self._spf = np.arange(hi + 1, dtype=np.int32)
-        for p in reversed(primes_up_to(isqrt(hi))):  # smaller primes overwrite
-            self._spf[p * p :: p] = p
-
-    def primes(self, lo: int = 2) -> np.ndarray:
-        """Primes in [lo, hi], ascending, as an int64 array."""
-        lo = max(lo, 2)
-        prime = self._spf[lo:] == np.arange(lo, len(self._spf), dtype=np.int32)
-        return np.flatnonzero(prime) + lo
-
-    def factors(self, n: int) -> tuple[tuple[int, int], ...]:
-        """(prime, exponent) pairs of 2 <= n <= hi, ascending."""
-        read, out = self._spf.data, []
-        while n > 1:
-            p, e = read[n], 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return tuple(out)
-
-    def orders(self, g: int, ells) -> tuple[np.ndarray, np.ndarray]:
-        """P+(ell-1) and the multiplicative order of g mod ell for primes ell <= hi,
-        as two int64 arrays; P+(1) = 1, and the order is 0 where ell divides g.
-
-        Cohen's order algorithm (A Course in Computational Algebraic Number
-        Theory, Alg. 1.4.3) across the array, _TILE primes at a time: one round
-        per distinct prime q of ell-1, read off this table.  Strip q^e from
-        ell-1 and from t (t starts at ell-1), then raise y = g^t to the q until
-        it reaches 1, multiplying t by q each time.  Products stay exact in
-        int64 because ell <= hi <= TABLE_LIMIT < 2^31.
-        """
-        ells = np.asarray(ells, dtype=np.int64)
-        if ells.size and not (
-            ells.min() >= 2 and ells.max() < len(self._spf) and (self._spf[ells] == ells).all()
-        ):
-            raise ValueError(f"orders: every ell must be a prime <= {len(self._spf) - 1}")
-        p_plus, order = np.ones_like(ells), np.zeros_like(ells)
-        for lo in range(0, len(ells), _TILE):
-            ell = ells[lo : lo + _TILE]
-            base = np.array([g % e for e in ell.tolist()], dtype=np.int64)
-            unit = base != 0  # only these descend; the rest keep order 0
-            n, t, big = ell - 1, ell - 1, p_plus[lo : lo + _TILE]
-            live = np.flatnonzero(n > 1)
-            while live.size:
-                q = self._spf[n[live]].astype(np.int64)
-                m, qe = n[live] // q, q.copy()
-                j = np.flatnonzero(m % q == 0)
-                while j.size:
-                    m[j] //= q[j]
-                    qe[j] *= q[j]
-                    j = j[m[j] % q[j] == 0]
-                n[live], big[live] = m, q  # q ascends, so the last one is P+
-                u = unit[live]
-                idx, q = live[u], q[u]
-                tl, mod = t[idx] // qe[u], ell[idx]
-                y = pow_mod(base[idx], tl, mod)
-                k = np.flatnonzero(y != 1)
-                while k.size:
-                    tl[k] *= q[k]
-                    y[k] = pow_mod(y[k], q[k], mod[k])
-                    k = k[y[k] != 1]
-                t[idx] = tl
-                live = live[m > 1]
-            order[lo : lo + _TILE] = np.where(unit, t, 0)
-        return p_plus, order
-
-
-def pow_mod(b: np.ndarray, e: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """b^e mod m elementwise for int64 arrays (broadcasting), 0 <= b < m < 2^31, e >= 0."""
-    r = np.ones_like(b)
-    for i in range(int(e.max(initial=0)).bit_length()):
-        if i:
-            b = b * b % m
-        r = np.where(e >> i & 1, r * b % m, r)
-    return r
 
 
 # Trial division strips everything below this before rho takes over; any n

@@ -13,10 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-import numpy as np
-
 from .arith import U64_MAX, ensure, is_perfect_square, is_squarefree, jacobi, prime_chunks
-from .sequences import SequenceSpec, orbit_symbols, u_eval
+from .sequences import SequenceSpec, u_eval
 
 __all__ = [
     "KernelResult",
@@ -62,6 +60,18 @@ class KernelResult:
     complete: bool
 
 
+def _strip_powers(m: int, h: int) -> tuple[int, int]:
+    # (m / h^t, t) for the largest t, given h > 1 divides m: O(log t) big divisions
+    squares, t = [h], 0  # h^(2^i) while it divides m
+    while (sq := squares[-1] * squares[-1]) <= m and m % sq == 0:
+        squares.append(sq)
+    for i in reversed(range(len(squares))):
+        q, r = divmod(m, squares[i])
+        if not r:
+            m, t = q, t + (1 << i)
+    return m, t
+
+
 def squarefree_kernel(n: int, B: int) -> KernelResult:
     """Strip primes <= B to even multiplicity and classify what remains.
 
@@ -82,13 +92,8 @@ def squarefree_kernel(n: int, B: int) -> KernelResult:
             break  # no factor below p <= B, so m is 1 or a prime below B^2
         g, depth = gcd(m % prod, prod), 0
         while g > 1:
-            squares = [g]  # g^(2^i) while it divides m; g itself always does
-            while (sq := squares[-1] * squares[-1]) <= m and m % sq == 0:
-                squares.append(sq)
-            for i in reversed(range(len(squares))):
-                q, r = divmod(m, squares[i])
-                if not r:
-                    m, depth = q, depth + (1 << i)
+            m, t = _strip_powers(m, g)
+            depth += t
             h = gcd(m, g)
             if depth & 1:
                 small_kernel *= g // h
@@ -131,6 +136,15 @@ def _window_bits(spec: SequenceSpec, M: int, N: int) -> int:
     return (_u_bits(spec, M + 1) + _u_bits(spec, M + N)) * N // 2
 
 
+def _smooth_part(c: int, g: int) -> int:
+    # the largest divisor of c >= 1 built from g's primes, gcd(c, g^bits(c)), by stripping
+    # powers of h = gcd(r, g) until h = 1: a c coprime to g costs one small gcd, not a big one
+    r = c
+    while (h := gcd(r, g)) > 1:
+        r = _strip_powers(r, h)[0]
+    return c // r
+
+
 def _window(M: int, N: int, who: str) -> range:
     if M < 0:
         raise ValueError(f"{who}: M must be >= 0")
@@ -140,8 +154,9 @@ def _window(M: int, N: int, who: str) -> range:
 
 
 @lru_cache(maxsize=1)
-def _witnesses(spec: SequenceSpec, M: int, N: int) -> np.ndarray:
+def _witnesses(spec: SequenceSpec, M: int, N: int):
     # (u(n)/p), witness p by n in [M+1, M+N]; kept, as count_Q sums many s on one window
+    from .engine import orbit_symbols
     W = orbit_symbols(spec.f, spec.g, _WITNESS_PRIMES, N, start=M + 1)
     W.flags.writeable = False
     return W
@@ -156,6 +171,7 @@ def s_matches(spec: SequenceSpec, n: int, s: int) -> bool:
 def window_matches(spec: SequenceSpec, M: int, N: int, s: int) -> list[int]:
     """The n in [M+1, M+N] with u(n) > 0 and s*u(n) a perfect square; only n
     that no witness rejects get the exact u(n) and square test."""
+    from .engine import np
     chi = np.array([jacobi(s, p) for p in _WITNESS_PRIMES], dtype=np.int8)
     hits = np.flatnonzero(~(_witnesses(spec, M, N) * chi[:, None] == -1).any(axis=0)) + M + 1
     return [n for n in hits.tolist() if (u := u_eval(spec, n)) > 0 and is_perfect_square(s * u)]
@@ -214,7 +230,7 @@ def count_Q_total(spec: SequenceSpec, M: int, N: int, S: int) -> CensusResult:
     B = max(2, min(S, 1 << (top + 1) // 2))
     chunks = len(prime_chunks(B))  # first, so an oversized B fails on the table cap
     c = abs(spec.f.constant)
-    peel = gcd(c, pow(spec.g, c.bit_length(), c)).bit_length() if c else top
+    peel = _smooth_part(c, spec.g).bit_length() if c else top
     work = (_window_bits(spec, M, N) + 2048 * N) * chunks + N * top * peel // 2048
     if work > KERNEL_WORK_CAP:
         raise ValueError(
@@ -251,6 +267,7 @@ def distinct_fields(spec: SequenceSpec, M: int, N: int) -> CensusResult:
     ascending n keeps the merge order deterministic.  Witnesses test all
     representatives at once: two columns clash when a +1 meets a -1.
     """
+    from .engine import np
     _require_census_spec(spec, "distinct_fields")
     ns = _window(M, N, "distinct_fields")
     W = _witnesses(spec, M, N)

@@ -13,17 +13,8 @@ import math
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
-from .arith import (
-    FactorTable,
-    ensure,
-    is_prime,
-    is_squarefree,
-    jacobi,
-    multiplicative_order,
-)
-from .sequences import Polynomial, gcd_degree, orbit_symbols
+from .arith import ensure, is_prime, is_squarefree, jacobi, multiplicative_order
+from .sequences import Polynomial, gcd_degree
 
 __all__ = [
     "CharSumResult",
@@ -82,6 +73,7 @@ def _orbit_sum(f: Polynomial, lam: int, modulus: int, period: int, a: int) -> co
     # core summation, no hypothesis gates: sum over x=1..period of
     # (f(lam^x)/modulus) e(a x / period); the a != 0 terms accumulate one at
     # a time in x order, since a numpy sum would round differently
+    from .engine import orbit_symbols
     a %= period
     syms = orbit_symbols(f, lam, (modulus,), period, start=1)[0]
     if a == 0:
@@ -122,6 +114,7 @@ def _pair_cycles(f, A, lam, ell, p, who):
     # J[x] = (f(A lam^x) / q) for x = 1..t_q with t_q the order of lam mod q;
     # the sequence mod q has period t_q in x, so two short cycles replace
     # every symbol mod ell*p, and each period is the length of its cycle.
+    from .engine import np, orbit_symbols
     if ell == p:
         raise ValueError(f"{who}: ell and p must be distinct")
     for q in (ell, p):
@@ -141,12 +134,14 @@ def _pair_cycles(f, A, lam, ell, p, who):
 
 def _pair_terms(jl, jp, length):
     # term n (1-based) is jl[(n-1) % t_ell] * jp[(n-1) % t_p]
+    from .engine import np
     idx = np.arange(length, dtype=np.int64)
     return jl[idx % len(jl)] * jp[idx % len(jp)]
 
 
-def _fourier_sum(cycle: np.ndarray, a: int) -> complex:
-    # sum over x = 1..t of cycle[x-1] e(a x / t); exact integers when t | a
+def _fourier_sum(cycle, a: int) -> complex:
+    # sum over x = 1..t of cycle[x-1] e(a x / t), cycle an int array; exact integers when t | a
+    from .engine import np
     t = len(cycle)
     a %= t
     if a == 0:
@@ -220,7 +215,6 @@ class WeilScanRow:
 
 @dataclass(frozen=True)
 class WeilScanReport:
-    degree: int
     slack: float  # asserted ceiling for admissible ratios, (d+1)
     rows: tuple[WeilScanRow, ...]
 
@@ -250,6 +244,7 @@ def weil_scan(f: Polynomial, lam: int, p_max: int):
     f(0) carry admissible=False: the square-root bound promises nothing
     there, so they are reported but never asserted against.
     """
+    from .engine import FactorTable, np, orbit_symbols
     _require_monic_separable(f, "weil_scan")
     if lam == 0:
         raise ValueError("weil_scan: lam must be nonzero")
@@ -276,25 +271,22 @@ def weil_scan(f: Polynomial, lam: int, p_max: int):
                 admissible=f.constant % p != 0,
             )
         )
-    return WeilScanReport(
-        degree=f.degree, slack=float(f.degree + WEIL_SLACK), rows=tuple(rows)
-    )
+    return WeilScanReport(slack=float(f.degree + WEIL_SLACK), rows=tuple(rows))
 
 
 @dataclass(frozen=True)
 class HbAverage:
     lhs: float
-    normalized: float
 
 
 def hb_average(R: int, S: int) -> HbAverage:
-    """Average of |sum of (s/m) over s <= S|^2 over odd squarefree m <= R,
-    normalized by S(R+S); lhs is the exact integer sum."""
+    """Sum of |sum of (s/m) over s <= S|^2 over odd squarefree m <= R, the
+    Heath-Brown average before its division by S(R+S); lhs is that exact sum."""
     if R < 1 or S < 1:
         raise ValueError("hb_average: R and S must be >= 1")
     lhs = 0
     for m in range(1, R + 1, 2):
         if is_squarefree(m):
             lhs += sum(jacobi(s, m) for s in range(1, S + 1)) ** 2
-    return HbAverage(lhs=float(lhs), normalized=float(lhs) / (S * (R + S)))
+    return HbAverage(lhs=float(lhs))
 

@@ -8,9 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .arith import FactorTable, is_prime
+from .arith import is_prime
 
 __all__ = [
     "SievePrime",
@@ -69,6 +67,7 @@ def build_prime_set(
     The erh variant keeps only members whose order additionally beats
     ell/log ell.  Output is ascending in ell and fully deterministic.
     """
+    from .engine import FactorTable
     if g <= 1:
         raise ValueError("build_prime_set: g must be > 1")
     if not 10 <= z < math.inf:
@@ -128,6 +127,7 @@ def density_report(g: int, z: float, alpha: float) -> DensityReport:
     Both columns come from the order engine over one smallest-prime-factor
     table; the bars are Python floats, so every comparison is exact.
     """
+    from .engine import FactorTable, np
     if g <= 1:
         raise ValueError("density_report: g must be > 1")
     if not 10**3 <= z < math.inf:

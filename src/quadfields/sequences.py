@@ -9,9 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
-from .arith import TABLE_LIMIT, ensure, pow_mod
+from .arith import ensure
 
 __all__ = [
     "Polynomial",
@@ -19,10 +17,7 @@ __all__ = [
     "validate",
     "u_eval",
     "u_eval_mod",
-    "orbit_symbols",
 ]
-
-_TILE = 1 << 16  # int64 temporaries are built this many cells at a time
 
 
 @dataclass(frozen=True)
@@ -154,77 +149,3 @@ def u_eval_mod(spec: SequenceSpec, n: int, m: int) -> int:
     if m < 2:
         raise ValueError("u_eval_mod: modulus must be >= 2")
     return spec.f.eval_mod(pow(spec.g, n, m), m)
-
-
-def orbit_symbols(
-    f: Polynomial, base: int, moduli, count: int, start: int = 0, shift: int = 1
-) -> np.ndarray:
-    """Legendre symbols (f(shift * base^(start+j)) / p) as an int8 matrix,
-    one row per odd prime p in moduli and one column per j = 0..count-1.
-
-    The orbit-residue engine behind the square sieve, the character sums and
-    the Weil scan.  Powers are built by doubling and f by Horner in int64,
-    exact because every p < 2^31; a tile of at most 2^16 cells at a time
-    keeps those temporaries small.  Primality of the moduli is the
-    caller's promise.
-    """
-    moduli = tuple(moduli)
-    for p in moduli:
-        if p % 2 == 0 or not 3 <= p < 2**31:  # products of residues fit int64
-            raise ValueError(f"orbit_symbols: modulus {p} must be odd and in [3, 2^31)")
-    if count < 1:
-        raise ValueError("orbit_symbols: count must be >= 1")
-    if len(moduli) * count > TABLE_LIMIT:
-        raise ValueError(
-            f"orbit_symbols: {len(moduli)} x {count} symbols exceed the table cap {TABLE_LIMIT}"
-        )
-    out = np.empty((len(moduli), count), dtype=np.int8)
-    width = min(count, _TILE)
-    rows = _TILE // width
-    for lo in range(0, len(moduli), rows):
-        block = moduli[lo : lo + rows]
-        for c0 in range(0, count, width):
-            residues = _orbit_residues(f, base, block, min(width, count - c0), start + c0, shift)
-            out[lo : lo + len(block), c0 : c0 + width] = _legendre(residues, block)
-    return out
-
-
-def _orbit_residues(f, base, block, count, start, shift):
-    # f(shift * base^(start+j)) mod q for each q in block, all in [0, q)
-    p = np.array(block, dtype=np.int64)[:, None]
-    x = np.empty((len(block), count), dtype=np.int64)
-    x[:, 0] = [shift % q * pow(base, start, q) % q for q in block]
-    step = np.array([base % q for q in block], dtype=np.int64)[:, None]  # base^k
-    k = 1
-    while k < count:
-        m = min(k, count - k)
-        x[:, k : k + m] = x[:, :m] * step % p
-        step = step * step % p
-        k += m
-    acc = np.zeros_like(x)
-    for c in reversed(f.coefficients):
-        acc *= x
-        acc += np.array([c % q for q in block], dtype=np.int64)[:, None]
-        acc %= p
-    return acc
-
-
-def _legendre(v: np.ndarray, block) -> np.ndarray:
-    # (v_i/p_i) for residues v_i in [0, p_i): a square table per row when it costs no
-    # more than the row, else Euler's v^((p-1)/2) in {0, 1, p-1}, all such rows at once
-    out = np.empty(v.shape, dtype=np.int8)
-    euler = []
-    for i, p in enumerate(block):
-        if p > 16 * v.shape[1]:
-            euler.append(i)
-            continue
-        table = np.full(p, -1, dtype=np.int8)
-        table[np.arange(1, (p + 1) // 2, dtype=np.int64) ** 2 % p] = 1
-        table[0] = 0
-        out[i] = table[v[i]]
-    if euler:
-        p = np.array([block[i] for i in euler], dtype=np.int64)[:, None]
-        r = pow_mod(v[euler], (p - 1) // 2, p)
-        out[euler] = np.where(r > 1, -1, r)
-    return out
-

@@ -14,13 +14,15 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .arith import jacobi
 from .census import window_matches
 from .harvest import SievePrimeSet
-from .sequences import SequenceSpec, orbit_symbols, u_eval, u_eval_mod
+from .sequences import SequenceSpec, u_eval, u_eval_mod
+
+if TYPE_CHECKING:
+    from .engine import np
 
 __all__ = [
     "Partition",
@@ -50,6 +52,7 @@ def detector(spec: SequenceSpec, n: int, s: int, prime_set: SievePrimeSet) -> in
 
 def _symbols(spec, M, N, prime_set):
     # R[i, j] = (u(M+1+j) / ell_i): the whole window in one engine call
+    from .engine import orbit_symbols
     if N < 1:
         raise ValueError("partition: N must be >= 1")
     return orbit_symbols(spec.f, spec.g, prime_set.ells, N, start=M + 1)
@@ -57,6 +60,7 @@ def _symbols(spec, M, N, prime_set):
 
 def _twisted(R, s, prime_set):
     # (s*u/ell) = (s/ell)(u/ell): one symbol per row turns R into the s-table
+    from .engine import np
     chi = np.array([jacobi(s, ell) for ell in prime_set.ells], dtype=np.int8)
     return R * chi[:, None]
 
@@ -135,6 +139,7 @@ def diagnostics(
 
 
 def _pair_sums(R, N, prime_set):
+    from .engine import np
     members = prime_set.members
     p_plus = np.array([sp.p_plus for sp in members])
     U = sum(_off_diagonal(R[p_plus == q]) for q in set(p_plus.tolist()))
@@ -168,7 +173,7 @@ def _off_diagonal(rows):
     # sum of <r_i, r_j> over ordered pairs i != j of rows, i.e. the Gram matrix
     # less its diagonal: |sum of rows|^2 - sum of |r_i|^2, entries in {-1, 0, 1}
     col = rows.sum(axis=0)
-    return int(col @ col) - int(np.count_nonzero(rows))
+    return int(col @ col) - int((rows != 0).sum())
 
 
 @dataclass(frozen=True)

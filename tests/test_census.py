@@ -183,6 +183,25 @@ def test_large_g_part_of_f0_exits_3_fast():
     assert time.perf_counter() - t0 < 1.0
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**200),
+       st.lists(st.tuples(st.sampled_from([2, 3, 5, 7, 11]), st.integers(1, 400)), max_size=3),
+       st.one_of(st.integers(2, 10**6), st.sampled_from([6, 30030, 2**40, 3**25 * 7])))
+def test_smooth_part_matches_gcd_formula(c, powers, g):
+    # the peel term's g-smooth part of f(0) against the formula it replaced
+    c *= math.prod(q**e for q, e in powers)
+    assert census._smooth_part(c, g) == math.gcd(c, pow(g, c.bit_length(), c))
+
+
+def test_huge_f0_coprime_to_g_cap_check_is_fast():
+    # a 317,000-bit f(0) coprime to g: gcd(f(0), g^bits) alone took 0.12-0.17 s
+    spec = validate(Polynomial((5 * 3**200000, 1)), 2)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="cap"):  # raised before any u(n) is built
+        count_Q_total(spec, 0, 10**5, 10)
+    assert time.perf_counter() - t0 < 0.05
+
+
 def test_census_json_roundtrip(shanks):
     res = count_Q_total(shanks, 0, 5, 1300)
     doc = json.loads(res.to_json())

@@ -179,16 +179,44 @@ sys.exit(cli.main(["verify", "--quick"]))
 """
 
 
+def _python(*argv, optimize=()):
+    # a fresh interpreter with this checkout's src/ first on its path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *optimize, *argv],
+                         capture_output=True, text=True, env=env, timeout=300)
+
+
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "O"])
 @pytest.mark.parametrize("mode, code", [("sabotage", 4), ("honest", 0)])
 def test_invariants_survive_python_O(optimize, mode, code):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, *optimize, "-c", SABOTAGED_VERIFY, mode],
-                          capture_output=True, text=True, env=env, timeout=300)
+    proc = _python("-c", SABOTAGED_VERIFY, mode, optimize=optimize)
     assert proc.returncode == code, proc.stderr
     if code == 4:
         assert "invariant failure" in proc.stderr and "ok census" not in proc.stdout
+
+
+# one CLI command, then whether numpy was loaded on the way
+NUMPY_PROBE = """
+import sys
+from quadfields import cli
+rc = cli.main(sys.argv[1:])
+print("numpy" in sys.modules, rc)
+"""
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["--help"], False),
+    (["census", "-f", "2,0,0,1", "-g", "2", "-M", "1000", "-N", "20", "-S", "100000"], False),
+    (["bounds", "--alpha", "0.677", "-N", "1e8", "-S", "100"], False),
+    (["census", "-f", "1,6,1", "-g", "2", "-N", "100", "-s", "17"], True),
+    (["sieve", "-f", "1,6,1", "-g", "2", "-N", "50", "--z", "100"], True),
+    (["primes", "-g", "2", "--z", "100"], True),
+], ids=["help", "census-S", "bounds", "census-s", "sieve", "primes"])
+def test_numpy_loads_only_where_a_table_is_built(argv, loads):
+    # the exact integer paths start without numpy; the engine's users load it
+    proc = _python("-c", NUMPY_PROBE, *argv, optimize=["-O"] * sys.flags.optimize)
+    assert proc.stdout.splitlines()[-1] == f"{loads} 0", proc.stderr
 
 
 def test_sieve_stdout_and_artifact(capsys, tmp_path):

@@ -1,28 +1,31 @@
 """The orbit-residue engine against the scalar loops it replaced.
 
 The oracles below are the per-cell code that sieve, charsums and census ran
-before `sequences.orbit_symbols`: one `u_eval_mod` and one `jacobi` per
+before `engine.orbit_symbols`: one `u_eval_mod` and one `jacobi` per
 (ell, n) cell, the O(|L|^2 N) pair loop of `diagnostics`, the
 one-symbol-at-a-time orbit sums, and the census witness loops (per n for
 `count_Q`, per pair through `same_field` for `distinct_fields`).  Every fast
 path must agree with them exactly.
 """
 
+import ast
 import cmath
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadfields import census, sequences, sieve
+from quadfields import census, engine, sieve
 from quadfields.arith import TABLE_LIMIT, is_perfect_square, is_squarefree, jacobi
 from quadfields.census import same_field
 from quadfields.charsums import _orbit_sum, _pair_cycles
 from quadfields.harvest import SievePrimeSet, build_prime_set
-from quadfields.sequences import Polynomial, orbit_symbols, u_eval, u_eval_mod, validate
+from quadfields.engine import orbit_symbols
+from quadfields.sequences import Polynomial, u_eval, u_eval_mod, validate
 
 SHANKS = Polynomial.parse("1,6,1")
 PRIME_SETS = {g: build_prime_set(g, 60.0) for g in range(2, 13)}
@@ -145,7 +148,7 @@ def test_orbit_symbols_tiles_agree(monkeypatch, tile):
     moduli = (3, 7, 101, 7919, 1000003, 2**31 - 1)
     f = Polynomial((-(2**65), 3, 0, 1))
     whole = orbit_symbols(f, 10, moduli, 200, start=17, shift=-5)
-    monkeypatch.setattr(sequences, "_TILE", tile)
+    monkeypatch.setattr(engine, "_CELL_TILE", tile)
     assert (orbit_symbols(f, 10, moduli, 200, start=17, shift=-5) == whole).all()
 
 
@@ -354,3 +357,25 @@ def test_fallback_scan_reads_a_zero_witness():
     # u(n) = 10007^n: odd n have kernel 10007, one of the witness primes
     spec = validate(Polynomial.parse("0,1"), 10007)
     assert census.count_Q_total(spec, 0, 7, 10007).per_s == {1: 3, 10007: 4}
+
+
+def test_only_the_engine_imports_numpy_at_import_time():
+    # every other module reaches numpy and the engine inside a function, so
+    # importing it (as the CLI imports every layer) loads no numpy
+    package = Path(engine.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        todo, found = list(ast.parse(path.read_text()).body), []
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                continue
+            if isinstance(node, ast.Import):
+                found += [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                found.append("." * node.level + (node.module or ""))
+            todo.extend(ast.iter_child_nodes(node))
+        loads = [m for m in found
+                 if m.split(".")[0] == "numpy" or m in (".engine", "quadfields.engine")]
+        assert loads == ([] if path.name != "engine.py" else ["numpy"]), path.name

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import sympy
 
-from quadfields.arith import FactorTable, factorize, is_prime, multiplicative_order
+from quadfields.arith import factorize, is_prime, multiplicative_order
+from quadfields.engine import FactorTable
 from quadfields.harvest import (
     SievePrime,
     build_prime_set,

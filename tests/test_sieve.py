@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadfields import arith, sieve
+from quadfields import arith, engine, sieve
 from quadfields.arith import factorize, is_perfect_square, jacobi
 from quadfields.census import squarefree_kernel
 from quadfields.harvest import SievePrime, SievePrimeSet, build_prime_set
@@ -184,19 +185,21 @@ def test_run_sieve_consistency(cubic2, pset100):
 
 
 def test_run_sieve_builds_symbols_once(monkeypatch, shanks, pset100):
-    # D(n), omega, the partition and the certificate all come from one table
+    # D(n), omega, the partition and the certificate all come from one table;
+    # the census witness table behind the certificate's matches is not counted
     builds, symbols = [], []
-    real = sieve.orbit_symbols
+    real = engine.orbit_symbols
 
     def counting(*args, **kwargs):
-        builds.append(args)
+        if sys._getframe(1).f_globals["__name__"] == sieve.__name__:
+            builds.append(args)
         return real(*args, **kwargs)
 
     def counting_jacobi(a, m):
         symbols.append(m)
         return arith.jacobi(a, m)
 
-    monkeypatch.setattr(sieve, "orbit_symbols", counting)
+    monkeypatch.setattr(engine, "orbit_symbols", counting)
     monkeypatch.setattr(sieve, "jacobi", counting_jacobi)
     run = run_sieve(shanks, 0, 200, 17, pset100)
     assert len(builds) == 1
@@ -210,19 +213,15 @@ def test_sieve_diag_builds_symbols_once(monkeypatch, capsys):
     from quadfields import census, cli
 
     builds = {}
+    real = engine.orbit_symbols
 
-    def counting(module):
-        real = module.orbit_symbols
-
-        def wrapper(*args, **kwargs):
-            builds[module.__name__] = builds.get(module.__name__, 0) + 1
-            return real(*args, **kwargs)
-
-        return wrapper
+    def counting(*args, **kwargs):
+        caller = sys._getframe(1).f_globals["__name__"]  # the module that asked for the table
+        builds[caller] = builds.get(caller, 0) + 1
+        return real(*args, **kwargs)
 
     census._witnesses.cache_clear()
-    for module in (sieve, census):
-        monkeypatch.setattr(module, "orbit_symbols", counting(module))
+    monkeypatch.setattr(engine, "orbit_symbols", counting)
     rc = cli.main(["sieve", "-f", "1,6,1", "-g", "2", "-N", "300", "-s", "17",
                    "--z", "200", "--diag"])
     out = capsys.readouterr().out

@@ -1,5 +1,5 @@
-"""The prime and factor tables in arith, against sympy and against the
-per-number harvest they replaced.
+"""The prime tables in arith and the factor table in engine, against sympy
+and against the per-number harvest they replaced.
 
 The scalar harvest below factors every ell-1 with arith.factorize and takes
 orders from arith.multiplicative_order, one number at a time; the table
@@ -15,16 +15,16 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadfields import arith, cli
+from quadfields import arith, cli, engine
 from quadfields.arith import (
     TABLE_LIMIT,
-    FactorTable,
     factorize,
     is_prime,
     multiplicative_order,
     primes_through,
     primes_up_to,
 )
+from quadfields.engine import FactorTable
 from quadfields.harvest import SievePrime, build_prime_set, density_report
 
 windows = st.integers(-3, 5000).flatmap(
@@ -108,7 +108,7 @@ def test_orders_match_scalar_descent_and_sympy(g, lo, width, tile):
     table = FactorTable(lo + width)
     ells = table.primes(lo).tolist()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(arith, "_TILE", tile)  # so the windows straddle tile edges
+        mp.setattr(engine, "_ORDER_TILE", tile)  # so the windows straddle tile edges
         p_plus, order = table.orders(g, ells)
     assert p_plus.dtype == order.dtype == np.int64
     assert (p_plus.tolist(), order.tolist()) == _scalar_orders(g, ells)
@@ -129,7 +129,7 @@ def test_orders_edge_cases():
     assert table.orders(2**64 * 257, [257])[1].tolist() == [0]  # masked, never 1
     assert [a.tolist() for a in table.orders(5, [])] == [[], []]
     ells = table.primes(3)
-    assert len(ells) > 2 * arith._TILE  # more than two tiles, one partial
+    assert len(ells) > 2 * engine._ORDER_TILE  # more than two tiles, one partial
     assert (table.orders(2, ells)[1] == table.orders(2, ells[::-1])[1][::-1]).all()
 
 
