@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
-from .arith import U64_MAX, ensure, is_perfect_square, is_squarefree, jacobi, prime_chunks
-from .sequences import SequenceSpec, u_eval
+from .arith import TABLE_LIMIT, U64_MAX, ensure, is_perfect_square, is_squarefree, jacobi
+from .arith import multiplicative_order, prime_chunks
+from .sequences import SequenceSpec, u_eval, u_eval_mod
 
 __all__ = [
     "KernelResult",
@@ -153,13 +153,26 @@ def _window(M: int, N: int, who: str) -> range:
     return range(M + 1, M + N + 1)
 
 
-@lru_cache(maxsize=1)
-def _witnesses(spec: SequenceSpec, M: int, N: int):
-    # (u(n)/p), witness p by n in [M+1, M+N]; kept, as count_Q sums many s on one window
-    from .engine import orbit_symbols
-    W = orbit_symbols(spec.f, spec.g, _WITNESS_PRIMES, N, start=M + 1)
-    W.flags.writeable = False
-    return W
+def _witness_window(M: int, N: int, who: str) -> range:
+    # the window, unless its witness symbols pass the table cap: checked before any u(n)
+    if len(_WITNESS_PRIMES) * N > TABLE_LIMIT:
+        raise ValueError(
+            f"{who}: {len(_WITNESS_PRIMES)} x {N} symbols exceed the table cap {TABLE_LIMIT}"
+        )
+    return _window(M, N, who)
+
+
+def _euler_values(spec: SequenceSpec, ns, p: int) -> list[int]:
+    # u(n)^((p-1)/2) mod p, one of 0, 1 and p - 1, for ascending ns.  u(n) mod p depends only
+    # on n mod L, L the order of g mod p (L = 1 when p | g, as n >= 1), so a list longer
+    # than L is read off one period from n0 = ns[0], repeated over the span of ns.
+    L = multiplicative_order(spec.g, p) if spec.g % p else 1
+    if L >= len(ns):
+        return [pow(u_eval_mod(spec, n, p), p // 2, p) for n in ns]
+    n0 = ns[0]
+    period = _euler_values(spec, range(n0, n0 + L), p)
+    span = period * ((ns[-1] - n0) // L + 1)
+    return [span[n - n0] for n in ns]
 
 
 def s_matches(spec: SequenceSpec, n: int, s: int) -> bool:
@@ -169,12 +182,18 @@ def s_matches(spec: SequenceSpec, n: int, s: int) -> bool:
 
 
 def window_matches(spec: SequenceSpec, M: int, N: int, s: int) -> list[int]:
-    """The n in [M+1, M+N] with u(n) > 0 and s*u(n) a perfect square; only n
-    that no witness rejects get the exact u(n) and square test."""
-    from .engine import np
-    chi = np.array([jacobi(s, p) for p in _WITNESS_PRIMES], dtype=np.int8)
-    hits = np.flatnonzero(~(_witnesses(spec, M, N) * chi[:, None] == -1).any(axis=0)) + M + 1
-    return [n for n in hits.tolist() if (u := u_eval(spec, n)) > 0 and is_perfect_square(s * u)]
+    """The n in [M+1, M+N] with u(n) > 0 and s*u(n) a perfect square.
+
+    The witness primes thin the window one at a time, each dropping about half
+    of what is left: n goes when (s/p)(u(n)/p) = -1.  Symbols are Euler values
+    of u(n) mod p, read off one period of g mod p once the live n outnumber it.
+    Only survivors get the exact u(n) and square test.
+    """
+    live = _witness_window(M, N, "window_matches")
+    for p in _WITNESS_PRIMES:
+        if clash := -jacobi(s, p) % p:  # the Euler value that rejects n; none when p | s
+            live = [n for n, v in zip(live, _euler_values(spec, live, p)) if v != clash]
+    return [n for n in live if (u := u_eval(spec, n)) > 0 and is_perfect_square(s * u)]
 
 
 def count_Q(spec: SequenceSpec, M: int, N: int, s: int) -> int:
@@ -264,38 +283,43 @@ def distinct_fields(spec: SequenceSpec, M: int, N: int) -> CensusResult:
 
     Each new n is compared against existing class representatives only;
     same_field is an equivalence, so that already decides membership, and
-    ascending n keeps the merge order deterministic.  Witnesses test all
-    representatives at once: two columns clash when a +1 meets a -1.
+    ascending n keeps the merge order deterministic.  The witness symbols of n,
+    read off one period of g mod each witness prime, give its signature: masks
+    of its +1s and -1s.  Where a +1 meets a -1 the fields differ, so with no
+    zero residue only the classes of the same plus mask, found by a dict, and
+    those whose rep has a zero residue are tried; an n with one tries all.  At
+    most one class passes the exact test, so the order of trials cannot matter.
     """
-    from .engine import np
     _require_census_spec(spec, "distinct_fields")
-    ns = _window(M, N, "distinct_fields")
-    W = _witnesses(spec, M, N)
-    bits = 1 << np.arange(len(_WITNESS_PRIMES), dtype=np.int64)
-    plus, minus = bits @ (W == 1), bits @ (W == -1)
-    rep_plus, rep_minus = np.empty_like(plus), np.empty_like(minus)
-    classes: list[tuple[int, list[int], int]] = []  # (rep_n, members, u(rep))
+    ns = _witness_window(M, N, "distinct_fields")
+    rows = [_euler_values(spec, ns, p) for p in _WITNESS_PRIMES]
+    full = (1 << len(rows)) - 1
+    classes: list[tuple[int, list[int], int, int, int]] = []  # (rep, members, u(rep), plus, minus)
+    by_plus: dict[int, list[int]] = {}  # plus mask -> classes whose rep has no zero residue
+    zeroed: list[int] = []  # classes whose rep has a zero residue
     skipped = []
     for j, n in enumerate(ns):
         u = u_eval(spec, n)
         if u <= 0:
             skipped.append(n)
             continue
-        k = len(classes)
-        clash = (rep_plus[:k] & minus[j]) | (rep_minus[:k] & plus[j])
-        for i in np.flatnonzero(clash == 0).tolist():
-            if is_perfect_square(classes[i][2] * u):
-                classes[i][1].append(n)
+        pl = sum(1 << i for i, row in enumerate(rows) if row[j] == 1)  # the signature of n
+        mi = sum(1 << i for i, row in enumerate(rows) if row[j] > 1)
+        whole = pl | mi == full
+        for i in by_plus.get(pl, []) + zeroed if whole else range(len(classes)):
+            _, members, u_rep, rep_pl, rep_mi = classes[i]
+            if not (rep_pl & mi or rep_mi & pl) and is_perfect_square(u_rep * u):
+                members.append(n)
                 break
         else:
-            rep_plus[k], rep_minus[k] = plus[j], minus[j]
-            classes.append((n, [n], u))
+            (by_plus.setdefault(pl, []) if whole else zeroed).append(len(classes))
+            classes.append((n, [n], u, pl, mi))
     return CensusResult(
         M=M,
         N=N,
         S=None,
         per_s={},
-        total=sum(len(members) for _, members, _ in classes),
-        classes=tuple((rep, tuple(members)) for rep, members, _ in classes),
+        total=sum(len(members) for _, members, *_ in classes),
+        classes=tuple((rep, tuple(members)) for rep, members, *_ in classes),
         skipped=tuple(skipped),
     )

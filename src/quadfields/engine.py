@@ -1,7 +1,9 @@
 """The numpy engine: factor tables, the order engine and the orbit-residue engine.
 
-The only module that imports numpy at the top.  The others import it inside the
-functions that build or read tables, so `census -S` and `bounds` start without it.
+The only module that imports numpy at the top.  Harvest, the sieve and the
+character sums import it inside the functions that build or read tables; the
+census reads its witness symbols off one period of g mod p in pure Python, so
+every `census` mode and `bounds` start without it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ _CELL_TILE = 1 << 16  # orbit_symbols builds its int64 temporaries this many cel
 
 class FactorTable:
     """Smallest prime factor of every n in [0, hi] (n itself when prime) in
-    one int32 array, read back as Python ints for big-integer code."""
+    one int32 array: the primes and the order engine read it."""
 
     def __init__(self, hi: int):
         from .arith import primes_up_to  # read at call time, so a rebinding on arith is seen
@@ -36,17 +38,6 @@ class FactorTable:
         lo = max(lo, 2)
         prime = self._spf[lo:] == np.arange(lo, len(self._spf), dtype=np.int32)
         return np.flatnonzero(prime) + lo
-
-    def factors(self, n: int) -> tuple[tuple[int, int], ...]:
-        """(prime, exponent) pairs of 2 <= n <= hi, ascending."""
-        read, out = self._spf.data, []
-        while n > 1:
-            p, e = read[n], 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return tuple(out)
 
     def orders(self, g: int, ells) -> tuple[np.ndarray, np.ndarray]:
         """P+(ell-1) and the multiplicative order of g mod ell for primes ell <= hi,

@@ -209,10 +209,11 @@ print("numpy" in sys.modules, rc)
     (["--help"], False),
     (["census", "-f", "2,0,0,1", "-g", "2", "-M", "1000", "-N", "20", "-S", "100000"], False),
     (["bounds", "--alpha", "0.677", "-N", "1e8", "-S", "100"], False),
-    (["census", "-f", "1,6,1", "-g", "2", "-N", "100", "-s", "17"], True),
+    (["census", "-f", "1,6,1", "-g", "2", "-N", "100", "-s", "17"], False),
+    (["census", "-f", "2,0,0,1", "-g", "3", "-N", "100", "--classes"], False),
     (["sieve", "-f", "1,6,1", "-g", "2", "-N", "50", "--z", "100"], True),
     (["primes", "-g", "2", "--z", "100"], True),
-], ids=["help", "census-S", "bounds", "census-s", "sieve", "primes"])
+], ids=["help", "census-S", "bounds", "census-s", "census-classes", "sieve", "primes"])
 def test_numpy_loads_only_where_a_table_is_built(argv, loads):
     # the exact integer paths start without numpy; the engine's users load it
     proc = _python("-c", NUMPY_PROBE, *argv, optimize=["-O"] * sys.flags.optimize)

@@ -20,7 +20,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadfields import census, engine, sieve
-from quadfields.arith import TABLE_LIMIT, is_perfect_square, is_squarefree, jacobi
+from quadfields.arith import (
+    TABLE_LIMIT, is_perfect_square, is_squarefree, jacobi, multiplicative_order,
+)
 from quadfields.census import same_field
 from quadfields.charsums import _orbit_sum, _pair_cycles
 from quadfields.harvest import SievePrimeSet, build_prime_set
@@ -294,11 +296,38 @@ def test_window_matches_examples(f, g, M, N, s, hits):
 @example(Polynomial.parse("0,3"), 4, 0, 1)
 @example(Polynomial.parse("0,1"), 10007, 0, 6)
 @example(Polynomial.parse("0,1"), BLIND, 0, 6)  # two classes no witness separates
+# u(1) = 1 and u(2) = 10007^2: an n with a zero residue joins a class whose rep has none
+@example(Polynomial((2 - 10007**2, (10007**2 - 1) // 2)), 2, 0, 4)
 def test_distinct_fields_matches_scalar(f, g, M, N):
     if g > 12:
         M %= 100
     spec = validate(f, g)
     assume(spec.separable)
+    got = census.distinct_fields(spec, M, N)
+    assert (got.classes, got.skipped) == scalar_distinct_fields(spec, M, N)
+
+
+@pytest.mark.parametrize("f, g, M, N", [
+    ("1,6,1", 792, 5, 30),  # order 8 mod 10009 and 11 mod 10099, read from n = 6
+    ("0,3", 792, 4, 30),  # u(n) = 3 * 792^n: two classes, by the parity of n
+    ("2,0,0,1", 45, 4, 25),  # order 9 mod 10009
+    ("-1,1", 10008, 3, 12),  # 10008 = 1 mod 10007, so 10007 | u(n) for every n
+    ("1,1", 10006, 4, 12),  # 10006 = -1 mod 10007, so 10007 | u(n) for odd n
+    ("1,6,1", 2 * 10009, 2, 12),  # 10009 | g: L = 1 and u(n) = f(0) mod 10009
+])
+def test_witness_period_read_matches_scalar(f, g, M, N):
+    # witness primes whose order L of g is below N read their symbols off one
+    # period; the others evaluate every n
+    spec = validate(Polynomial.parse(f), g)
+    orders = [multiplicative_order(g, p) if g % p else 1 for p in census._WITNESS_PRIMES]
+    assert min(orders) < N <= max(orders)
+    ns = range(M + 1, M + N + 1)
+    for p in census._WITNESS_PRIMES:
+        for part in (ns, ns[1::3]):  # the window, and thinned n as window_matches leaves them
+            want = [pow(u_eval_mod(spec, n, p), p // 2, p) for n in part]
+            assert census._euler_values(spec, part, p) == want
+    for s in (1, 2, 3, 22, 10007, 10009 * 3, u_eval(spec, M + 1), u_eval(spec, M + 2)):
+        _check_window(spec, M, N, s)
     got = census.distinct_fields(spec, M, N)
     assert (got.classes, got.skipped) == scalar_distinct_fields(spec, M, N)
 

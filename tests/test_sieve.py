@@ -186,7 +186,7 @@ def test_run_sieve_consistency(cubic2, pset100):
 
 def test_run_sieve_builds_symbols_once(monkeypatch, shanks, pset100):
     # D(n), omega, the partition and the certificate all come from one table;
-    # the census witness table behind the certificate's matches is not counted
+    # the census witnesses behind the certificate's matches build no table
     builds, symbols = [], []
     real = engine.orbit_symbols
 
@@ -209,8 +209,8 @@ def test_run_sieve_builds_symbols_once(monkeypatch, shanks, pset100):
 
 def test_sieve_diag_builds_symbols_once(monkeypatch, capsys):
     # `sieve --diag` reads the certificate and the pair diagnostics from the
-    # table run_sieve built; the census witnesses are one more table
-    from quadfields import census, cli
+    # table run_sieve built; the census witnesses behind the certificate build none
+    from quadfields import cli
 
     builds = {}
     real = engine.orbit_symbols
@@ -220,10 +220,9 @@ def test_sieve_diag_builds_symbols_once(monkeypatch, capsys):
         builds[caller] = builds.get(caller, 0) + 1
         return real(*args, **kwargs)
 
-    census._witnesses.cache_clear()
     monkeypatch.setattr(engine, "orbit_symbols", counting)
     rc = cli.main(["sieve", "-f", "1,6,1", "-g", "2", "-N", "300", "-s", "17",
                    "--z", "200", "--diag"])
     out = capsys.readouterr().out
     assert rc == 0 and "pairs U" in out and "certificate lhs 1 " in out
-    assert builds == {"quadfields.sieve": 1, "quadfields.census": 1}
+    assert builds == {"quadfields.sieve": 1}

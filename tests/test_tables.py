@@ -73,17 +73,6 @@ def test_primes_through_sieves_once_per_limit(monkeypatch):
     assert sieved == [10**6, 10**6 + 1]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 10**6), st.integers(0, 400))
-def test_table_factors_match_sympy(lo, width):
-    table = FactorTable(lo + width)
-    for n in range(lo, lo + width + 1):
-        fac = table.factors(n)
-        assert dict(fac) == sympy.factorint(n)
-        assert [p for p, _ in fac] == sorted(p for p, _ in fac)
-        assert all(type(p) is int and type(e) is int for p, e in fac)
-
-
 bases = st.one_of(
     st.integers(-10**6, 10**6), st.integers(2**63 - 5, 2**63 + 5), st.integers(2**64, 2**80)
 )
@@ -115,8 +104,6 @@ def test_orders_match_scalar_descent_and_sympy(g, lo, width, tile):
     for ell, pp, t in zip(ells, p_plus.tolist(), order.tolist()):
         assert pp == (max(sympy.factorint(ell - 1)) if ell > 2 else 1)
         assert t == (sympy.n_order(g % ell, ell) if g % ell else 0)
-        if ell > 2:
-            assert pp == table.factors(ell - 1)[-1][0]
 
 
 def test_orders_edge_cases():
