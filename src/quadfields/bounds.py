@@ -9,7 +9,7 @@ unprinted constant of the balancing lemma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import ensure
 
@@ -30,23 +30,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TermSystem:
-    """B(z) = sum A_j z^B_j + sum C_k z^-D_k over z in [z1, z2]."""
-
+class _TermSystemFields(NamedTuple):
     ascending: tuple[tuple[float, float], ...]  # (A_j, B_j)
     descending: tuple[tuple[float, float], ...]  # (C_k, D_k)
     z1: float
     z2: float
 
-    def __post_init__(self) -> None:
-        if not self.ascending or not self.descending:
+
+class TermSystem(_TermSystemFields):
+    """B(z) = sum A_j z^B_j + sum C_k z^-D_k over z in [z1, z2]."""
+
+    __slots__ = ()
+
+    def __new__(cls, ascending, descending, z1: float, z2: float) -> TermSystem:
+        if not ascending or not descending:
             raise ValueError("TermSystem: term lists must be nonempty")
-        for coeff, exp in (*self.ascending, *self.descending):
+        for coeff, exp in (*ascending, *descending):
             if coeff <= 0 or exp <= 0:
                 raise ValueError("TermSystem: coefficients and exponents must be positive")
-        if not 0 < self.z1 <= self.z2:
+        if not 0 < z1 <= z2:
             raise ValueError("TermSystem: need 0 < z1 <= z2")
+        return super().__new__(cls, ascending, descending, z1, z2)
 
     def value(self, z: float) -> float:
         up = sum(a * z**b for a, b in self.ascending)
@@ -54,8 +58,7 @@ class TermSystem:
         return up + down
 
 
-@dataclass(frozen=True)
-class GrakolResult:
+class GrakolResult(NamedTuple):
     z_star: float
     value: float
     T: tuple[tuple[float, ...], ...]  # T[j][k]
@@ -108,8 +111,7 @@ def grakol_optimize(ts: TermSystem) -> GrakolResult:
     )
 
 
-@dataclass(frozen=True)
-class ExponentTable:
+class ExponentTable(NamedTuple):
     alpha: float
     beta: float  # 1/(2 alpha)
     gamma: float  # 2 - 1/alpha
@@ -151,8 +153,7 @@ def exponent_table(alpha: float) -> ExponentTable:
     return table
 
 
-@dataclass(frozen=True)
-class RegimeBound:
+class RegimeBound(NamedTuple):
     value: float
     regime: str  # small_s | mid_s | large_s | trivial
 
@@ -186,8 +187,7 @@ def bound_curve_csv(alpha: float, N: float, s_values: list[float]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class InterpolationCheck:
+class InterpolationCheck(NamedTuple):
     theta: float
     identity_error: float  # |(1 - theta/2) - rational form|
     inequality_holds: bool  # 1 - theta/2 >= (7a-3)/(6a-2) at this alpha

@@ -9,8 +9,8 @@ squarefree kernel of u(n).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .arith import TABLE_LIMIT, U64_MAX, ensure, is_perfect_square, is_squarefree, jacobi
 from .arith import multiplicative_order, prime_chunks
@@ -47,8 +47,7 @@ _WITNESS_PRIMES = (
     10091, 10093, 10099, 10103, 10111, 10133, 10139, 10141,
 )
 
-@dataclass(frozen=True)
-class KernelResult:
+class KernelResult(NamedTuple):
     """Squarefree kernel of n as far as trial division to B can see.
 
     complete: kernel is exact.  Otherwise kernel is a certified lower bound
@@ -209,8 +208,7 @@ def count_Q(spec: SequenceSpec, M: int, N: int, s: int) -> int:
     return len(window_matches(spec, M, N, s))
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(NamedTuple):
     M: int
     N: int
     S: int | None
@@ -267,15 +265,8 @@ def count_Q_total(spec: SequenceSpec, M: int, N: int, S: int) -> CensusResult:
         ensure(k.complete or B >= S, f"count_Q_total: kernel of u({n}) left open at B = {B} < S")
         if k.complete and k.kernel <= S:
             per_s[k.kernel] = per_s.get(k.kernel, 0) + 1
-    return CensusResult(
-        M=M,
-        N=N,
-        S=S,
-        per_s=per_s,
-        total=sum(per_s.values()),
-        classes=(),
-        skipped=tuple(skipped),
-    )
+    return CensusResult(M=M, N=N, S=S, per_s=per_s, total=sum(per_s.values()),
+                        classes=(), skipped=tuple(skipped))
 
 
 def distinct_fields(spec: SequenceSpec, M: int, N: int) -> CensusResult:

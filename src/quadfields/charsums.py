@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .arith import ensure, is_prime, is_squarefree, jacobi, multiplicative_order
 from .sequences import Polynomial, gcd_degree
@@ -32,8 +32,7 @@ __all__ = [
 WEIL_SLACK = 1  # asserted bound is (degree + WEIL_SLACK) * sqrt(p)
 
 
-@dataclass(frozen=True)
-class CharSumResult:
+class _CharSumFields(NamedTuple):
     value: complex
     modulus: int
     period: int
@@ -41,8 +40,13 @@ class CharSumResult:
     kind: str  # complete_p | complete_lp | incomplete
     bound_ratio: float
 
-    def __post_init__(self):
-        ensure(abs(self.value) <= self.period + 1e-6, "character sum exceeds its trivial bound")
+
+class CharSumResult(_CharSumFields):
+    __slots__ = ()
+
+    def __new__(cls, value, modulus, period, frequency, kind, bound_ratio) -> CharSumResult:
+        ensure(abs(value) <= period + 1e-6, "character sum exceeds its trivial bound")
+        return super().__new__(cls, value, modulus, period, frequency, kind, bound_ratio)
 
 
 def split_frequencies(a: int, tau_ell: int, tau_p: int) -> tuple[int, int]:
@@ -203,8 +207,7 @@ def incomplete_sum(f: Polynomial, A: int, lam: int, ell: int, p: int, K: int) ->
     )
 
 
-@dataclass(frozen=True)
-class WeilScanRow:
+class WeilScanRow(NamedTuple):
     modulus: int
     period: int
     frequency: int  # the a achieving the max ratio for this modulus
@@ -213,8 +216,7 @@ class WeilScanRow:
     admissible: bool  # p coprime to lam*f(0), i.e. the bound hypothesis holds
 
 
-@dataclass(frozen=True)
-class WeilScanReport:
+class WeilScanReport(NamedTuple):
     slack: float  # asserted ceiling for admissible ratios, (d+1)
     rows: tuple[WeilScanRow, ...]
 
@@ -274,8 +276,7 @@ def weil_scan(f: Polynomial, lam: int, p_max: int):
     return WeilScanReport(slack=float(f.degree + WEIL_SLACK), rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class HbAverage:
+class HbAverage(NamedTuple):
     lhs: float
 
 

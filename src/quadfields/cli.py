@@ -270,11 +270,12 @@ def _check_detector(rng: random.Random, quick: bool) -> None:
     N = 40 if quick else 120
     for spec in (_shanks(), validate(Polynomial.parse("2,0,0,1"), 3)):
         pset = harvest.build_prime_set(spec.g, 50.0)
-        for s in (1, 17):
+        for s in (1, 2, 17):  # 2 is a non-residue mod both primes of the set: the s-twist shows
+            run = sieve.run_sieve(spec, 0, N, s, pset)  # the table behind `quadfields sieve`
             for n in range(1, N + 1):
+                D, w = sieve.detector(spec, n, s, pset), sieve.omega_z(spec, n, s, pset)
+                ensure((run.detector_map[n], run.omega_map[n]) == (D, w), ("table", n, s))
                 if census.s_matches(spec, n, s):
-                    D = sieve.detector(spec, n, s, pset)
-                    w = sieve.omega_z(spec, n, s, pset)
                     ensure(D == len(pset) - w, (spec.f.format(), n, s))
         ensure(sieve.certificate(spec, 0, N, 17, pset).holds)
         d = sieve.diagnostics(spec, 0, N, 17, pset)

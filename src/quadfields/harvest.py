@@ -6,7 +6,7 @@ harvest up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import is_prime
 
@@ -23,27 +23,29 @@ __all__ = [
 VARIANTS = ("standard", "erh")
 
 
-@dataclass(frozen=True)
-class SievePrime:
-    """One harvested prime ell with P+(ell-1) and the order of g mod ell."""
-
+class _SievePrimeFields(NamedTuple):
     ell: int
     p_plus: int
     order_g: int
     large_order: bool  # order_g > ell / log ell
 
-    def __post_init__(self):
-        if (self.ell - 1) % self.p_plus or (self.ell - 1) % self.order_g:
+
+class SievePrime(_SievePrimeFields):
+    """One harvested prime ell with P+(ell-1) and the order of g mod ell."""
+
+    __slots__ = ()
+
+    def __new__(cls, ell: int, p_plus: int, order_g: int, large_order: bool) -> SievePrime:
+        if (ell - 1) % p_plus or (ell - 1) % order_g:
             raise ValueError("p_plus and order_g must divide ell-1")
         # When p_plus^2 > ell and the order reaches p_plus, the order cannot
         # fit inside (ell-1)/p_plus, so p_plus must divide it.
-        if self.p_plus * self.p_plus >= self.ell and self.order_g >= self.p_plus:
-            if self.order_g % self.p_plus:
-                raise ValueError("large p_plus must divide a large order")
+        if p_plus * p_plus >= ell and order_g >= p_plus and order_g % p_plus:
+            raise ValueError("large p_plus must divide a large order")
+        return super().__new__(cls, ell, p_plus, order_g, large_order)
 
 
-@dataclass(frozen=True)
-class SievePrimeSet:
+class SievePrimeSet(NamedTuple):
     z: float
     C: float
     alpha: float
@@ -97,8 +99,7 @@ def build_prime_set(
     return SievePrimeSet(z, C, alpha, g, variant, tuple(members))
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     z: float
     alpha: float
     g: int

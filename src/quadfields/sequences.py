@@ -6,8 +6,8 @@ over the integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .arith import ensure
 
@@ -20,15 +20,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense integer polynomial, constant term first, leading coeff nonzero."""
-
+class _PolynomialFields(NamedTuple):
     coefficients: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.coefficients or self.coefficients[-1] == 0:
+
+class Polynomial(_PolynomialFields):
+    """Dense integer polynomial, constant term first, leading coeff nonzero."""
+
+    __slots__ = ()
+
+    def __new__(cls, coefficients: tuple[int, ...]) -> Polynomial:
+        if not coefficients or coefficients[-1] == 0:
             raise ValueError("polynomial must have a nonzero leading coefficient")
+        return super().__new__(cls, coefficients)
 
     @classmethod
     def parse(cls, text: str) -> "Polynomial":
@@ -113,8 +117,7 @@ def gcd_degree(f: Polynomial, g: Polynomial) -> int:
     return len(a) - 1
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(NamedTuple):
     """A validated pair (f, g) defining u(n) = f(g^n)."""
 
     f: Polynomial

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import jacobi
 from .census import window_matches
@@ -22,6 +20,8 @@ from .harvest import SievePrimeSet
 from .sequences import SequenceSpec, u_eval, u_eval_mod
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .engine import np
 
 __all__ = [
@@ -65,8 +65,7 @@ def _twisted(R, s, prime_set):
     return R * chi[:, None]
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     n_z: tuple[int, ...]  # omega_z(u(n)) <= floor(|L|/2)
     e_z: tuple[int, ...]
     e_ratio: float  # |e_z| / (N z^-alpha + log z)
@@ -91,8 +90,7 @@ def _partition(M, N, omega, prime_set):
     return Partition(tuple(n_z), tuple(e_z), len(e_z) / denom)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     lhs: int
     rhs: Fraction
     holds: bool
@@ -110,8 +108,7 @@ def certificate(
     return run_sieve(spec, M, N, s, prime_set).cert
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(NamedTuple):
     U: int  # ordered pairs, equal P+(ell-1)
     V: int  # ordered pairs, distinct P+
     W: int  # all ordered pairs, U + V
@@ -176,8 +173,7 @@ def _off_diagonal(rows):
     return int(col @ col) - int((rows != 0).sum())
 
 
-@dataclass(frozen=True)
-class SieveRun:
+class SieveRun(NamedTuple):
     spec: SequenceSpec
     M: int
     N: int
@@ -187,7 +183,7 @@ class SieveRun:
     omega_map: dict[int, int]  # omega_z(s*u(n))
     part: Partition
     cert: Certificate
-    symbols: np.ndarray = field(repr=False, compare=False)  # (s*u(n) / ell)
+    symbols: np.ndarray  # (s*u(n) / ell)
 
     def diagnostics(self) -> Diagnostics:
         """`diagnostics` for this window, read from the run's symbol table."""
@@ -231,6 +227,7 @@ def run_sieve(
 ) -> SieveRun:
     """Assemble detector values, omega counts, partition, and certificate
     for one window, all read from one symbol table."""
+    from fractions import Fraction  # not at the top: fractions and decimal slow every CLI start
     R = _symbols(spec, M, N, prime_set)
     L = len(prime_set)
     if L < 1:

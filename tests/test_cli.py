@@ -167,12 +167,12 @@ def test_removed_flags_exit_2(argv, flag, capsys):
 
 # verify --quick with count_Q_total made to overcount by one
 SABOTAGED_VERIFY = """
-import dataclasses, sys
+import sys
 from quadfields import census, cli
 real = census.count_Q_total
 def off_by_one(*args, **kwargs):
     result = real(*args, **kwargs)
-    return dataclasses.replace(result, total=result.total + 1)
+    return result._replace(total=result.total + 1)
 if sys.argv[1] == "sabotage":
     census.count_Q_total = off_by_one
 sys.exit(cli.main(["verify", "--quick"]))
@@ -194,6 +194,38 @@ def test_invariants_survive_python_O(optimize, mode, code):
     assert proc.returncode == code, proc.stderr
     if code == 4:
         assert "invariant failure" in proc.stderr and "ok census" not in proc.stdout
+
+
+# verify --quick with the sieve table left untwisted by (s/ell)
+UNTWISTED_VERIFY = """
+import sys
+from quadfields import cli, sieve
+sieve._twisted = lambda R, s, prime_set: R
+sys.exit(cli.main(["verify", "--quick"]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "O"])
+def test_verify_compares_the_sieve_table_with_the_scalar_detector(optimize):
+    proc = _python("-c", UNTWISTED_VERIFY, optimize=optimize)
+    assert proc.returncode == 4, proc.stderr
+    assert "invariant failure" in proc.stderr and "ok detector" not in proc.stdout
+
+
+# the modules that importing the CLI adds, by name; a site may preload some
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import quadfields.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_fractions():
+    proc = _python("-c", IMPORT_PROBE, optimize=["-O"] * sys.flags.optimize)
+    added = proc.stdout.split()
+    assert "quadfields.sieve" in added, proc.stderr
+    assert not {"dataclasses", "inspect", "fractions"} & set(added), added
 
 
 # one CLI command, then whether numpy was loaded on the way

@@ -408,3 +408,16 @@ def test_only_the_engine_imports_numpy_at_import_time():
         loads = [m for m in found
                  if m.split(".")[0] == "numpy" or m in (".engine", "quadfields.engine")]
         assert loads == ([] if path.name != "engine.py" else ["numpy"]), path.name
+
+
+def test_no_module_imports_dataclasses():
+    # the records are NamedTuples: dataclasses, and the inspect and ast it loads,
+    # would cost every CLI start more than the whole package does
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        found = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                found.append(node.module.split(".")[0])
+        assert "dataclasses" not in found, path.name
