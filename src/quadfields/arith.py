@@ -7,6 +7,7 @@ identical path.  Everything here is shareable across threads.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from functools import lru_cache
 from math import gcd, isqrt, prod
@@ -18,6 +19,7 @@ __all__ = [
     "is_prime",
     "primes_up_to",
     "primes_through",
+    "smallest_factors",
     "factorize",
     "multiplicative_order",
     "euler_phi",
@@ -121,6 +123,17 @@ def primes_up_to(limit: int) -> list[int]:
             start = (p * p - 1) // 2
             flags[start::p] = bytearray(len(range(start, half + 1, p)))
     return [2] + [2 * i + 1 for i in range(1, half + 1) if flags[i]]
+
+
+def smallest_factors(hi: int) -> array:
+    """Smallest prime factor of every composite n <= hi, 0 where n is prime (and
+    at 0 and 1), as one array('i'): the table harvest and the order engine read."""
+    if hi > TABLE_LIMIT:
+        raise ValueError(f"smallest_factors: limit {hi} exceeds the table cap {TABLE_LIMIT}")
+    spf = array("i", [0]) * (hi + 1)
+    for p in reversed(primes_up_to(isqrt(hi))):  # smaller primes overwrite
+        spf[p * p :: p] = array("i", [p]) * len(range(p * p, hi + 1, p))
+    return spf
 
 
 _sieved: tuple[int, list[int]] = (0, [])  # (limit sieved, primes <= limit)

@@ -8,13 +8,12 @@ squarefree kernel of u(n).
 
 from __future__ import annotations
 
-import json
 from math import gcd
 from typing import NamedTuple
 
 from .arith import TABLE_LIMIT, U64_MAX, ensure, is_perfect_square, is_squarefree, jacobi
 from .arith import multiplicative_order, prime_chunks
-from .sequences import SequenceSpec, u_eval, u_eval_mod
+from .sequences import SequenceSpec, symbol_row, u_eval, u_eval_mod
 
 __all__ = [
     "KernelResult",
@@ -164,14 +163,14 @@ def _witness_window(M: int, N: int, who: str) -> range:
 def _euler_values(spec: SequenceSpec, ns, p: int) -> list[int]:
     # u(n)^((p-1)/2) mod p, one of 0, 1 and p - 1, for ascending ns.  u(n) mod p depends only
     # on n mod L, L the order of g mod p (L = 1 when p | g, as n >= 1), so a list longer
-    # than L is read off one period from n0 = ns[0], repeated over the span of ns.
+    # than L is read off one period from n0 = ns[0], tiled over the span of ns.
     L = multiplicative_order(spec.g, p) if spec.g % p else 1
     if L >= len(ns):
         return [pow(u_eval_mod(spec, n, p), p // 2, p) for n in ns]
     n0 = ns[0]
-    period = _euler_values(spec, range(n0, n0 + L), p)
-    span = period * ((ns[-1] - n0) // L + 1)
-    return [span[n - n0] for n in ns]
+    span = symbol_row(spec.f, spec.g, p, n0, ns[-1] - n0 + 1, L)  # (u(n)/p) + 1
+    euler = (p - 1, 0, 1)
+    return [euler[span[n - n0]] for n in ns]
 
 
 def s_matches(spec: SequenceSpec, n: int, s: int) -> bool:
@@ -218,6 +217,8 @@ class CensusResult(NamedTuple):
     skipped: tuple[int, ...]  # n with u(n) <= 0
 
     def to_json(self) -> str:
+        import json  # not at the top: only the artifact writers need it
+
         doc = {
             "M": self.M,
             "N": self.N,

@@ -10,7 +10,6 @@ written only when -o is given, stdout carries the human summary.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import random
 import sys
@@ -114,6 +113,13 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         Path(args.out).write_text(text)
 
 
+def _emit_json(args: argparse.Namespace, doc: dict) -> None:
+    if args.out:
+        import json  # not at the top: only the artifact writers need it
+
+        _emit(args, json.dumps(doc, sort_keys=True))
+
+
 def _run_census(args: argparse.Namespace) -> int:
     spec = _spec(args)
     if (args.s is not None) + (args.S is not None) + args.classes != 1:
@@ -128,7 +134,7 @@ def _run_census(args: argparse.Namespace) -> int:
     if args.s is not None:
         count = census.count_Q(spec, args.M, args.N, args.s)
         print(count)
-        _emit(args, json.dumps({"M": args.M, "N": args.N, "s": args.s, "count": count}, sort_keys=True))
+        _emit_json(args, {"M": args.M, "N": args.N, "s": args.s, "count": count})
         return 0
     result = census.count_Q_total(spec, args.M, args.N, args.S)
     print(result.total)
@@ -179,10 +185,10 @@ def _run_charsum(args: argparse.Namespace) -> int:
         r = charsums.incomplete_sum(f, args.A, args.lam, args.ell, args.p, args.K)
     print(f"{r.kind} modulus {r.modulus} period {r.period} "
           f"value {r.value.real:.12g}{r.value.imag:+.12g}i ratio {r.bound_ratio:.12g}")
-    _emit(args, json.dumps({
+    _emit_json(args, {
         "kind": r.kind, "modulus": r.modulus, "period": r.period,
         "frequency": r.frequency, "re": r.value.real, "im": r.value.imag,
-        "bound_ratio": r.bound_ratio}, sort_keys=True))
+        "bound_ratio": r.bound_ratio})
     return 0
 
 
@@ -256,6 +262,14 @@ def _check_arith(rng: random.Random, quick: bool) -> None:
     for _ in range(rounds // 4):
         n = rng.randrange(2, 1 << 48)
         ensure(math.prod(p**e for p, e in factorize(n)) == n)
+    from .engine import FactorTable  # the order engine behind density reports and Weil scans
+
+    table = FactorTable(2000)
+    ells = table.primes(3)
+    for g in (2, 3, 12):
+        scalar = list(harvest.shift_orders(g, 3, 2000))
+        p_plus, order = table.orders(g, ells)
+        ensure(scalar == list(zip(ells.tolist(), p_plus.tolist(), order.tolist())), ("orders", g))
 
 
 def _check_sequences(rng: random.Random, quick: bool) -> None:

@@ -1,18 +1,19 @@
-"""The numpy engine: factor tables, the order engine and the orbit-residue engine.
+"""The numpy engine: the order engine over a factor table and the orbit-residue engine.
 
-The only module that imports numpy at the top.  Harvest, the sieve and the
-character sums import it inside the functions that build or read tables; the
-census reads its witness symbols off one period of g mod p in pure Python, so
-every `census` mode and `bounds` start without it.
+The only module that imports numpy at the top.  The density report, the
+character sums and `verify` import it inside the functions that build or
+read its tables.  The census witnesses and the square sieve read f at
+powers of g mod p off one period in pure Python (`sequences.symbol_row`),
+and the harvest reads P+(ell-1) and orders off arith's factor table
+(`harvest.shift_orders`), so `census`, `sieve`, `primes` without
+`--density` and `bounds` start without numpy.
 """
 
 from __future__ import annotations
 
-from math import isqrt
-
 import numpy as np
 
-from .arith import TABLE_LIMIT
+from .arith import TABLE_LIMIT, smallest_factors
 from .sequences import Polynomial
 
 __all__ = ["FactorTable", "pow_mod", "orbit_symbols"]
@@ -22,22 +23,16 @@ _CELL_TILE = 1 << 16  # orbit_symbols builds its int64 temporaries this many cel
 
 
 class FactorTable:
-    """Smallest prime factor of every n in [0, hi] (n itself when prime) in
-    one int32 array: the primes and the order engine read it."""
+    """arith's smallest-prime-factor table as an int32 view (0 marks a prime):
+    the primes of a range and the order engine read it."""
 
     def __init__(self, hi: int):
-        from .arith import primes_up_to  # read at call time, so a rebinding on arith is seen
-        if hi > TABLE_LIMIT:
-            raise ValueError(f"FactorTable: limit {hi} exceeds the table cap {TABLE_LIMIT}")
-        self._spf = np.arange(hi + 1, dtype=np.int32)
-        for p in reversed(primes_up_to(isqrt(hi))):  # smaller primes overwrite
-            self._spf[p * p :: p] = p
+        self._spf = np.frombuffer(smallest_factors(hi), dtype=np.intc)
 
     def primes(self, lo: int = 2) -> np.ndarray:
         """Primes in [lo, hi], ascending, as an int64 array."""
         lo = max(lo, 2)
-        prime = self._spf[lo:] == np.arange(lo, len(self._spf), dtype=np.int32)
-        return np.flatnonzero(prime) + lo
+        return np.flatnonzero(self._spf[lo:] == 0) + lo
 
     def orders(self, g: int, ells) -> tuple[np.ndarray, np.ndarray]:
         """P+(ell-1) and the multiplicative order of g mod ell for primes ell <= hi,
@@ -52,7 +47,7 @@ class FactorTable:
         """
         ells = np.asarray(ells, dtype=np.int64)
         if ells.size and not (
-            ells.min() >= 2 and ells.max() < len(self._spf) and (self._spf[ells] == ells).all()
+            ells.min() >= 2 and ells.max() < len(self._spf) and (self._spf[ells] == 0).all()
         ):
             raise ValueError(f"orders: every ell must be a prime <= {len(self._spf) - 1}")
         p_plus, order = np.ones_like(ells), np.zeros_like(ells)
@@ -64,6 +59,7 @@ class FactorTable:
             live = np.flatnonzero(n > 1)
             while live.size:
                 q = self._spf[n[live]].astype(np.int64)
+                q = np.where(q == 0, n[live], q)  # n itself when prime
                 m, qe = n[live] // q, q.copy()
                 j = np.flatnonzero(m % q == 0)
                 while j.size:

@@ -1,20 +1,28 @@
 """Harvest sieving primes: ell in [z, Cz] with a large P+(ell-1) and large
 multiplicative order of g, plus the empirical density report that backs the
 harvest up.
+
+The harvest reads P+(ell-1) and the order of g off arith's
+smallest-prime-factor table in pure Python, one prime at a time; the
+density report runs the numpy order engine over all primes up to z.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from itertools import compress
+from operator import not_
 from typing import NamedTuple
 
-from .arith import is_prime
+from .arith import is_prime, smallest_factors
 
 __all__ = [
     "SievePrime",
     "SievePrimeSet",
     "DensityReport",
     "build_prime_set",
+    "shift_orders",
     "density_report",
     "format_records",
     "parse_records",
@@ -69,7 +77,6 @@ def build_prime_set(
     The erh variant keeps only members whose order additionally beats
     ell/log ell.  Output is ascending in ell and fully deterministic.
     """
-    from .engine import FactorTable
     if g <= 1:
         raise ValueError("build_prime_set: g must be > 1")
     if not 10 <= z < math.inf:
@@ -83,20 +90,46 @@ def build_prime_set(
     lo, hi = math.ceil(z), math.floor(C * z)
     if hi < lo:
         raise ValueError("build_prime_set: window [z, Cz] contains no integer")
-    table = FactorTable(hi)
-    ells = table.primes(lo)
-    p_plus, _ = table.orders(0, ells)  # 0 has no order mod any prime: the P+ column alone
-    keep = p_plus >= z**alpha
-    ells, p_plus = ells[keep], p_plus[keep]
-    _, order = table.orders(g, ells)  # 0 where ell divides g, so it fails order >= p_plus
-    keep = order >= p_plus
     members = []
-    for ell, pp, order_g in zip(ells[keep].tolist(), p_plus[keep].tolist(), order[keep].tolist()):
+    for ell, p_plus, order_g in shift_orders(g, lo, hi, z**alpha):
+        if order_g < p_plus:  # order 0 where ell divides g
+            continue
         large = order_g > ell / math.log(ell)
         if variant == "erh" and not large:
             continue
-        members.append(SievePrime(ell, pp, order_g, large))
+        members.append(SievePrime(ell, p_plus, order_g, large))
     return SievePrimeSet(z, C, alpha, g, variant, tuple(members))
+
+
+def shift_orders(g: int, lo: int, hi: int, bar: float = 0.0) -> Iterator[tuple[int, int, int]]:
+    """(ell, P+(ell-1), order of g mod ell) for the odd primes ell in [lo, hi]
+    with P+(ell-1) >= bar, ascending; the order is 0 where ell divides g.
+
+    Both come off one smallest-prime-factor table: P+ is the prime left
+    after the table peels the smallest factors off ell-1, and the order is
+    the divisor descent from ell-1 over its distinct primes q, dividing by q
+    while g^(t/q) = 1 mod ell, with the builtin pow.
+    """
+    spf = smallest_factors(hi)
+    lo = max(lo, 3) | 1
+    for ell in compress(range(lo, hi + 1, 2), map(not_, spf[lo : hi + 1 : 2])):
+        p_plus = ell - 1
+        while q := spf[p_plus]:
+            p_plus //= q
+        if p_plus < bar:
+            continue
+        base, t = g % ell, ell - 1
+        if not base:
+            yield ell, p_plus, 0
+            continue
+        m = t
+        while m > 1:
+            q = spf[m] or m
+            while m % q == 0:
+                m //= q
+            while t % q == 0 and pow(base, t // q, ell) == 1:
+                t //= q
+        yield ell, p_plus, t
 
 
 class DensityReport(NamedTuple):

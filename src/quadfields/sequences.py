@@ -17,6 +17,7 @@ __all__ = [
     "validate",
     "u_eval",
     "u_eval_mod",
+    "symbol_row",
 ]
 
 
@@ -152,3 +153,36 @@ def u_eval_mod(spec: SequenceSpec, n: int, m: int) -> int:
     if m < 2:
         raise ValueError("u_eval_mod: modulus must be >= 2")
     return spec.f.eval_mod(pow(spec.g, n, m), m)
+
+
+def symbol_row(f: Polynomial, g: int, p: int, start: int, count: int, period: int) -> bytes:
+    """(f(g^n) / p) + 1, one byte (0, 1 or 2) each, for n = start .. start+count-1.
+
+    The f at powers of g mod p behind the square sieve and the census
+    witnesses.  p is an odd prime and period a period of n -> f(g^n) mod p
+    over the run (the order of g mod p, or 1 where p | g and n >= 1); both
+    are the caller's promise.  Only min(period, count) symbols are computed,
+    with incremental powers, Horner over the whole run one coefficient at a
+    time, and a square table or Euler's criterion; the rest repeats them.
+    """
+    m = min(period, count)
+    if m < 1:
+        raise ValueError("symbol_row: count and period must be >= 1")
+    x, step = pow(g, start, p), g % p
+    xs = [x]
+    for _ in range(m - 1):
+        x = x * step % p
+        xs.append(x)
+    top, *rest = [c % p for c in reversed(f.coefficients)]
+    vals = [top] * m
+    for c in rest:
+        vals = [v * y + c for v, y in zip(vals, xs)]
+    if p <= 16 * m:  # the square table costs no more than the symbols
+        table = bytearray(p)  # 0: a non-residue
+        table[0] = 1
+        for i in range(1, (p + 1) // 2):
+            table[i * i % p] = 2
+        codes = bytes([table[v % p] for v in vals])
+    else:
+        codes = bytes([(pow(v, p // 2, p) + 1) % p for v in vals])
+    return codes * (count // m) + codes[: count % m]

@@ -5,24 +5,28 @@ For k = s*u(n), the sum of Jacobi symbols (k/ell) over the set equals
 oscillate.  Everything below is the exact bookkeeping around that identity:
 the window partition by omega, the certificate inequality, and the pair
 diagnostics U, V, W, T, Q.
+
+The window's symbol table is pure Python: one row of bytes per prime, the
+symbol plus one in each cell, tiled from one period of g mod ell
+(`sequences.symbol_row`).  Its column sums come from packing each row into
+one wide integer, a lane per cell, and adding: one big-int add per row.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 from math import gcd
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import jacobi
+from .arith import TABLE_LIMIT, jacobi
 from .census import window_matches
 from .harvest import SievePrimeSet
-from .sequences import SequenceSpec, u_eval, u_eval_mod
+from .sequences import SequenceSpec, symbol_row, u_eval, u_eval_mod
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-    from .engine import np
 
 __all__ = [
     "Partition",
@@ -51,18 +55,45 @@ def detector(spec: SequenceSpec, n: int, s: int, prime_set: SievePrimeSet) -> in
 
 
 def _symbols(spec, M, N, prime_set):
-    # R[i, j] = (u(M+1+j) / ell_i): the whole window in one engine call
-    from .engine import orbit_symbols
+    # R[i][j] = (u(M+1+j) / ell_i) + 1: a row of bytes per prime, off one period of g mod ell
     if N < 1:
         raise ValueError("partition: N must be >= 1")
-    return orbit_symbols(spec.f, spec.g, prime_set.ells, N, start=M + 1)
+    if len(prime_set) * N > TABLE_LIMIT:
+        raise ValueError(
+            f"sieve: {len(prime_set)} x {N} symbols exceed the table cap {TABLE_LIMIT}"
+        )
+    return [
+        symbol_row(spec.f, spec.g, sp.ell, M + 1, N, sp.order_g if prime_set.g == spec.g else N)
+        for sp in prime_set.members
+    ]
+
+
+_NEGATED = bytes.maketrans(b"\0\2", b"\2\0")  # a row times (s/ell) = -1
+_ZEROED = bytes([1]) * 256  # a row times (s/ell) = 0
+_ZEROS = bytes.maketrans(b"\1\2", b"\1\0")  # 1 where the symbol is 0, else 0
 
 
 def _twisted(R, s, prime_set):
     # (s*u/ell) = (s/ell)(u/ell): one symbol per row turns R into the s-table
-    from .engine import np
-    chi = np.array([jacobi(s, ell) for ell in prime_set.ells], dtype=np.int8)
-    return R * chi[:, None]
+    chi = [jacobi(s, ell) for ell in prime_set.ells]
+    return [row if c == 1 else row.translate(_NEGATED if c else _ZEROED) for row, c in zip(R, chi)]
+
+
+def _column_sums(rows, N, *views):
+    # the column sums of each view of rows (a translation table, or None for the bytes
+    # themselves), as memoryviews of N ints.  Each cell is a lane of one field per view,
+    # each field wide enough for 2 * len(rows); every row goes in with one big-int add.
+    width = next(w for w in (1, 2, 4) if 2 * len(rows) < 256**w)
+    low = (width - 1) * (sys.byteorder == "big")  # the field's low byte
+    stride = width * len(views)
+    buf = bytearray(N * stride)
+    acc = 0
+    for row in rows:
+        for i, view in enumerate(views):
+            buf[i * width + low :: stride] = row.translate(view) if view else row
+        acc += int.from_bytes(buf, sys.byteorder)
+    lanes = memoryview(acc.to_bytes(len(buf), sys.byteorder)).cast({1: "B", 2: "H", 4: "I"}[width])
+    return [lanes[i :: len(views)] for i in range(len(views))]
 
 
 class Partition(NamedTuple):
@@ -76,14 +107,14 @@ def partition(spec: SequenceSpec, M: int, N: int, prime_set: SievePrimeSet) -> P
 
     n with u(n) = 0 land in the heavy side: every modulus divides 0.
     """
-    omega = (_symbols(spec, M, N, prime_set) == 0).sum(axis=0)
+    omega = _column_sums(_symbols(spec, M, N, prime_set), N, _ZEROS)[0]
     return _partition(M, N, omega, prime_set)
 
 
 def _partition(M, N, omega, prime_set):
     half = len(prime_set) // 2
     n_z, e_z = [], []
-    for n, w in enumerate(omega.tolist(), M + 1):
+    for n, w in enumerate(omega, M + 1):
         (n_z if w <= half else e_z).append(n)
     z, alpha = prime_set.z, prime_set.alpha
     denom = N * z**-alpha + math.log(z)
@@ -136,11 +167,12 @@ def diagnostics(
 
 
 def _pair_sums(R, N, prime_set):
-    from .engine import np
     members = prime_set.members
-    p_plus = np.array([sp.p_plus for sp in members])
-    U = sum(_off_diagonal(R[p_plus == q]) for q in set(p_plus.tolist()))
-    V = _off_diagonal(R) - U
+    groups: dict[int, list[bytes]] = {}
+    for sp, row in zip(members, R):
+        groups.setdefault(sp.p_plus, []).append(row)
+    U = sum(_off_diagonal(rows, N) for rows in groups.values() if len(rows) > 1)
+    V = _off_diagonal(R, N) - U
     T = Q = max_cross = 0
     for a in members:
         for b in members:
@@ -166,11 +198,14 @@ def _pair_sums(R, N, prime_set):
     )
 
 
-def _off_diagonal(rows):
+def _off_diagonal(rows, N):
     # sum of <r_i, r_j> over ordered pairs i != j of rows, i.e. the Gram matrix
-    # less its diagonal: |sum of rows|^2 - sum of |r_i|^2, entries in {-1, 0, 1}
-    col = rows.sum(axis=0)
-    return int(col @ col) - int((rows != 0).sum())
+    # less its diagonal: |sum of rows|^2 - sum of |r_i|^2, entries in {-1, 0, 1}.
+    # The column sums come as c + k, k = len(rows), since each byte is entry + 1.
+    k = len(rows)
+    (c,) = _column_sums(rows, N, None)
+    square = sum(map(mul, c, c)) - 2 * k * sum(c) + N * k * k
+    return square - sum(N - row.count(1) for row in rows)
 
 
 class SieveRun(NamedTuple):
@@ -183,13 +218,15 @@ class SieveRun(NamedTuple):
     omega_map: dict[int, int]  # omega_z(s*u(n))
     part: Partition
     cert: Certificate
-    symbols: np.ndarray  # (s*u(n) / ell)
+    symbols: list[bytes]  # (s*u(n) / ell) + 1, a row per prime
 
     def diagnostics(self) -> Diagnostics:
         """`diagnostics` for this window, read from the run's symbol table."""
         return _pair_sums(self.symbols, self.N, self.prime_set)
 
     def to_json(self) -> str:
+        import json  # not at the top: only the artifact writers need it
+
         doc = {
             "f": self.spec.f.format(),
             "g": self.spec.g,
@@ -234,9 +271,10 @@ def run_sieve(
         raise ValueError("certificate: prime set must be nonempty")
     Rs = _twisted(R, s, prime_set)
     ns = range(M + 1, M + N + 1)
-    detector_map = dict(zip(ns, Rs.sum(axis=0).tolist()))
-    omega_map = dict(zip(ns, (Rs == 0).sum(axis=0).tolist()))
-    part = _partition(M, N, (R == 0).sum(axis=0), prime_set)
+    sums, zeros = _column_sums(Rs, N, None, _ZEROS)
+    detector_map = {n: c - L for n, c in zip(ns, sums)}
+    omega_map = dict(zip(ns, zeros))
+    part = _partition(M, N, _column_sums(R, N, _ZEROS)[0], prime_set)
     matched = tuple(sorted(set(part.n_z).intersection(window_matches(spec, M, N, s))))
     rhs = Fraction(2 * sum(detector_map[n] ** 2 for n in matched), L)
     cert = Certificate(lhs=len(matched), rhs=rhs, holds=len(matched) <= rhs, matches=matched)

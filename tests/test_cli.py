@@ -212,6 +212,28 @@ def test_verify_compares_the_sieve_table_with_the_scalar_detector(optimize):
     assert "invariant failure" in proc.stderr and "ok detector" not in proc.stdout
 
 
+# verify --quick with the order engine's even orders halved
+HALVED_ORDERS_VERIFY = """
+import sys
+from quadfields import cli, engine
+real = engine.FactorTable.orders
+
+def halved(self, g, ells):
+    p_plus, order = real(self, g, ells)
+    return p_plus, engine.np.where(order % 2, order, order // 2)
+
+engine.FactorTable.orders = halved
+sys.exit(cli.main(["verify", "--quick"]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "O"])
+def test_verify_compares_the_order_engine_with_the_scalar_descent(optimize):
+    proc = _python("-c", HALVED_ORDERS_VERIFY, optimize=optimize)
+    assert proc.returncode == 4, proc.stderr
+    assert "invariant failure" in proc.stderr and "ok arith" not in proc.stdout
+
+
 # the modules that importing the CLI adds, by name; a site may preload some
 IMPORT_PROBE = """
 import sys
@@ -225,7 +247,7 @@ def test_cli_import_loads_no_dataclasses_inspect_or_fractions():
     proc = _python("-c", IMPORT_PROBE, optimize=["-O"] * sys.flags.optimize)
     added = proc.stdout.split()
     assert "quadfields.sieve" in added, proc.stderr
-    assert not {"dataclasses", "inspect", "fractions"} & set(added), added
+    assert not {"dataclasses", "inspect", "fractions", "json"} & set(added), added
 
 
 # one CLI command, then whether numpy was loaded on the way
@@ -243,11 +265,15 @@ print("numpy" in sys.modules, rc)
     (["bounds", "--alpha", "0.677", "-N", "1e8", "-S", "100"], False),
     (["census", "-f", "1,6,1", "-g", "2", "-N", "100", "-s", "17"], False),
     (["census", "-f", "2,0,0,1", "-g", "3", "-N", "100", "--classes"], False),
-    (["sieve", "-f", "1,6,1", "-g", "2", "-N", "50", "--z", "100"], True),
-    (["primes", "-g", "2", "--z", "100"], True),
-], ids=["help", "census-S", "bounds", "census-s", "census-classes", "sieve", "primes"])
+    (["sieve", "-f", "1,6,1", "-g", "2", "-N", "50", "--z", "100"], False),
+    (["primes", "-g", "2", "--z", "100"], False),
+    (["primes", "-g", "2", "--z", "1000", "--density"], True),
+    (["charsum", "-f", "2,0,0,1", "--lam", "2", "--scan", "--pmax", "100"], True),
+], ids=["help", "census-S", "bounds", "census-s", "census-classes", "sieve", "primes",
+        "primes-density", "charsum-scan"])
 def test_numpy_loads_only_where_a_table_is_built(argv, loads):
-    # the exact integer paths start without numpy; the engine's users load it
+    # the exact integer paths, the square sieve and the harvest start without
+    # numpy; the density report and the character sums load it
     proc = _python("-c", NUMPY_PROBE, *argv, optimize=["-O"] * sys.flags.optimize)
     assert proc.stdout.splitlines()[-1] == f"{loads} 0", proc.stderr
 

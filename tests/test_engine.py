@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 
 from quadfields import census, engine, sieve
 from quadfields.arith import (
-    TABLE_LIMIT, is_perfect_square, is_squarefree, jacobi, multiplicative_order,
+    TABLE_LIMIT, factorize, is_perfect_square, is_squarefree, jacobi, multiplicative_order,
 )
 from quadfields.census import same_field
 from quadfields.charsums import _orbit_sum, _pair_cycles
-from quadfields.harvest import SievePrimeSet, build_prime_set
+from quadfields.harvest import SievePrime, SievePrimeSet, build_prime_set
 from quadfields.engine import orbit_symbols
 from quadfields.sequences import Polynomial, u_eval, u_eval_mod, validate
 
@@ -192,6 +192,41 @@ def test_sieve_matches_scalar_oracles(data, f, g, M, N, s):
     assert run.cert.rhs == Fraction(2 * sum(D[n] ** 2 for n in matched), len(members))
     for n in ns[:3]:
         assert D[n] == sieve.detector(spec, n, s, pset)
+
+
+# primes where 2 has order 3 to 14 (7 and 73 share P+(ell-1) = 3, 43 and 127 share 7),
+# so a window of up to 300 n repeats each row's period many times
+SHORT_ORDERS = tuple(SievePrime(ell, factorize(ell - 1)[-1][0], multiplicative_order(2, ell), False)
+                     for ell in (7, 17, 31, 43, 73, 127))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), polynomial, st.integers(0, 10**4), st.integers(1, 300), st.integers(-40, 40))
+def test_sieve_table_tiled_from_one_period(data, f, M, N, s):
+    pool = SHORT_ORDERS + PRIME_SETS[2].members
+    picked = data.draw(st.lists(st.sampled_from(pool), unique=True, min_size=1, max_size=8))
+    members = tuple(sorted(picked, key=lambda sp: sp.ell))
+    pset = SievePrimeSet(60.0, 2.0, 0.677, 2, "standard", members)
+    if data.draw(st.booleans()):
+        s *= data.draw(st.sampled_from(members)).ell  # s shares a prime with a member
+    spec = validate(f, 2)
+    light = scalar_symbol_rows(spec, M, N, 1, pset)
+    rows = scalar_symbol_rows(spec, M, N, s, pset)
+    R = sieve._symbols(spec, M, N, pset)
+    assert [[b - 1 for b in row] for row in R] == light
+    assert [[b - 1 for b in row] for row in sieve._twisted(R, s, pset)] == rows
+
+    run = sieve.run_sieve(spec, M, N, s, pset)
+    ns = range(M + 1, M + N + 1)
+    assert run.detector_map == {n: sum(row[j] for row in rows) for j, n in enumerate(ns)}
+    assert run.omega_map == {n: sum(row[j] == 0 for row in rows) for j, n in enumerate(ns)}
+    half = len(members) // 2
+    heavy = [n for j, n in enumerate(ns) if sum(row[j] == 0 for row in light) > half]
+    assert run.part.e_z == tuple(heavy)
+    assert run.part.n_z == tuple(n for n in ns if n not in heavy)
+    U, V, T, Q, max_cross = scalar_pair_sums(rows, members)
+    d = run.diagnostics()
+    assert (d.U, d.V, d.W, d.T, d.Q_quantity, d.max_cross_gcd) == (U, V, U + V, T, Q, max_cross)
 
 
 @pytest.mark.parametrize("f", [SHANKS, Polynomial.parse("2,0,0,1"), Polynomial.parse("0,1")])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadfields import arith, engine, sieve
+from quadfields import arith, census, harvest, sequences, sieve
 from quadfields.arith import factorize, is_perfect_square, jacobi
 from quadfields.census import squarefree_kernel
 from quadfields.harvest import SievePrime, SievePrimeSet, build_prime_set
@@ -184,25 +184,43 @@ def test_run_sieve_consistency(cubic2, pset100):
     assert run.cert.holds
 
 
-def test_run_sieve_builds_symbols_once(monkeypatch, shanks, pset100):
-    # D(n), omega, the partition and the certificate all come from one table;
-    # the census witnesses behind the certificate's matches build no table
-    builds, symbols = [], []
-    real = engine.orbit_symbols
+def test_run_sieve_with_a_set_harvested_for_another_g(cubic3, pset100):
+    # the set's orders are those of 2, no period of 3^n: every cell is computed
+    run = run_sieve(cubic3, 0, 300, 5, pset100)
+    assert max(sp.order_g for sp in pset100.members) < 300
+    for n in range(1, 301):
+        assert run.detector_map[n] == detector(cubic3, n, 5, pset100)
+        assert run.omega_map[n] == omega_z(cubic3, n, 5, pset100)
+
+
+def _count_rows(monkeypatch):
+    # calls of the row builder, by the module that asked for the row
+    builds = {}
+    real = sequences.symbol_row
 
     def counting(*args, **kwargs):
-        if sys._getframe(1).f_globals["__name__"] == sieve.__name__:
-            builds.append(args)
+        caller = sys._getframe(1).f_globals["__name__"]
+        builds[caller] = builds.get(caller, 0) + 1
         return real(*args, **kwargs)
+
+    for module in (sieve, census):
+        monkeypatch.setattr(module, "symbol_row", counting)
+    return builds
+
+
+def test_run_sieve_builds_symbols_once(monkeypatch, shanks, pset100):
+    # D(n), omega, the partition and the certificate all come from one table,
+    # one row per prime; the census witnesses behind the certificate's matches build none
+    symbols = []
+    builds = _count_rows(monkeypatch)
 
     def counting_jacobi(a, m):
         symbols.append(m)
         return arith.jacobi(a, m)
 
-    monkeypatch.setattr(engine, "orbit_symbols", counting)
     monkeypatch.setattr(sieve, "jacobi", counting_jacobi)
     run = run_sieve(shanks, 0, 200, 17, pset100)
-    assert len(builds) == 1
+    assert builds == {sieve.__name__: len(pset100)}
     assert len(symbols) <= len(pset100)  # (s/ell) once per row, none per cell
     assert run.cert.matches == (1,)
 
@@ -212,17 +230,9 @@ def test_sieve_diag_builds_symbols_once(monkeypatch, capsys):
     # table run_sieve built; the census witnesses behind the certificate build none
     from quadfields import cli
 
-    builds = {}
-    real = engine.orbit_symbols
-
-    def counting(*args, **kwargs):
-        caller = sys._getframe(1).f_globals["__name__"]  # the module that asked for the table
-        builds[caller] = builds.get(caller, 0) + 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "orbit_symbols", counting)
+    builds = _count_rows(monkeypatch)
     rc = cli.main(["sieve", "-f", "1,6,1", "-g", "2", "-N", "300", "-s", "17",
                    "--z", "200", "--diag"])
     out = capsys.readouterr().out
     assert rc == 0 and "pairs U" in out and "certificate lhs 1 " in out
-    assert builds == {"quadfields.sieve": 1}
+    assert builds == {"quadfields.sieve": len(harvest.build_prime_set(2, 200.0))}

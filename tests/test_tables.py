@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadfields import arith, cli, engine
@@ -23,9 +23,10 @@ from quadfields.arith import (
     multiplicative_order,
     primes_through,
     primes_up_to,
+    smallest_factors,
 )
 from quadfields.engine import FactorTable
-from quadfields.harvest import SievePrime, build_prime_set, density_report
+from quadfields.harvest import VARIANTS, SievePrime, build_prime_set, density_report, shift_orders
 
 windows = st.integers(-3, 5000).flatmap(
     lambda lo: st.tuples(st.just(lo), st.integers(lo - 20, lo + 3000))
@@ -49,6 +50,15 @@ def test_table_single_prime_windows(n):
     p = sympy.nextprime(n)
     assert FactorTable(p).primes(p).tolist() == [p]
     assert FactorTable(sympy.nextprime(p) - 1).primes(p + 1).tolist() == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3000))
+def test_smallest_factors_match_sympy(hi):
+    spf = smallest_factors(hi)
+    assert len(spf) == hi + 1 and spf.itemsize == 4
+    for n in range(2, hi + 1):
+        assert spf[n] == (0 if sympy.isprime(n) else min(sympy.factorint(n)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -129,6 +139,42 @@ def test_orders_guard_fails_fast(ells):
     assert time.perf_counter() - t0 < 0.1
 
 
+@settings(max_examples=60, deadline=None)
+@given(bases, st.integers(0, 10**5), st.integers(0, 3000), st.sampled_from([0.0, 20.0, 300.5]))
+@example(3, 3, 2000, 0.0)  # every prime the verify check covers
+@example(30, 0, 40, 0.0)  # 3 and 5 divide the base
+def test_shift_orders_match_the_order_engine(g, lo, width, bar):
+    # the harvest's scalar P+ and descent against the vectorized order engine
+    table = FactorTable(lo + width)
+    ells = table.primes(max(lo, 3))
+    p_plus, order = table.orders(g, ells)
+    want = [row for row in zip(ells.tolist(), p_plus.tolist(), order.tolist()) if row[1] >= bar]
+    assert list(shift_orders(g, lo, lo + width, bar)) == want
+
+
+def _engine_prime_set(g, z, C, alpha, variant):
+    # the harvest as the order engine ran it: P+ and the order for every prime of [z, Cz]
+    table = FactorTable(math.floor(C * z))
+    ells = table.primes(math.ceil(z))
+    members = []
+    for ell, pp, order in zip(ells.tolist(), *(a.tolist() for a in table.orders(g, ells))):
+        large = order > ell / math.log(ell)
+        if pp >= z**alpha and order >= pp and (variant == "standard" or large):
+            members.append(SievePrime(ell, pp, order, large))
+    return tuple(members)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 10**6), st.floats(10, 5 * 10**4), st.floats(1.01, 3),
+       st.floats(0.501, 0.999), st.sampled_from(VARIANTS))
+@example(2, 50000.0, 2.0, 0.677, "standard")
+@example(6, 10.0, 1.01, 0.6, "erh")  # [10, 10.1] holds the integer 10 and no prime
+def test_build_prime_set_matches_the_order_engine(g, z, C, alpha, variant):
+    assume(math.floor(C * z) >= math.ceil(z))
+    got = build_prime_set(g, z, C, alpha, variant).members
+    assert got == _engine_prime_set(g, z, C, alpha, variant)
+
+
 def _scalar_prime_set(g, z, C, alpha, variant):
     lo, hi = math.ceil(z), math.floor(C * z)
     members = []
@@ -182,7 +228,7 @@ def test_density_report_matches_scalar_harvest(g, z, alpha):
 
 def test_table_limit_rejects_before_allocating():
     before = arith._sieved
-    for build in (primes_up_to, primes_through, FactorTable):
+    for build in (primes_up_to, primes_through, smallest_factors, FactorTable):
         with pytest.raises(ValueError, match="table cap"):
             build(TABLE_LIMIT + 1)
     assert arith._sieved is before
@@ -194,6 +240,7 @@ def test_table_limit_rejects_before_allocating():
     ["primes", "-g", "2", "--z", "1e12"],
     ["primes", "-g", "2", "--z", "1e12", "--density"],
     ["sieve", "-f", "1,6,1", "-g", "2", "-N", "10", "--z", "1e12"],
+    ["sieve", "-f", "1,6,1", "-g", "2", "-N", "10000000", "--z", "1000"],  # 45 x 10^7 cells
 ])
 def test_table_limit_exits_3_fast(argv, capsys):
     t0 = time.perf_counter()
