@@ -22,7 +22,6 @@ __all__ = [
     "smallest_factors",
     "factorize",
     "multiplicative_order",
-    "euler_phi",
     "is_squarefree",
 ]
 
@@ -226,34 +225,21 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return factors
 
 
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("euler_phi: n must be >= 1")
-    if n == 1:
-        return 1
-    phi = 1
-    for p, e in factorize(n):
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
+def multiplicative_order(lam: int, p: int) -> int:
+    """Least t >= 1 with lam^t = 1 mod the prime p, via divisor descent from p - 1.
 
-
-def multiplicative_order(lam: int, m: int) -> int:
-    """Least t >= 1 with lam^t = 1 mod m, via divisor descent from phi(m).
-
-    Descent: start at phi(m) and strip each prime q of it while the power
+    Descent: start at p - 1 and strip each prime q of it while the power
     lam^(t/q) still fixes 1; what survives is minimal.
     """
-    if lam == 0:
-        raise ValueError("multiplicative_order: base must be nonzero")
-    if m < 2:
-        raise ValueError("multiplicative_order: modulus must be >= 2")
-    if gcd(lam, m) != 1:
+    if not is_prime(p):
+        raise ValueError("multiplicative_order: modulus must be prime")
+    if lam % p == 0:
         raise ValueError("multiplicative_order: base and modulus share a factor")
-    t = euler_phi(m)
+    t = p - 1
     for q, _ in factorize(t) if t > 1 else ():
-        while t % q == 0 and pow(lam, t // q, m) == 1:
+        while t % q == 0 and pow(lam, t // q, p) == 1:
             t //= q
-    ensure(pow(lam, t, m) == 1, f"order {t} of {lam} mod {m} does not annihilate the base")
+    ensure(pow(lam, t, p) == 1, f"order {t} of {lam} mod {p} does not annihilate the base")
     return t
 
 

@@ -4,6 +4,10 @@ ratios, Weil-ratio scans, and the Heath-Brown average.
 
 Conventions: e(t) = exp(2*pi*i*t), sums run over x = 1..tau unless a K says
 otherwise, and every a = 0 path is computed in exact integers.
+
+Each sum reads one row of symbols per prime from `engine.orbit_symbols`,
+and the Weil scan its primes and periods from `engine.shift_orders`; numpy
+is imported inside the functions that call them.
 """
 
 from __future__ import annotations
@@ -45,7 +49,9 @@ class CharSumResult(_CharSumFields):
     __slots__ = ()
 
     def __new__(cls, value, modulus, period, frequency, kind, bound_ratio) -> CharSumResult:
-        ensure(abs(value) <= period + 1e-6, "character sum exceeds its trivial bound")
+        # a complete sum has period terms; incomplete_sum checks its own K terms
+        ensure(kind == "incomplete" or abs(value) <= period + 1e-6,
+               "character sum exceeds its trivial bound")
         return super().__new__(cls, value, modulus, period, frequency, kind, bound_ratio)
 
 
@@ -79,7 +85,7 @@ def _orbit_sum(f: Polynomial, lam: int, modulus: int, period: int, a: int) -> co
     # a time in x order, since a numpy sum would round differently
     from .engine import orbit_symbols
     a %= period
-    syms = orbit_symbols(f, lam, (modulus,), period, start=1)[0]
+    syms = orbit_symbols(f, lam, modulus, period)
     if a == 0:
         return complex(int(syms.sum()))
     acc = 0j
@@ -131,7 +137,7 @@ def _pair_cycles(f, A, lam, ell, p, who):
     if gcd(t_ell, t_p) != 1:
         raise ValueError(f"{who}: orders of lam mod ell and mod p share a factor")
     return [
-        orbit_symbols(f, lam, (q,), t, start=1, shift=A)[0].astype(np.int64)
+        orbit_symbols(f, lam, q, t, shift=A).astype(np.int64)
         for q, t in ((ell, t_ell), (p, t_p))
     ]
 
@@ -184,7 +190,8 @@ def product_formula_residual(f: Polynomial, lam: int, ell: int, p: int, a: int) 
 
 def incomplete_sum(f: Polynomial, A: int, lam: int, ell: int, p: int, K: int) -> CharSumResult:
     """Exact integer sum of (f(A lam^n)/ell*p) for n = 1..K, with the ratio
-    against K*sqrt(ell*p)/tau + sqrt(ell*p)*log(ell*p) attached."""
+    against K*sqrt(ell*p)/tau + sqrt(ell*p)*log(ell*p) attached.  The terms have
+    period tau, so the sum is q*S_tau + S_r with q, r = divmod(K, tau)."""
     _require_monic_separable(f, "incomplete_sum")
     jl, jp = _pair_cycles(f, A, lam, ell, p, "incomplete_sum")
     m = ell * p
@@ -195,7 +202,10 @@ def incomplete_sum(f: Polynomial, A: int, lam: int, ell: int, p: int, K: int) ->
     if K < 0:
         raise ValueError("incomplete_sum: K must be >= 0")
     period = len(jl) * len(jp)
-    total = int(_pair_terms(jl, jp, K).sum())
+    q, r = divmod(K, period)
+    terms = _pair_terms(jl, jp, min(K, period))
+    total = q * int(terms.sum()) + int(terms[:r].sum())
+    ensure(abs(total) <= K, "character sum exceeds its trivial bound")
     bound = K * math.sqrt(m) / period + math.sqrt(m) * math.log(m)
     return CharSumResult(
         value=complex(total),
@@ -246,17 +256,16 @@ def weil_scan(f: Polynomial, lam: int, p_max: int):
     f(0) carry admissible=False: the square-root bound promises nothing
     there, so they are reported but never asserted against.
     """
-    from .engine import FactorTable, np, orbit_symbols
+    from .engine import np, orbit_symbols, shift_orders
     _require_monic_separable(f, "weil_scan")
     if lam == 0:
         raise ValueError("weil_scan: lam must be nonzero")
     rows = []
-    table = FactorTable(max(p_max, 0))
-    primes = table.primes(3)
-    for p, period in zip(primes.tolist(), table.orders(lam, primes)[1].tolist()):
+    primes, _, periods = shift_orders(lam, 3, p_max)
+    for p, period in zip(primes.tolist(), periods.tolist()):
         if period == 0:  # p divides lam
             continue
-        terms = orbit_symbols(f, lam, (p,), period, start=1)[0].astype(np.float64)
+        terms = orbit_symbols(f, lam, p, period).astype(np.float64)
         # terms[x-1] holds x = 1..period; numpy's fft sign convention means
         # our sum at frequency a is e(a/period) * conj(fft[a])
         spectrum = np.fft.fft(terms)

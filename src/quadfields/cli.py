@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from . import bounds, census, charsums, harvest, sieve
-from .arith import InvariantError, ensure, factorize, is_squarefree, jacobi
-from .sequences import Polynomial, SequenceSpec, u_eval, u_eval_mod, validate
+from .arith import InvariantError, ensure, factorize, is_squarefree, jacobi, multiplicative_order
+from .sequences import Polynomial, SequenceSpec, symbol_row, u_eval, u_eval_mod, validate
 
 __all__ = ["main"]
 
@@ -108,16 +108,15 @@ def _reject_unread(args: argparse.Namespace, mode: str, *flags: str) -> None:
         raise ValueError(f"{mode} does not read {', '.join(unread)}")
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: argparse.Namespace, render) -> None:
+    """Write render() to -o, a dict as sorted JSON; without -o nothing is rendered."""
     if args.out:
-        Path(args.out).write_text(text)
+        doc = render()
+        if isinstance(doc, dict):
+            import json  # not at the top: only the artifact writers need it
 
-
-def _emit_json(args: argparse.Namespace, doc: dict) -> None:
-    if args.out:
-        import json  # not at the top: only the artifact writers need it
-
-        _emit(args, json.dumps(doc, sort_keys=True))
+            doc = json.dumps(doc, sort_keys=True)
+        Path(args.out).write_text(doc)
 
 
 def _run_census(args: argparse.Namespace) -> int:
@@ -129,16 +128,16 @@ def _run_census(args: argparse.Namespace) -> int:
         print(f"classes {len(result.classes)}")
         for rep, members in result.classes:
             print(f"  n={rep}: {' '.join(map(str, members))}")
-        _emit(args, result.to_json())
+        _emit(args, result.to_json)
         return 0
     if args.s is not None:
         count = census.count_Q(spec, args.M, args.N, args.s)
         print(count)
-        _emit_json(args, {"M": args.M, "N": args.N, "s": args.s, "count": count})
+        _emit(args, lambda: {"M": args.M, "N": args.N, "s": args.s, "count": count})
         return 0
     result = census.count_Q_total(spec, args.M, args.N, args.S)
     print(result.total)
-    _emit(args, result.to_json())
+    _emit(args, result.to_json)
     return 0
 
 
@@ -160,7 +159,7 @@ def _run_sieve(args: argparse.Namespace) -> int:
         print(f"ratios U {d.U_ratio:.6g} V {d.V_ratio:.6g} "
               f"T {d.T_ratio:.6g} Q {d.Q_ratio:.6g}")
         print(f"gcd max {d.max_cross_gcd} cap {d.gcd_cap:.6g} holds {d.gcd_bound_holds}")
-    _emit(args, run.to_json())
+    _emit(args, run.to_json)
     return 0
 
 
@@ -170,7 +169,7 @@ def _run_charsum(args: argparse.Namespace) -> int:
         _reject_unread(args, "charsum --scan", "--p", "--ell", "-a", "--K", "--A")
         report = charsums.weil_scan(f, args.lam, args.pmax)
         print(f"max_ratio {report.max_ratio:.12g} slack {report.slack:.6g} ok {report.ok}")
-        _emit(args, report.to_csv())
+        _emit(args, report.to_csv)
         return 0
     if args.p is None:
         raise ValueError("charsum: need --p (and optionally --ell)")
@@ -185,7 +184,7 @@ def _run_charsum(args: argparse.Namespace) -> int:
         r = charsums.incomplete_sum(f, args.A, args.lam, args.ell, args.p, args.K)
     print(f"{r.kind} modulus {r.modulus} period {r.period} "
           f"value {r.value.real:.12g}{r.value.imag:+.12g}i ratio {r.bound_ratio:.12g}")
-    _emit_json(args, {
+    _emit(args, lambda: {
         "kind": r.kind, "modulus": r.modulus, "period": r.period,
         "frequency": r.frequency, "re": r.value.real, "im": r.value.imag,
         "bound_ratio": r.bound_ratio})
@@ -204,7 +203,7 @@ def _run_primes(args: argparse.Namespace) -> int:
     text = harvest.format_records(pset)
     print(f"members {len(pset)}")
     if args.out:
-        _emit(args, text)
+        _emit(args, lambda: text)
     elif text:
         print(text, end="")
     return 0
@@ -242,7 +241,7 @@ def _run_bounds(args: argparse.Namespace) -> int:
     if rb is not None:
         print(f"regime {rb.regime} bound {rb.value:.6g}")
     if curve is not None:
-        _emit(args, curve)
+        _emit(args, lambda: curve)
     return 0
 
 
@@ -262,14 +261,11 @@ def _check_arith(rng: random.Random, quick: bool) -> None:
     for _ in range(rounds // 4):
         n = rng.randrange(2, 1 << 48)
         ensure(math.prod(p**e for p, e in factorize(n)) == n)
-    from .engine import FactorTable  # the order engine behind density reports and Weil scans
+    from .engine import shift_orders  # the twin behind density reports and Weil scans
 
-    table = FactorTable(2000)
-    ells = table.primes(3)
     for g in (2, 3, 12):
-        scalar = list(harvest.shift_orders(g, 3, 2000))
-        p_plus, order = table.orders(g, ells)
-        ensure(scalar == list(zip(ells.tolist(), p_plus.tolist(), order.tolist())), ("orders", g))
+        rows = zip(*(column.tolist() for column in shift_orders(g, 3, 2000)))
+        ensure(list(harvest.shift_orders(g, 3, 2000)) == list(rows), ("orders", g))
 
 
 def _check_sequences(rng: random.Random, quick: bool) -> None:
@@ -278,6 +274,17 @@ def _check_sequences(rng: random.Random, quick: bool) -> None:
         n = rng.randrange(1, 60)
         m = rng.randrange(2, 10**6)
         ensure(u_eval(spec, n) % m == u_eval_mod(spec, n, m))
+    from .engine import orbit_symbols  # the numpy twin behind the character sums
+
+    count = 60 if quick else 300
+    for p in (7, 101, 7919, 1000003):  # square tables, then Euler's criterion
+        f = Polynomial((*(rng.randrange(-50, 50) for _ in range(3)), 1))
+        g, A = rng.randrange(2, 10**6), rng.randrange(1, p)
+        powers = [pow(g, x, p) for x in range(1, count + 1)]
+        row = symbol_row(f, g, p, 1, count, multiplicative_order(g, p) if g % p else 1)
+        ensure([b - 1 for b in row] == [jacobi(f.eval_mod(y, p), p) for y in powers], ("row", p))
+        want = [jacobi(f.eval_mod(A * y % p, p), p) for y in powers]
+        ensure(orbit_symbols(f, g, p, count, shift=A).tolist() == want, ("orbit", p))
 
 
 def _check_detector(rng: random.Random, quick: bool) -> None:

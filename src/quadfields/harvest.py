@@ -4,7 +4,8 @@ harvest up.
 
 The harvest reads P+(ell-1) and the order of g off arith's
 smallest-prime-factor table in pure Python, one prime at a time; the
-density report runs the numpy order engine over all primes up to z.
+density report reads the same columns for all primes up to z off the
+numpy twin, `engine.shift_orders`.
 """
 
 from __future__ import annotations
@@ -158,31 +159,29 @@ def density_report(g: int, z: float, alpha: float) -> DensityReport:
     """Measure, over all primes ell <= z, how often P+(ell-1) >= ell^alpha
     and how often the order of g mod ell clears the same bar.
 
-    Both columns come from the order engine over one smallest-prime-factor
-    table; the bars are Python floats, so every comparison is exact.
+    Both columns come from the numpy twin of `shift_orders`; the bars are
+    Python floats, so every comparison is exact.
     """
-    from .engine import FactorTable, np
+    from .engine import np, shift_orders
     if g <= 1:
         raise ValueError("density_report: g must be > 1")
     if not 10**3 <= z < math.inf:
         raise ValueError("density_report: z must be finite and >= 10^3")
     if not 0.5 <= alpha < 1:
         raise ValueError("density_report: alpha must lie in [1/2, 1)")
-    table = FactorTable(math.floor(z))
-    primes = table.primes()
-    bar = np.fromiter((ell**alpha for ell in primes.tolist()), np.float64, len(primes))
-    p_plus, order = table.orders(g, primes)
-    # ell = 2 counts in the denominator only: P+(1) = 1 and an order <= 1 stay below 2^alpha
+    ells, p_plus, order = shift_orders(g, 3, math.floor(z))
+    bar = np.fromiter((ell**alpha for ell in ells.tolist()), np.float64, len(ells))
     count_alpha = int(np.count_nonzero(p_plus >= bar))
     count_order = int(np.count_nonzero(order >= bar))  # order 0 where ell | g
+    primes_counted = len(ells) + 1  # ell = 2 too: P+(1) = 1 and an order <= 1 stay below 2^alpha
     return DensityReport(
         z=z,
         alpha=alpha,
         g=g,
-        primes_counted=len(primes),
+        primes_counted=primes_counted,
         count_alpha=count_alpha,
         count_order=count_order,
-        ratio_alpha=count_alpha / len(primes),
+        ratio_alpha=count_alpha / primes_counted,
         dickman_reference=dickman_reference(alpha),
     )
 

@@ -3,12 +3,16 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from quadfields import cli
+from quadfields import census, charsums, cli, sieve
+from quadfields.arith import jacobi
 from quadfields.harvest import build_prime_set, parse_records
+from quadfields.sequences import Polynomial
 
 
 def run(capsys, *argv):
@@ -216,13 +220,13 @@ def test_verify_compares_the_sieve_table_with_the_scalar_detector(optimize):
 HALVED_ORDERS_VERIFY = """
 import sys
 from quadfields import cli, engine
-real = engine.FactorTable.orders
+real = engine.shift_orders
 
-def halved(self, g, ells):
-    p_plus, order = real(self, g, ells)
-    return p_plus, engine.np.where(order % 2, order, order // 2)
+def halved(g, lo, hi):
+    ells, p_plus, order = real(g, lo, hi)
+    return ells, p_plus, engine.np.where(order % 2, order, order // 2)
 
-engine.FactorTable.orders = halved
+engine.shift_orders = halved
 sys.exit(cli.main(["verify", "--quick"]))
 """
 
@@ -232,6 +236,23 @@ def test_verify_compares_the_order_engine_with_the_scalar_descent(optimize):
     proc = _python("-c", HALVED_ORDERS_VERIFY, optimize=optimize)
     assert proc.returncode == 4, proc.stderr
     assert "invariant failure" in proc.stderr and "ok arith" not in proc.stdout
+
+
+# verify --quick with the orbit engine reading x = 0..n-1 instead of 1..n
+ROLLED_ORBIT_VERIFY = """
+import sys
+from quadfields import cli, engine
+real = engine.orbit_symbols
+engine.orbit_symbols = lambda *args, **kwargs: engine.np.roll(real(*args, **kwargs), 1)
+sys.exit(cli.main(["verify", "--quick"]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "O"])
+def test_verify_compares_the_orbit_engine_with_jacobi(optimize):
+    proc = _python("-c", ROLLED_ORBIT_VERIFY, optimize=optimize)
+    assert proc.returncode == 4, proc.stderr
+    assert "invariant failure" in proc.stderr and "ok sequences" not in proc.stdout
 
 
 # the modules that importing the CLI adds, by name; a site may preload some
@@ -332,6 +353,71 @@ def test_charsum_incomplete_and_errors(capsys):
     assert rc == 3 and "need --p" in err
     rc, _, _ = run(capsys, "charsum", "-f", "1,-2,1", "--lam", "2", "--p", "7")
     assert rc == 3  # inseparable
+
+
+def _jacobi_terms(f, A, lam, ell, p, K):
+    # (f(A lam^n) / ell p) for n = 1..K, one jacobi call each
+    m = ell * p
+    return [jacobi(f.eval_mod(A * pow(lam, n, m), m), m) for n in range(1, K + 1)]
+
+
+# (A, lam, ell, p, period): 2 has orders 4 and 3 mod 5 and 7, and 3 and 10 mod 7 and 11;
+# the first sum at K = 100 is -25, past its period 12
+PAIRS = [(1, 2, 5, 7, 12), (3, 2, 7, 11, 30)]
+
+
+@pytest.mark.parametrize("A, lam, ell, p, period", PAIRS)
+def test_charsum_incomplete_past_the_period(A, lam, ell, p, period, capsys):
+    # an incomplete sum is bounded by its K terms, not by the period
+    f = Polynomial.parse("2,0,0,1")
+    argv = ["charsum", "-f", "2,0,0,1", "--lam", str(lam), "--ell", str(ell), "--p", str(p),
+            "--A", str(A), "--K"]
+    rc, out, err = run(capsys, *argv, "100")
+    value = sum(_jacobi_terms(f, A, lam, ell, p, 100))
+    assert rc == 0 and f"period {period} value {value}+0i " in out, err
+    terms = _jacobi_terms(f, A, lam, ell, p, period)
+    q, r = divmod(10**12, period)
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, *argv, str(10**12))
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 0 and f" value {float(q * sum(terms) + sum(terms[:r])):.12g}+0i " in out, err
+
+
+@pytest.mark.parametrize("A, lam, ell, p, period", PAIRS)
+def test_charsum_incomplete_within_the_period(A, lam, ell, p, period):
+    f = Polynomial.parse("2,0,0,1")
+    terms = _jacobi_terms(f, A, lam, ell, p, period)
+    for K in range(period + 1):
+        assert charsums.incomplete_sum(f, A, lam, ell, p, K).value == sum(terms[:K])
+
+
+def test_charsum_incomplete_checks_its_trivial_bound(capsys, monkeypatch):
+    # every term 2: the sum passes K, which must exit 4 with or without python -O
+    monkeypatch.setattr(charsums, "_pair_terms", lambda jl, jp, length: np.full(length, 2))
+    rc, _, err = run(capsys, "charsum", "-f", "2,0,0,1", "--lam", "2", "--ell", "5", "--p", "7",
+                     "--K", "100")
+    assert rc == 4 and "trivial bound" in err
+
+
+@pytest.mark.parametrize("argv, owner, render", [
+    (["census", "-f", "1,6,1", "-g", "2", "-N", "5", "--classes"], census.CensusResult, "to_json"),
+    (["census", "-f", "1,6,1", "-g", "2", "-N", "5", "-S", "100"], census.CensusResult, "to_json"),
+    (["sieve", "-f", "1,6,1", "-g", "2", "-N", "200", "--z", "100"], sieve.SieveRun, "to_json"),
+    (["charsum", "-f", "1,1", "--lam", "2", "--scan", "--pmax", "100"],
+     charsums.WeilScanReport, "to_csv"),
+], ids=["classes", "census-S", "sieve", "scan"])
+def test_artifact_rendered_only_with_out(argv, owner, render, capsys, tmp_path, monkeypatch):
+    real, calls = getattr(owner, render), []
+
+    def counted(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(owner, render, counted)
+    assert run(capsys, *argv)[0] == 0 and calls == []
+    art = tmp_path / "art"
+    assert run(capsys, *argv, "-o", str(art))[0] == 0 and calls == [1]
+    assert art.stat().st_size > 0
 
 
 def test_charsum_scan_csv(capsys, tmp_path):

@@ -1,11 +1,11 @@
-"""The orbit-residue engine against the scalar loops it replaced.
+"""The symbol engines against the scalar loops they replaced.
 
-The oracles below are the per-cell code that sieve, charsums and census ran
-before `engine.orbit_symbols`: one `u_eval_mod` and one `jacobi` per
-(ell, n) cell, the O(|L|^2 N) pair loop of `diagnostics`, the
-one-symbol-at-a-time orbit sums, and the census witness loops (per n for
-`count_Q`, per pair through `same_field` for `distinct_fields`).  Every fast
-path must agree with them exactly.
+The oracles below are per-cell code: one `u_eval_mod` and one `jacobi` per
+(ell, n) cell for the square sieve's pure-Python table, the O(|L|^2 N) pair
+loop of `diagnostics`, one symbol at a time for `engine.orbit_symbols` and
+the orbit sums of the character sums, and the census witness loops (per n
+for `count_Q`, per pair through `same_field` for `distinct_fields`).  Every
+fast path must agree with them exactly.
 """
 
 import ast
@@ -130,28 +130,26 @@ modulus = st.sampled_from([3, 5, 7, 11, 101, 7919, 65537, 1000003, 2**31 - 1, 21
 
 
 @settings(max_examples=150, deadline=None)
-@given(polynomial, st.integers(-(2**66), 2**66), st.lists(modulus, max_size=5),
-       st.integers(1, 300), st.integers(0, 10**4), st.integers(-(2**66), 2**66))
-@example(SHANKS, 2, [7], 1, 0, 1)
-@example(SHANKS, 14, [7, 3], 5, 0, 1)  # base = 0 mod 7: the orbit collapses to f(0)
-def test_orbit_symbols_match_scalar(f, base, moduli, count, start, shift):
-    got = orbit_symbols(f, base, moduli, count, start=start, shift=shift)
-    assert got.shape == (len(moduli), count)
-    want = [
-        [jacobi(f.eval_mod(shift * pow(base, start + j, p) % p, p), p) for j in range(count)]
-        for p in moduli
-    ]
+@given(polynomial, st.integers(-(2**66), 2**66), modulus, st.integers(1, 300),
+       st.integers(-(2**66), 2**66))
+@example(SHANKS, 2, 7, 1, 1)
+@example(SHANKS, 14, 7, 5, 1)  # base = 0 mod 7: the orbit collapses to f(0)
+def test_orbit_symbols_match_scalar(f, base, p, count, shift):
+    got = orbit_symbols(f, base, p, count, shift=shift)
+    assert got.dtype.name == "int8" and got.shape == (count,)
+    want = [jacobi(f.eval_mod(shift * pow(base, x, p) % p, p), p) for x in range(1, count + 1)]
     assert got.tolist() == want
 
 
 @pytest.mark.parametrize("tile", [1, 3, 64, 450])
 def test_orbit_symbols_tiles_agree(monkeypatch, tile):
-    # tiles split both rows and columns; each column tile restarts its powers
+    # each tile restarts its powers; the tile width also picks table or Euler
     moduli = (3, 7, 101, 7919, 1000003, 2**31 - 1)
     f = Polynomial((-(2**65), 3, 0, 1))
-    whole = orbit_symbols(f, 10, moduli, 200, start=17, shift=-5)
+    whole = [orbit_symbols(f, 10, p, 200, shift=-5) for p in moduli]
     monkeypatch.setattr(engine, "_CELL_TILE", tile)
-    assert (orbit_symbols(f, 10, moduli, 200, start=17, shift=-5) == whole).all()
+    for p, row in zip(moduli, whole):
+        assert (orbit_symbols(f, 10, p, 200, shift=-5) == row).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -251,18 +249,19 @@ def test_symbol_cycles_match_scalar():
     ((2**31,), 5),
     ((2**31 + 11,), 10**12),  # an allocation first would fail with MemoryError
     ((10,), 3),
-    ((7, 4), 1),
+    ((4, 2), 1),
     ((1,), 1),
     ((-7,), 1),
     ((7,), 0),
     ((7,), -3),
     ((7,), TABLE_LIMIT + 1),  # the table cap, counted in symbols
-    ((3, 5, 7), TABLE_LIMIT // 2),
+    ((2**31 + 1, 0, -3), TABLE_LIMIT // 2),  # bad moduli at a 50 MB row
 ])
 def test_orbit_symbols_rejects_before_allocating(moduli, count):
     t0 = time.perf_counter()
-    with pytest.raises(ValueError, match="orbit_symbols"):
-        orbit_symbols(SHANKS, 2, moduli, count)
+    for p in moduli:
+        with pytest.raises(ValueError, match="orbit_symbols"):
+            orbit_symbols(SHANKS, 2, p, count)
     assert time.perf_counter() - t0 < 1.0
 
 

@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from quadfields.arith import factorize, is_prime, multiplicative_order
-from quadfields.engine import FactorTable
+from quadfields.engine import shift_orders
 from quadfields.harvest import (
     SievePrime,
     build_prime_set,
@@ -17,11 +17,12 @@ from quadfields.harvest import (
 
 
 def test_primes_in_range():
-    assert FactorTable(30).primes(10).dtype == np.int64
-    assert FactorTable(30).primes(10).tolist() == [11, 13, 17, 19, 23, 29]
-    assert FactorTable(2).primes(2).tolist() == [2]
-    assert FactorTable(28).primes(24).tolist() == []
-    assert FactorTable(9973).primes(9973).tolist() == [9973]
+    # the ell column of the order engine holds the odd primes of [lo, hi]
+    assert shift_orders(2, 10, 30)[0].dtype == np.int64
+    assert shift_orders(2, 10, 30)[0].tolist() == [11, 13, 17, 19, 23, 29]
+    assert shift_orders(2, 2, 3)[0].tolist() == [3]
+    assert shift_orders(2, 24, 28)[0].tolist() == []
+    assert shift_orders(2, 9973, 9973)[0].tolist() == [9973]
 
 
 def test_build_prime_set_window_example():

@@ -1,5 +1,5 @@
-"""The prime tables in arith and the factor table in engine, against sympy
-and against the per-number harvest they replaced.
+"""The prime tables in arith and the order engine's numpy twin in engine,
+against sympy and against the per-number harvest they replaced.
 
 The scalar harvest below factors every ell-1 with arith.factorize and takes
 orders from arith.multiplicative_order, one number at a time; the table
@@ -25,7 +25,6 @@ from quadfields.arith import (
     primes_up_to,
     smallest_factors,
 )
-from quadfields.engine import FactorTable
 from quadfields.harvest import VARIANTS, SievePrime, build_prime_set, density_report, shift_orders
 
 windows = st.integers(-3, 5000).flatmap(
@@ -40,16 +39,17 @@ windows = st.integers(-3, 5000).flatmap(
 @example((5, 4))
 @example((9973, 9973))
 def test_table_primes_match_sympy(window):
+    # the ell column of the order engine: the odd primes of the window
     lo, hi = window
-    assert FactorTable(max(hi, 0)).primes(lo).tolist() == list(sympy.primerange(lo, hi + 1))
+    assert engine.shift_orders(2, lo, hi)[0].tolist() == list(sympy.primerange(max(lo, 3), hi + 1))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 10**5))
+@given(st.integers(2, 10**5))
 def test_table_single_prime_windows(n):
     p = sympy.nextprime(n)
-    assert FactorTable(p).primes(p).tolist() == [p]
-    assert FactorTable(sympy.nextprime(p) - 1).primes(p + 1).tolist() == []
+    assert engine.shift_orders(2, p, p)[0].tolist() == [p]
+    assert engine.shift_orders(2, p + 1, sympy.nextprime(p) - 1)[0].tolist() == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -91,51 +91,63 @@ bases = st.one_of(
 def _scalar_orders(g, ells):
     # P+(ell-1) by factorize and the order by the scalar descent, 0 where ell | g
     return (
-        [factorize(ell - 1)[-1][0] if ell > 2 else 1 for ell in ells],
+        [factorize(ell - 1)[-1][0] for ell in ells],
         [multiplicative_order(g, ell) if g % ell else 0 for ell in ells],
     )
 
 
 @settings(max_examples=80, deadline=None)
 @given(bases, st.integers(2, 3 * 10**5), st.integers(0, 3000), st.integers(1, 40))
-@example(2, 2, 0, 1)  # ell = 2: P+(1) = 1
+@example(2, 2, 1, 1)  # ell = 3: P+(2) = 2
 @example(-7, 257, 0, 1)  # 256 and 65536 are powers of 2
 @example(2**64 + 1, 65537, 0, 1)
 @example(0, 2, 100, 7)  # 0 has no order anywhere
-@example(30, 2, 40, 4)  # ell = 2, 3, 5 divide the base
+@example(30, 2, 40, 4)  # ell = 3, 5 divide the base
 def test_orders_match_scalar_descent_and_sympy(g, lo, width, tile):
-    table = FactorTable(lo + width)
-    ells = table.primes(lo).tolist()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_ORDER_TILE", tile)  # so the windows straddle tile edges
-        p_plus, order = table.orders(g, ells)
-    assert p_plus.dtype == order.dtype == np.int64
+        ells, p_plus, order = engine.shift_orders(g, lo, lo + width)
+    assert ells.dtype == p_plus.dtype == order.dtype == np.int64
+    ells = ells.tolist()
     assert (p_plus.tolist(), order.tolist()) == _scalar_orders(g, ells)
     for ell, pp, t in zip(ells, p_plus.tolist(), order.tolist()):
-        assert pp == (max(sympy.factorint(ell - 1)) if ell > 2 else 1)
+        assert pp == max(sympy.factorint(ell - 1))
         assert t == (sympy.n_order(g % ell, ell) if g % ell else 0)
 
 
+def _orders(g, *ells):
+    # (P+(ell-1), order of g) for the given primes, read off the engine's window
+    window, p_plus, order = (a.tolist() for a in engine.shift_orders(g, min(ells), max(ells)))
+    rows = dict(zip(window, zip(p_plus, order)))
+    return [rows[ell] for ell in ells]
+
+
 def test_orders_edge_cases():
-    table = FactorTable(200000)
-    p_plus, order = table.orders(3, [2, 3, 257, 65537])
-    assert p_plus.tolist() == [1, 2, 2, 2]
-    assert order.tolist() == [1, 0, 256, 65536]  # 3 is a primitive root of the Fermat primes
-    assert table.orders(-3, [2, 7])[1].tolist() == [1, 3]
-    assert table.orders(2**64 + 1, [2, 3, 5])[1].tolist() == [1, 2, 4]
-    assert table.orders(2**64 * 257, [257])[1].tolist() == [0]  # masked, never 1
-    assert [a.tolist() for a in table.orders(5, [])] == [[], []]
-    ells = table.primes(3)
+    # 3 is a primitive root of the Fermat primes
+    assert _orders(3, 3, 257, 65537) == [(2, 0), (2, 256), (2, 65536)]
+    assert _orders(-3, 7) == [(3, 3)]
+    assert _orders(2**64 + 1, 3, 5) == [(2, 2), (2, 4)]
+    assert _orders(2**64 * 257, 257) == [(2, 0)]  # masked, never 1
+    assert [a.tolist() for a in engine.shift_orders(5, 8, 10)] == [[], [], []]
+    ells, _, order = engine.shift_orders(2, 0, 200000)
     assert len(ells) > 2 * engine._ORDER_TILE  # more than two tiles, one partial
-    assert (table.orders(2, ells)[1] == table.orders(2, ells[::-1])[1][::-1]).all()
+    assert order.tolist() == [multiplicative_order(2, ell) for ell in ells.tolist()]
 
 
-@pytest.mark.parametrize("ells", [[2**31 + 11], [2**31 - 1], [101], [91], [1], [0], [-5]])
+@pytest.mark.parametrize("ells", [
+    (3, TABLE_LIMIT + 1), (2**31 - 1, 2**31 + 11), (0, 10**12),  # past the table cap
+    (91, 91), (1, 2), (0, 0), (-5, -1),  # no odd prime in the window
+])
 def test_orders_guard_fails_fast(ells):
-    # past the table, past 2^31, not prime or below 2: rejected before any descent
+    # the engine picks its primes from the window [lo, hi]: past the table cap it
+    # raises before allocating, and a window without an odd prime is empty
+    lo, hi = ells
     t0 = time.perf_counter()
-    with pytest.raises(ValueError, match="must be a prime <= 100"):
-        FactorTable(100).orders(2, [3, 5, *ells])
+    if hi > TABLE_LIMIT:
+        with pytest.raises(ValueError, match="table cap"):
+            engine.shift_orders(2, lo, hi)
+    else:
+        assert [a.tolist() for a in engine.shift_orders(2, lo, hi)] == [[], [], []]
     assert time.perf_counter() - t0 < 0.1
 
 
@@ -144,20 +156,16 @@ def test_orders_guard_fails_fast(ells):
 @example(3, 3, 2000, 0.0)  # every prime the verify check covers
 @example(30, 0, 40, 0.0)  # 3 and 5 divide the base
 def test_shift_orders_match_the_order_engine(g, lo, width, bar):
-    # the harvest's scalar P+ and descent against the vectorized order engine
-    table = FactorTable(lo + width)
-    ells = table.primes(max(lo, 3))
-    p_plus, order = table.orders(g, ells)
-    want = [row for row in zip(ells.tolist(), p_plus.tolist(), order.tolist()) if row[1] >= bar]
-    assert list(shift_orders(g, lo, lo + width, bar)) == want
+    # the harvest's scalar P+ and descent against its numpy twin
+    rows = zip(*(a.tolist() for a in engine.shift_orders(g, lo, lo + width)))
+    assert list(shift_orders(g, lo, lo + width, bar)) == [row for row in rows if row[1] >= bar]
 
 
 def _engine_prime_set(g, z, C, alpha, variant):
-    # the harvest as the order engine ran it: P+ and the order for every prime of [z, Cz]
-    table = FactorTable(math.floor(C * z))
-    ells = table.primes(math.ceil(z))
+    # the harvest as the order engine runs it: P+ and the order for every prime of [z, Cz]
     members = []
-    for ell, pp, order in zip(ells.tolist(), *(a.tolist() for a in table.orders(g, ells))):
+    columns = engine.shift_orders(g, math.ceil(z), math.floor(C * z))
+    for ell, pp, order in zip(*(a.tolist() for a in columns)):
         large = order > ell / math.log(ell)
         if pp >= z**alpha and order >= pp and (variant == "standard" or large):
             members.append(SievePrime(ell, pp, order, large))
@@ -228,7 +236,8 @@ def test_density_report_matches_scalar_harvest(g, z, alpha):
 
 def test_table_limit_rejects_before_allocating():
     before = arith._sieved
-    for build in (primes_up_to, primes_through, smallest_factors, FactorTable):
+    for build in (primes_up_to, primes_through, smallest_factors,
+                  lambda hi: engine.shift_orders(2, 3, hi)):
         with pytest.raises(ValueError, match="table cap"):
             build(TABLE_LIMIT + 1)
     assert arith._sieved is before
