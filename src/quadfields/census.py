@@ -8,6 +8,7 @@ squarefree kernel of u(n).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -160,17 +161,26 @@ def _witness_window(M: int, N: int, who: str) -> range:
     return _window(M, N, who)
 
 
-def _euler_values(spec: SequenceSpec, ns, p: int) -> list[int]:
-    # u(n)^((p-1)/2) mod p, one of 0, 1 and p - 1, for ascending ns.  u(n) mod p depends only
-    # on n mod L, L the order of g mod p (L = 1 when p | g, as n >= 1), so a list longer
-    # than L is read off one period from n0 = ns[0], tiled over the span of ns.
-    L = multiplicative_order(spec.g, p) if spec.g % p else 1
-    if L >= len(ns):
-        return [pow(u_eval_mod(spec, n, p), p // 2, p) for n in ns]
-    n0 = ns[0]
-    span = symbol_row(spec.f, spec.g, p, n0, ns[-1] - n0 + 1, L)  # (u(n)/p) + 1
-    euler = (p - 1, 0, 1)
-    return [euler[span[n - n0]] for n in ns]
+@lru_cache(maxsize=1)
+def _witness_memo(spec: SequenceSpec, M: int, N: int) -> dict:  # p -> (order of g mod p, row)
+    return {}
+
+
+def _witness_row(spec: SequenceSpec, M: int, N: int, p: int, ns) -> bytearray:
+    # p's row over the window: a byte per n, (u(n)/p) + 1 once a call's ascending ns held n, else 3.
+    # More new n than L, the order of g mod p (1 when p | g, as n >= 1), fill it off one period.
+    memo = _witness_memo(spec, M, N)
+    if p in memo:  # the new n; a row still empty skips this scan, and a full row needs none
+        ns = [n for n in ns if memo[p][1][n - M - 1] == 3] if 3 in memo[p][1] else ()
+    else:
+        memo[p] = multiplicative_order(spec.g, p) if spec.g % p else 1, bytearray(b"\3") * N
+    L, row = memo[p]
+    if L < len(ns):
+        row[:] = symbol_row(spec.f, spec.g, p, M + 1, N, L)
+    else:
+        for n in ns:
+            row[n - M - 1] = (pow(u_eval_mod(spec, n, p), p // 2, p) + 1) % p
+    return row
 
 
 def s_matches(spec: SequenceSpec, n: int, s: int) -> bool:
@@ -183,14 +193,15 @@ def window_matches(spec: SequenceSpec, M: int, N: int, s: int) -> list[int]:
     """The n in [M+1, M+N] with u(n) > 0 and s*u(n) a perfect square.
 
     The witness primes thin the window one at a time, each dropping about half
-    of what is left: n goes when (s/p)(u(n)/p) = -1.  Symbols are Euler values
-    of u(n) mod p, read off one period of g mod p once the live n outnumber it.
+    of what is left: n goes when (s/p)(u(n)/p) = -1.  The symbols come from the
+    window's witness rows, computed at most once per (f, g, window) across calls.
     Only survivors get the exact u(n) and square test.
     """
     live = _witness_window(M, N, "window_matches")
     for p in _WITNESS_PRIMES:
-        if clash := -jacobi(s, p) % p:  # the Euler value that rejects n; none when p | s
-            live = [n for n, v in zip(live, _euler_values(spec, live, p)) if v != clash]
+        if j := jacobi(s, p):  # n goes when (u(n)/p) = -(s/p); none when p | s
+            row = _witness_row(spec, M, N, p, live)
+            live = [n for n in live if row[n - M - 1] != 1 - j]
     return [n for n in live if (u := u_eval(spec, n)) > 0 and is_perfect_square(s * u)]
 
 
@@ -273,18 +284,17 @@ def count_Q_total(spec: SequenceSpec, M: int, N: int, S: int) -> CensusResult:
 def distinct_fields(spec: SequenceSpec, M: int, N: int) -> CensusResult:
     """Partition {n in window : u(n) > 0} into field-equality classes.
 
-    Each new n is compared against existing class representatives only;
-    same_field is an equivalence, so that already decides membership, and
-    ascending n keeps the merge order deterministic.  The witness symbols of n,
-    read off one period of g mod each witness prime, give its signature: masks
-    of its +1s and -1s.  Where a +1 meets a -1 the fields differ, so with no
-    zero residue only the classes of the same plus mask, found by a dict, and
-    those whose rep has a zero residue are tried; an n with one tries all.  At
-    most one class passes the exact test, so the order of trials cannot matter.
+    Each new n is compared against class representatives only: field equality
+    is an equivalence, and ascending n keeps the merge order deterministic.
+    The window's witness rows give the signature of n, masks of its +1s and
+    -1s.  Where a +1 meets a -1 the fields differ, so with no zero residue only
+    the classes of the same plus mask, found by a dict, and those whose rep has
+    a zero residue are tried; an n with one tries all.  At most one class
+    passes the exact test, so the order of trials cannot matter.
     """
     _require_census_spec(spec, "distinct_fields")
     ns = _witness_window(M, N, "distinct_fields")
-    rows = [_euler_values(spec, ns, p) for p in _WITNESS_PRIMES]
+    rows = [_witness_row(spec, M, N, p, ns) for p in _WITNESS_PRIMES]
     full = (1 << len(rows)) - 1
     classes: list[tuple[int, list[int], int, int, int]] = []  # (rep, members, u(rep), plus, minus)
     by_plus: dict[int, list[int]] = {}  # plus mask -> classes whose rep has no zero residue
@@ -295,8 +305,8 @@ def distinct_fields(spec: SequenceSpec, M: int, N: int) -> CensusResult:
         if u <= 0:
             skipped.append(n)
             continue
-        pl = sum(1 << i for i, row in enumerate(rows) if row[j] == 1)  # the signature of n
-        mi = sum(1 << i for i, row in enumerate(rows) if row[j] > 1)
+        pl = sum(1 << i for i, row in enumerate(rows) if row[j] == 2)  # the signature of n
+        mi = sum(1 << i for i, row in enumerate(rows) if row[j] == 0)
         whole = pl | mi == full
         for i in by_plus.get(pl, []) + zeroed if whole else range(len(classes)):
             _, members, u_rep, rep_pl, rep_mi = classes[i]

@@ -17,7 +17,7 @@ import math
 from math import gcd
 from typing import NamedTuple
 
-from .arith import ensure, is_prime, is_squarefree, jacobi, multiplicative_order
+from .arith import TABLE_LIMIT, ensure, is_prime, is_squarefree, jacobi, multiplicative_order
 from .sequences import Polynomial, gcd_degree
 
 __all__ = [
@@ -120,7 +120,7 @@ def complete_sum_p(f: Polynomial, lam: int, p: int, a: int) -> CharSumResult:
     )
 
 
-def _pair_cycles(f, A, lam, ell, p, who):
+def _pair_cycles(f, A, lam, ell, p, who, K=math.inf):
     # J[x] = (f(A lam^x) / q) for x = 1..t_q with t_q the order of lam mod q;
     # the sequence mod q has period t_q in x, so two short cycles replace
     # every symbol mod ell*p, and each period is the length of its cycle.
@@ -136,6 +136,8 @@ def _pair_cycles(f, A, lam, ell, p, who):
     t_p = multiplicative_order(lam, p)
     if gcd(t_ell, t_p) != 1:
         raise ValueError(f"{who}: orders of lam mod ell and mod p share a factor")
+    if (length := min(K, t_ell * t_p)) > TABLE_LIMIT:
+        raise ValueError(f"{who}: {length} pair terms exceed the table cap {TABLE_LIMIT}")
     return [
         orbit_symbols(f, lam, q, t, shift=A).astype(np.int64)
         for q, t in ((ell, t_ell), (p, t_p))
@@ -193,7 +195,7 @@ def incomplete_sum(f: Polynomial, A: int, lam: int, ell: int, p: int, K: int) ->
     against K*sqrt(ell*p)/tau + sqrt(ell*p)*log(ell*p) attached.  The terms have
     period tau, so the sum is q*S_tau + S_r with q, r = divmod(K, tau)."""
     _require_monic_separable(f, "incomplete_sum")
-    jl, jp = _pair_cycles(f, A, lam, ell, p, "incomplete_sum")
+    jl, jp = _pair_cycles(f, A, lam, ell, p, "incomplete_sum", K)
     m = ell * p
     if gcd(A, m) != 1:
         raise ValueError("incomplete_sum: A must be coprime to ell*p")

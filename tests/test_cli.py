@@ -399,6 +399,17 @@ def test_charsum_incomplete_checks_its_trivial_bound(capsys, monkeypatch):
     assert rc == 4 and "trivial bound" in err
 
 
+@pytest.mark.parametrize("K", [[], ["--K", str(10**9)]], ids=["complete", "incomplete"])
+def test_charsum_pair_row_past_the_table_cap(K, capsys):
+    # 2 has coprime orders near 3 * 10^6 mod both primes: a pair row of 2.25e12 terms, or
+    # 10^9 with --K, is refused before any symbol is computed
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "charsum", "-f", "2,0,0,1", "--lam", "2", "--ell", "3000017",
+                       "--p", "3000047", *K)
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 3 and out == "" and "table cap" in err
+
+
 @pytest.mark.parametrize("argv, owner, render", [
     (["census", "-f", "1,6,1", "-g", "2", "-N", "5", "--classes"], census.CensusResult, "to_json"),
     (["census", "-f", "1,6,1", "-g", "2", "-N", "5", "-S", "100"], census.CensusResult, "to_json"),

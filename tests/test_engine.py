@@ -61,6 +61,11 @@ def scalar_pair_sums(rows, members):
     return U, V, T, Q, max_cross
 
 
+def scalar_witness_codes(spec, p, ns):
+    """(u(n)/p) + 1 for each n, by Euler's criterion on u(n) mod p."""
+    return [(pow(u_eval_mod(spec, n, p), p // 2, p) + 1) % p for n in ns]
+
+
 def scalar_s_times_u_is_square(spec, n, s, u):
     """The old per-n census witness loop (u > 0 known): a u_eval_mod and a
     jacobi call per witness prime, the big multiply last."""
@@ -358,12 +363,78 @@ def test_witness_period_read_matches_scalar(f, g, M, N):
     ns = range(M + 1, M + N + 1)
     for p in census._WITNESS_PRIMES:
         for part in (ns, ns[1::3]):  # the window, and thinned n as window_matches leaves them
-            want = [pow(u_eval_mod(spec, n, p), p // 2, p) for n in part]
-            assert census._euler_values(spec, part, p) == want
+            census._witness_memo.cache_clear()  # an empty row, filled from part alone
+            row = census._witness_row(spec, M, N, p, part)
+            assert [row[n - M - 1] for n in part] == scalar_witness_codes(spec, p, part)
     for s in (1, 2, 3, 22, 10007, 10009 * 3, u_eval(spec, M + 1), u_eval(spec, M + 2)):
         _check_window(spec, M, N, s)
     got = census.distinct_fields(spec, M, N)
     assert (got.classes, got.skipped) == scalar_distinct_fields(spec, M, N)
+
+
+def _count_symbol_work(monkeypatch):
+    # (p, n) per u_eval_mod and (p, None) per symbol_row, as census calls them
+    calls, real_mod, real_row = [], census.u_eval_mod, census.symbol_row
+
+    def counted_mod(spec, n, m):
+        calls.append((m, n))
+        return real_mod(spec, n, m)
+
+    def counted_row(f, g, p, start, count, period):
+        calls.append((p, None))
+        return real_row(f, g, p, start, count, period)
+
+    monkeypatch.setattr(census, "u_eval_mod", counted_mod)
+    monkeypatch.setattr(census, "symbol_row", counted_row)
+    census._witness_memo.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize("f, g, M, N", [
+    ("1,6,1", 2, 0, 300),  # every order of 2 passes N: symbols one n at a time
+    ("1,6,1", 792, 5, 30),  # orders 8 and 11 mod 10009 and 10099: rows read off a period
+    ("0,1", 10007, 0, 40),  # 10007 | g: L = 1
+])
+def test_witness_symbols_computed_once_per_window(f, g, M, N, monkeypatch):
+    spec = validate(Polynomial.parse(f), g)
+    calls = _count_symbol_work(monkeypatch)
+    for s in (s for s in range(1, 400) if is_squarefree(s)):
+        assert census.count_Q(spec, M, N, s) == scalar_count_Q(spec, M, N, s)
+    census.distinct_fields(spec, M, N)
+    work = [c for c in calls if c[0] in census._WITNESS_PRIMES]
+    assert len(work) == len(set(work)) <= len(census._WITNESS_PRIMES) * N
+    for p in census._WITNESS_PRIMES:  # nothing one n at a time once a period filled the row
+        mine = [n for q, n in work if q == p]
+        assert None not in mine or mine.index(None) == len(mine) - 1
+
+
+def test_single_s_census_stays_lazy(monkeypatch):
+    # census -f 1,6,1 -g 2 -N 10000 -s 17 thins with 5240 symbols one n at a time and two rows
+    # read off a period (orders 1668 and 1673): the memo builds no row ahead of need
+    calls = _count_symbol_work(monkeypatch)
+    assert census.count_Q(validate(SHANKS, 2), 0, 10**4, 17) == 1
+    assert sum(n is not None for _, n in calls) <= 5240
+    assert sum(n is None for _, n in calls) <= 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.lists(st.tuples(census_polynomial, base, st.integers(0, 10**3),
+                                     st.integers(1, 30)), min_size=2, max_size=2))
+def test_witness_rows_match_scalar_across_evictions(data, windows):
+    # two windows take turns, so the one-window memo is dropped and refilled
+    census._witness_memo.cache_clear()
+    windows = [(validate(f, g), M % 100 if g > 12 else M, N) for f, g, M, N in windows]
+    for _ in range(6):
+        spec, M, N = data.draw(st.sampled_from(windows))
+        if data.draw(st.booleans()):
+            _check_window(spec, M, N, _multiplier(data, spec, M, N))
+            continue
+        p = data.draw(st.sampled_from(census._WITNESS_PRIMES))
+        ns = sorted(data.draw(st.sets(st.integers(M + 1, M + N))))
+        row = census._witness_row(spec, M, N, p, ns)
+        ws = range(M + 1, M + N + 1)
+        assert [row[n - M - 1] for n in ns] == scalar_witness_codes(spec, p, ns)
+        assert all(c in (3, w) for c, w in zip(row, scalar_witness_codes(spec, p, ws)))
 
 
 @settings(max_examples=60, deadline=None)
