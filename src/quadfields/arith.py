@@ -8,7 +8,6 @@ identical path.  Everything here is shareable across threads.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
@@ -18,7 +17,6 @@ __all__ = [
     "jacobi",
     "is_prime",
     "primes_up_to",
-    "primes_through",
     "smallest_factors",
     "factorize",
     "multiplicative_order",
@@ -135,23 +133,10 @@ def smallest_factors(hi: int) -> array:
     return spf
 
 
-_sieved: tuple[int, list[int]] = (0, [])  # (limit sieved, primes <= limit)
-
-
-def primes_through(bound: int) -> list[int]:
-    """Primes <= bound, from one cache keyed on the limit sieved, not its largest prime."""
-    global _sieved
-    limit, primes = _sieved
-    if bound > limit:
-        primes = primes_up_to(bound)
-        _sieved = bound, primes
-    return primes[: bisect_right(primes, bound)]
-
-
 @lru_cache(maxsize=1)
 def prime_chunks(bound: int) -> tuple[tuple[int, int], ...]:
     """(smallest prime, product) of each run of 64 primes <= bound, cached for the last bound."""
-    primes = primes_through(bound)
+    primes = primes_up_to(bound)
     return tuple((primes[i], prod(primes[i : i + 64])) for i in range(0, len(primes), 64))
 
 

@@ -145,10 +145,9 @@ def _pair_cycles(f, A, lam, ell, p, who, K=math.inf):
 
 
 def _pair_terms(jl, jp, length):
-    # term n (1-based) is jl[(n-1) % t_ell] * jp[(n-1) % t_p]
+    # term n (1-based) is jl[(n-1) % t_ell] * jp[(n-1) % t_p]: each cycle tiled to length
     from .engine import np
-    idx = np.arange(length, dtype=np.int64)
-    return jl[idx % len(jl)] * jp[idx % len(jp)]
+    return np.resize(jl, length) * np.resize(jp, length)
 
 
 def _fourier_sum(cycle, a: int) -> complex:

@@ -21,7 +21,7 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import TABLE_LIMIT, jacobi
-from .census import window_matches
+from .census import _window, window_matches
 from .harvest import SievePrimeSet
 from .sequences import SequenceSpec, symbol_row, u_eval, u_eval_mod
 
@@ -56,8 +56,7 @@ def detector(spec: SequenceSpec, n: int, s: int, prime_set: SievePrimeSet) -> in
 
 def _symbols(spec, M, N, prime_set):
     # R[i][j] = (u(M+1+j) / ell_i) + 1: a row of bytes per prime, off one period of g mod ell
-    if N < 1:
-        raise ValueError("partition: N must be >= 1")
+    _window(M, N, "sieve")
     if len(prime_set) * N > TABLE_LIMIT:
         raise ValueError(
             f"sieve: {len(prime_set)} x {N} symbols exceed the table cap {TABLE_LIMIT}"

@@ -288,7 +288,8 @@ def test_squarefree_kernel_reconstruction_seeded():
 
 def test_kernel_primes_sieved_once(monkeypatch):
     # B = 10^6 is composite and the largest prime below it is 999983, so a
-    # cache keyed on its largest prime re-sieved on every kernel call
+    # cache keyed on its largest prime re-sieved on every kernel call; the
+    # chunks are cached for the last bound only, so a new B sieves again
     real = arith.primes_up_to
     sieved = []
 
@@ -296,15 +297,12 @@ def test_kernel_primes_sieved_once(monkeypatch):
         sieved.append(limit)
         return real(limit)
 
-    for mod in (arith, census):
-        if getattr(mod, "primes_up_to", None) is real:
-            monkeypatch.setattr(mod, "primes_up_to", counting)
-    monkeypatch.setattr(arith, "_sieved", (0, []), raising=False)
+    monkeypatch.setattr(arith, "primes_up_to", counting)
     arith.prime_chunks.cache_clear()
     n = 17 * sympy.nextprime(10**7) ** 3
     for B in (10**6, 10**6, 5000):
         squarefree_kernel(n, B)
-    assert len(sieved) <= 1, sieved
+    assert sieved == [10**6, 5000]
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -484,6 +485,28 @@ def test_verify_quick(capsys):
                  "product_formula", "completion", "bounds", "weil"):
         assert f"ok {name}" in out
     assert out.strip().endswith("verify: 8 checks passed")
+
+
+@pytest.mark.parametrize("quick, calls", [(False, 10), (True, 6)], ids=["full", "quick"])
+def test_verify_runs_every_product_formula_pair(quick, calls, monkeypatch):
+    # each listed pair has coprime orders of 2, so none is skipped: a = 0 and one random a
+    real, seen = charsums.product_formula_residual, []
+
+    def counted(*args):
+        seen.append(args[2:4])  # (ell, p)
+        return real(*args)
+
+    monkeypatch.setattr(charsums, "product_formula_residual", counted)
+    cli._check_product_formula(random.Random(0), quick)
+    assert len(seen) == calls and all(seen.count(pair) == 2 for pair in seen)
+
+
+@pytest.mark.parametrize("window", [["-M", "-1", "-N", "10"], ["-N", "0"]], ids=["M", "N"])
+def test_sieve_window_rejected_before_the_table(window, capsys):
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "sieve", "-f", "1,6,1", "-g", "2", *window, "--z", "100")
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 3 and out == "" and "sieve:" in err
 
 
 def test_verify_seeded(capsys):

@@ -100,6 +100,19 @@ def test_partition_window(shanks, pset100):
         partition(shanks, 0, 0, pset100)
 
 
+@pytest.mark.parametrize("build", [
+    lambda spec, pset: partition(spec, -1, 10, pset),
+    lambda spec, pset: diagnostics(spec, -1, 10, 17, pset),
+    lambda spec, pset: certificate(spec, -1, 10, 17, pset),
+    lambda spec, pset: run_sieve(spec, -1, 10, 17, pset),
+], ids=["partition", "diagnostics", "certificate", "run_sieve"])
+def test_sieve_rejects_a_negative_window(build, shanks, pset100, monkeypatch):
+    # checked before any symbol: n <= 0 would read f(g^n) mod ell through inverses
+    monkeypatch.setattr(sieve, "symbol_row", None)
+    with pytest.raises(ValueError, match="sieve: M must be >= 0"):
+        build(shanks, pset100)
+
+
 def test_partition_empty_set_puts_everything_light(shanks):
     part = partition(shanks, 0, 10, _tiny_set())
     assert len(part.n_z) == 10 and part.e_z == ()

@@ -15,13 +15,12 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadfields import arith, cli, engine
+from quadfields import cli, engine
 from quadfields.arith import (
     TABLE_LIMIT,
     factorize,
     is_prime,
     multiplicative_order,
-    primes_through,
     primes_up_to,
     smallest_factors,
 )
@@ -63,24 +62,8 @@ def test_smallest_factors_match_sympy(hi):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 3 * 10**5))
-def test_primes_through_matches_sympy(bound):
-    # successive examples both grow the shared cache and slice below it
-    assert primes_through(bound) == list(sympy.primerange(2, bound + 1))
-
-
-def test_primes_through_sieves_once_per_limit(monkeypatch):
-    real = arith.primes_up_to
-    sieved = []
-
-    def counting(limit):
-        sieved.append(limit)
-        return real(limit)
-
-    monkeypatch.setattr(arith, "primes_up_to", counting)
-    monkeypatch.setattr(arith, "_sieved", (0, []))
-    for bound in (10**6, 10**6, 5000, 10**6, 10**6 + 1):
-        primes_through(bound)
-    assert sieved == [10**6, 10**6 + 1]
+def test_primes_up_to_matches_sympy(bound):
+    assert primes_up_to(bound) == list(sympy.primerange(2, bound + 1))
 
 
 bases = st.one_of(
@@ -235,12 +218,9 @@ def test_density_report_matches_scalar_harvest(g, z, alpha):
 
 
 def test_table_limit_rejects_before_allocating():
-    before = arith._sieved
-    for build in (primes_up_to, primes_through, smallest_factors,
-                  lambda hi: engine.shift_orders(2, 3, hi)):
+    for build in (primes_up_to, smallest_factors, lambda hi: engine.shift_orders(2, 3, hi)):
         with pytest.raises(ValueError, match="table cap"):
             build(TABLE_LIMIT + 1)
-    assert arith._sieved is before
 
 
 @pytest.mark.parametrize("argv", [
