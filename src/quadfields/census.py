@@ -36,7 +36,9 @@ __all__ = [
 # per bits(u(n)) * peel / 2048: 1.0-4.5 ns measured on f = X and X^2 + X (g from 2 to
 # 30030, u(n) of 0.2 to 5 million bits), 1.4-1.7 ns on X + 2^k with g = 2 and X + 6^k
 # with g = 6 (k up to 400,000).  A large f(0) coprime to g has peel 1 and the chunk
-# term covers its strip (1.5-1.9 ns per unit).  So this cap is about a minute.
+# term covers its strip (1.5-1.9 ns per unit).  So this cap is about a minute.  The
+# model prices every chunk <= B, the worst case (B-smooth parts that are squares, so no
+# kernel is decided against S before the last chunk); most windows stop far earlier.
 KERNEL_WORK_CAP = 15 * 10**9
 
 # Fixed witnesses for the residue prefilters: (a/p)(b/p) = -1 at any of them
@@ -51,8 +53,9 @@ class KernelResult(NamedTuple):
     """Squarefree kernel of n as far as trial division to B can see.
 
     complete: kernel is exact.  Otherwise kernel is a certified lower bound
-    on the true kernel (the unfactored cofactor is a non-square whose prime
-    factors all exceed B, so the true kernel exceeds B as well).
+    on the true kernel: the unfactored cofactor is a non-square whose prime
+    factors are all at least the bound's last factor (B + 1, or a chunk's
+    first prime when the division stopped early against S).
     """
 
     kernel: int
@@ -71,7 +74,7 @@ def _strip_powers(m: int, h: int) -> tuple[int, int]:
     return m, t
 
 
-def squarefree_kernel(n: int, B: int) -> KernelResult:
+def squarefree_kernel(n: int, B: int, S: int | None = None) -> KernelResult:
     """Strip primes <= B to even multiplicity and classify what remains.
 
     Primes are consumed in chunks: g = gcd(m mod P, P) against the chunk
@@ -79,6 +82,12 @@ def squarefree_kernel(n: int, B: int) -> KernelResult:
     divides out the largest power g^t (O(log t) big divisions by repeated
     squares); the primes of g that no longer divide m had exponent exactly the
     depth reached, and join the kernel when that depth is odd.
+
+    With S, division stops before the first chunk whose smallest prime p has
+    small_kernel * p > S: every prime left in m is >= p, so the kernel is
+    small_kernel when m is a square (complete) and otherwise at least
+    small_kernel * p > S (returned incomplete).  Either way it is decided
+    against S; without S the kernel is as exact as B allows.
     """
     if n <= 0:
         raise ValueError("squarefree_kernel: n must be positive")
@@ -89,6 +98,9 @@ def squarefree_kernel(n: int, B: int) -> KernelResult:
     for p, prod in prime_chunks(B):
         if p * p > m:
             break  # no factor below p <= B, so m is 1 or a prime below B^2
+        if S is not None and small_kernel * p > S:  # each prime left in m is >= p
+            square = is_perfect_square(m)
+            return KernelResult(kernel=small_kernel * (1 if square else p), complete=square)
         g, depth = gcd(m % prod, prod), 0
         while g > 1:
             m, t = _strip_powers(m, g)
@@ -246,10 +258,12 @@ def count_Q_total(spec: SequenceSpec, M: int, N: int, S: int) -> CensusResult:
     extraction instead of a loop over s.
 
     Trial division runs to B = min(S, 2^ceil(top/2)), where every u(n) in the
-    window is below 2^top.  For B = S each kernel comes out exact (counted iff
-    <= S) or certified to exceed S; for B < S, B^2 > u(n) leaves no kernel
-    incomplete.  A window whose kernel work, bounded before any u(n) is
-    built, passes KERNEL_WORK_CAP raises ValueError.
+    window is below 2^top, and each kernel stops as soon as it is decided
+    against S.  So a kernel comes out exact (counted iff <= S) or certified to
+    exceed S: by the early stop, by a cofactor of primes above B = S, and for
+    B < S, B^2 > u(n) leaves no cofactor undecided.  A window whose kernel
+    work, bounded before any u(n) is built, passes KERNEL_WORK_CAP raises
+    ValueError.
     """
     _require_census_spec(spec, "count_Q_total")
     if S < 1:
@@ -273,8 +287,8 @@ def count_Q_total(spec: SequenceSpec, M: int, N: int, S: int) -> CensusResult:
         if u <= 0:
             skipped.append(n)
             continue
-        k = squarefree_kernel(u, B)
-        ensure(k.complete or B >= S, f"count_Q_total: kernel of u({n}) left open at B = {B} < S")
+        k = squarefree_kernel(u, B, S)
+        ensure(k.complete or k.kernel > S, f"count_Q_total: kernel of u({n}) undecided against S")
         if k.complete and k.kernel <= S:
             per_s[k.kernel] = per_s.get(k.kernel, 0) + 1
     return CensusResult(M=M, N=N, S=S, per_s=per_s, total=sum(per_s.values()),

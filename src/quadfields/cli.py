@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import bounds, census, charsums, harvest, sieve
 from .arith import InvariantError, ensure, factorize, is_squarefree, jacobi, multiplicative_order
+from .arith import prime_chunks
 from .sequences import Polynomial, SequenceSpec, symbol_row, u_eval, u_eval_mod, validate
 
 __all__ = ["main"]
@@ -309,6 +310,16 @@ def _check_census(rng: random.Random, quick: bool) -> None:
     total = census.count_Q_total(spec, 0, N, S)
     brute = sum(census.count_Q(spec, 0, N, s) for s in range(1, S + 1) if is_squarefree(s))
     ensure(total.total == brute, (total.total, brute))
+    # kernels stopped early against S, by factorize: u(n) < 2^64, and n = 30 p 10007^2 at a
+    # chunk's first prime p, which a stop one prime early (S = 30 p) or one that skips the
+    # square test on the cofactor 10007^2 misdecides
+    p = prime_chunks(10**4)[1][0]
+    cases = [(u_eval(spec, n), S) for n in range(1, 32)]
+    cases += [(30 * p * 10007**2, 30 * p - d) for d in (0, 1)]
+    for u, s in cases:
+        k = census.squarefree_kernel(u, 10**4, s)
+        true = math.prod(q for q, e in factorize(u) if e % 2)
+        ensure(k.kernel == true if k.complete else s < k.kernel <= true, (u, s, k))
 
 
 def _check_product_formula(rng: random.Random, quick: bool) -> None:

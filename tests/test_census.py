@@ -5,7 +5,7 @@ import time
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadfields import arith, census, cli
@@ -142,8 +142,8 @@ def test_count_Q_total_kernels_complete_below_S(f, g, M, N, monkeypatch):
     # when the derived bound B falls below S, every kernel must come out exact
     calls, real = [], census.squarefree_kernel
 
-    def spy(u, B):
-        k = real(u, B)
+    def spy(u, B, S=None):
+        k = real(u, B, S)
         calls.append((B, k.complete))
         return k
 
@@ -324,6 +324,41 @@ def test_squarefree_kernel_matches_sympy(small, big, powers, B):
         assert k.kernel == math.prod(p for p, e in fac.items() if e % 2)
     else:
         assert k.kernel == smooth_kernel * (B + 1)
+
+
+CHUNK_P = arith.prime_chunks(1000)[1][0]  # the first prime of the second chunk, 313
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([2, 3, 5, 7, 13, CHUNK_P, 727]), st.integers(1, 3)),
+                max_size=4),
+       st.integers(1, 10**6).map(sympy.nextprime), st.integers(1, 10**6), st.integers(1, 10**5))
+# small = 30 before the chunk of p: S = small * p must come back complete, S - 1 incomplete
+@example([(2, 1), (3, 1), (5, 1)], CHUNK_P, 10007, 30 * CHUNK_P)
+@example([(2, 1), (3, 1), (5, 1)], CHUNK_P, 10007, 30 * CHUNK_P - 1)
+def test_squarefree_kernel_decided_against_S(powers, q, k, S):
+    # n = s * q * k^2 with B as count_Q_total takes it: B >= S, or B^2 > n
+    n = math.prod(p**e for p, e in powers) * q * k * k
+    B = max(2, min(S, math.isqrt(n) + 1))
+    true = math.prod(p for p, e in sympy.factorint(n).items() if e % 2)
+    exact, early = squarefree_kernel(n, B), squarefree_kernel(n, B, S)
+    assert (exact.complete and exact.kernel <= S) == (early.complete and early.kernel <= S)
+    assert (early.complete and early.kernel <= S) == (true <= S)
+    if true <= S:
+        assert early == (true, True)
+    else:
+        assert S < early.kernel <= true and (early.kernel == true or not early.complete)
+    if n == 30 * CHUNK_P * 10007**2:  # the examples: complete from S = small * p on
+        assert early.complete == (S >= 30 * CHUNK_P)
+
+
+def test_kernel_work_pinned_by_the_early_stop(monkeypatch):
+    # census -f 2,0,0,1 -g 2 -M 1000 -N 20 -S 100000: 3056 chunk gcds when every
+    # kernel ran through all chunks <= B, 349 when each stops once decided against S
+    calls, real = [], math.gcd
+    monkeypatch.setattr(census, "gcd", lambda *a: calls.append(a) or real(*a))
+    res = count_Q_total(validate(Polynomial.parse("2,0,0,1"), 2), 1000, 20, 10**5)
+    assert res.total == 0 and len(calls) <= 400
 
 
 def test_squarefree_kernel_high_multiplicity_is_fast():

@@ -201,6 +201,23 @@ def test_invariants_survive_python_O(optimize, mode, code):
         assert "invariant failure" in proc.stderr and "ok census" not in proc.stdout
 
 
+# verify --quick with each kernel stopped one prime early: decided against S - 1, not S
+EARLY_STOP_VERIFY = """
+import sys
+from quadfields import census, cli
+real = census.squarefree_kernel
+census.squarefree_kernel = lambda n, B, S=None: real(n, B, None if S is None else S - 1)
+sys.exit(cli.main(["verify", "--quick"]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "O"])
+def test_verify_compares_early_kernel_stops_with_factorize(optimize):
+    proc = _python("-c", EARLY_STOP_VERIFY, optimize=optimize)
+    assert proc.returncode == 4, proc.stderr
+    assert "invariant failure" in proc.stderr and "ok census" not in proc.stdout
+
+
 # verify --quick with the sieve table left untwisted by (s/ell)
 UNTWISTED_VERIFY = """
 import sys
