@@ -124,12 +124,16 @@ def primes_up_to(limit: int) -> list[int]:
 
 def smallest_factors(hi: int) -> array:
     """Smallest prime factor of every composite n <= hi, 0 where n is prime (and
-    at 0 and 1), as one array('i'): the table harvest and the order engine read."""
+    at 0 and 1), as one array('H') (no factor passes isqrt(TABLE_LIMIT) < 2^16):
+    the table harvest and the order engine read.  Even n start at 2 from a
+    repeated [2, 0]; each odd prime p <= sqrt(hi) writes only its odd multiples."""
     if hi > TABLE_LIMIT:
         raise ValueError(f"smallest_factors: limit {hi} exceeds the table cap {TABLE_LIMIT}")
-    spf = array("i", [0]) * (hi + 1)
-    for p in reversed(primes_up_to(isqrt(hi))):  # smaller primes overwrite
-        spf[p * p :: p] = array("i", [p]) * len(range(p * p, hi + 1, p))
+    spf = array("H", [2, 0]) * (hi // 2 + 2)  # even n hold 2; the cells past hi are cut below
+    spf[0:3:2] = array("H", [0, 0])  # 0 and the prime 2
+    for p in reversed(primes_up_to(isqrt(hi))[1:]):  # smaller primes overwrite; <= hi/6 cells
+        spf[p * p : hi + 1 : 2 * p] = array("H", [p]) * len(range(p * p, hi + 1, 2 * p))
+    del spf[hi + 1 :]
     return spf
 
 

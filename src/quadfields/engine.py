@@ -30,16 +30,17 @@ def shift_orders(g: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.n
     as three int64 arrays with the rows of `harvest.shift_orders(g, lo, hi)`;
     the order is 0 where ell divides g.
 
-    Cohen's order algorithm (A Course in Computational Algebraic Number
-    Theory, Alg. 1.4.3) across the array, _ORDER_TILE primes at a time: one
-    round per distinct prime q of ell-1, read off arith's smallest-prime-factor
-    table.  Strip q^e from ell-1 and from t (t starts at ell-1), then raise
-    y = g^t to the q until it reaches 1, multiplying t by q each time.
-    Products stay exact in int64 because ell <= hi <= TABLE_LIMIT < 2^31.
+    The primes are the zero cells at odd n of arith's smallest-prime-factor
+    table, viewed as uint16 (2 bytes per n up to hi).  Cohen's order algorithm
+    (A Course in Computational Algebraic Number Theory, Alg. 1.4.3) runs across
+    them _ORDER_TILE primes at a time: one round per distinct prime q of
+    ell-1, read off the same table.  Strip q^e from ell-1 and from t (t starts
+    at ell-1), then raise y = g^t to the q until it reaches 1, multiplying t by
+    q each time.  Products stay exact in int64: ell <= hi <= TABLE_LIMIT < 2^31.
     """
-    spf = np.frombuffer(smallest_factors(max(hi, 0)), dtype=np.intc)
-    lo = max(lo, 3)
-    ells = np.flatnonzero(spf[lo:] == 0) + lo  # 0 marks a prime
+    spf = np.frombuffer(smallest_factors(max(hi, 0)), dtype=np.uint16)
+    lo = max(lo, 3) | 1
+    ells = np.flatnonzero(spf[lo::2] == 0) * 2 + lo  # 0 marks a prime; odd n only
     p_plus, order = np.ones_like(ells), np.zeros_like(ells)
     for i in range(0, len(ells), _ORDER_TILE):
         ell = ells[i : i + _ORDER_TILE]

@@ -139,7 +139,8 @@ def test_u_bits_bounds_every_u(coeffs, g, M, N):
     ("-5,1", 2, 0, 8),  # skips n = 1, 2
 ])
 def test_count_Q_total_kernels_complete_below_S(f, g, M, N, monkeypatch):
-    # when the derived bound B falls below S, every kernel must come out exact
+    # when the derived bound B falls below S, every kernel must be decided against S;
+    # in these five windows each one also comes out exact
     calls, real = [], census.squarefree_kernel
 
     def spy(u, B, S=None):
@@ -152,6 +153,24 @@ def test_count_Q_total_kernels_complete_below_S(f, g, M, N, monkeypatch):
     res = count_Q_total(validate(Polynomial.parse(f), g), M, N, S)
     assert calls and all(B < S and complete for B, complete in calls)
     assert len(calls) == N - len(res.skipped)
+
+
+def test_count_Q_total_kernel_above_S_below_B(monkeypatch):
+    # u = 510510 * 313 * 317 is squarefree and above S, and B = 2^19 < S: after the first
+    # chunk (primes to 311) the kernel 510510 times the next prime 313 passes S, so it
+    # stops there, certified above S but not exact
+    calls, real = [], census.squarefree_kernel
+
+    def spy(u, B, S=None):
+        k = real(u, B, S)
+        calls.append((B, k))
+        return k
+
+    monkeypatch.setattr(census, "squarefree_kernel", spy)
+    S = 10**6
+    res = count_Q_total(validate(Polynomial.parse("0,1"), 510510 * 313 * 317), 0, 1, S)
+    assert calls == [(524288, census.KernelResult(159789630, complete=False))]
+    assert calls[0][1].kernel > S and res.total == 0
 
 
 def test_window_bits_example(shanks):

@@ -8,6 +8,7 @@ versions must agree with it member for member.
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,9 +56,48 @@ def test_table_single_prime_windows(n):
 @given(st.integers(0, 3000))
 def test_smallest_factors_match_sympy(hi):
     spf = smallest_factors(hi)
-    assert len(spf) == hi + 1 and spf.itemsize == 4
+    assert len(spf) == hi + 1 and spf.itemsize == 2
     for n in range(2, hi + 1):
         assert spf[n] == (0 if sympy.isprime(n) else min(sympy.factorint(n)))
+
+
+@pytest.mark.parametrize("hi, table", [
+    (0, [0]), (1, [0, 0]), (2, [0, 0, 0]), (3, [0, 0, 0, 0]), (4, [0, 0, 0, 0, 2]),
+    (9, [0, 0, 0, 0, 2, 0, 2, 0, 2, 3]),
+    (25, [0, 0, 0, 0, 2, 0, 2, 0, 2, 3, 2, 0, 2, 0, 2, 3, 2, 0, 2, 0, 2, 3, 2, 0, 2, 5]),
+])
+def test_smallest_factors_small_tables(hi, table):
+    # the [2, 0] pattern cut at hi, with 0 and 2 cleared and odd squares written
+    assert smallest_factors(hi).tolist() == table
+
+
+def test_smallest_factors_fit_16_bits():
+    # every factor in a table is at most the square root of its cap
+    assert math.isqrt(TABLE_LIMIT) < 2**16
+
+
+@pytest.mark.parametrize("hi", [2, 3, 4, 1013, 2000])
+@pytest.mark.parametrize("lo", [0, 1, 2, 3, 4, 1000])
+@pytest.mark.parametrize("g", [2, 3, 12])
+def test_order_engine_window_ends(g, lo, hi):
+    # even and odd ends for the engine's odd-only prime scan; 1013 is prime
+    rows = zip(*(a.tolist() for a in engine.shift_orders(g, lo, hi)))
+    assert list(rows) == list(shift_orders(g, lo, hi))
+
+
+@pytest.mark.parametrize("build, mib", [
+    (lambda: smallest_factors(10**6), 2.5),  # 16-bit cells and a temporary of hi/6 cells
+    (lambda: density_report(2, 1e6, 0.677), 4.5),  # the table, three columns, one tile of bars
+], ids=["smallest_factors", "density_report"])
+def test_table_traced_peak(build, mib):
+    # allocations counted by tracemalloc, not RSS, so heap layout cannot move them
+    build()  # numpy and first-call state are loaded before tracing
+    tracemalloc.start()
+    try:
+        build()
+        assert tracemalloc.get_traced_memory()[1] <= mib * 2**20
+    finally:
+        tracemalloc.stop()
 
 
 @settings(max_examples=60, deadline=None)
