@@ -1,4 +1,4 @@
-"""Exact integer kernel: square tests, Jacobi symbols, factoring, orders, prime tables.
+"""Exact integer kernel: square tests, Jacobi symbols, factoring, orders, prime tables, table cap.
 
 Factorization is deterministic end to end (fixed Miller-Rabin bases, fixed
 Pollard rho parameter schedule), so identical inputs always factor along the
@@ -18,13 +18,14 @@ __all__ = [
     "is_prime",
     "primes_up_to",
     "smallest_factors",
+    "check_table",
     "factorize",
     "multiplicative_order",
     "is_squarefree",
 ]
 
 U64_MAX = 2**64 - 1
-TABLE_LIMIT = 10**8  # largest table limit; checked before anything is allocated
+TABLE_LIMIT = 10**8  # largest table; check_table compares with it before anything is allocated
 
 
 class InvariantError(Exception):
@@ -105,10 +106,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_table(who: str, cells: int, what: str) -> None:
+    """Refuse, before it is built, any table of more than TABLE_LIMIT cells (what they are)."""
+    if cells > TABLE_LIMIT:
+        raise ValueError(f"{who}: {what} exceed the table cap {TABLE_LIMIT}")
+
+
 def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit by an odd-only Eratosthenes sieve."""
-    if limit > TABLE_LIMIT:
-        raise ValueError(f"primes_up_to: limit {limit} exceeds the table cap {TABLE_LIMIT}")
+    check_table("primes_up_to", limit, f"the numbers to {limit}")
     if limit < 2:
         return []
     half = (limit - 1) // 2  # flags[i] stands for 2i+1
@@ -127,8 +133,7 @@ def smallest_factors(hi: int) -> array:
     at 0 and 1), as one array('H') (no factor passes isqrt(TABLE_LIMIT) < 2^16):
     the table harvest and the order engine read.  Even n start at 2 from a
     repeated [2, 0]; each odd prime p <= sqrt(hi) writes only its odd multiples."""
-    if hi > TABLE_LIMIT:
-        raise ValueError(f"smallest_factors: limit {hi} exceeds the table cap {TABLE_LIMIT}")
+    check_table("smallest_factors", hi, f"the numbers to {hi}")
     spf = array("H", [2, 0]) * (hi // 2 + 2)  # even n hold 2; the cells past hi are cut below
     spf[0:3:2] = array("H", [0, 0])  # 0 and the prime 2
     for p in reversed(primes_up_to(isqrt(hi))[1:]):  # smaller primes overwrite; <= hi/6 cells

@@ -120,12 +120,16 @@ class ExponentTable(NamedTuple):
     switch1: float  # 2(1-alpha)/(1+3 alpha)
     switch2: float  # 4(1-alpha)/(1+3 alpha)
     switch3: float  # 2 alpha/3
-    theta: float  # (1-alpha)^2 (1+3 alpha) / ((1+alpha^2)(3 alpha - 1))
+    theta: float  # _theta(alpha)
 
 
 def _require_alpha(alpha: float, who: str) -> None:
     if not 0.5 < alpha < 1:
         raise ValueError(f"{who}: alpha must lie in (1/2, 1)")
+
+
+def _theta(a: float) -> float:  # the interpolation exponent
+    return (1 - a) ** 2 * (1 + 3 * a) / ((1 + a**2) * (3 * a - 1))
 
 
 def exponent_table(alpha: float) -> ExponentTable:
@@ -145,7 +149,7 @@ def exponent_table(alpha: float) -> ExponentTable:
         switch1=2 * (1 - alpha) / (1 + 3 * alpha),
         switch2=4 * (1 - alpha) / (1 + 3 * alpha),
         switch3=2 * alpha / 3,
-        theta=(1 - alpha) ** 2 * (1 + 3 * alpha) / ((1 + alpha**2) * (3 * alpha - 1)),
+        theta=_theta(alpha),
     )
     ensure(0 < table.theta < 1, f"exponent_table: theta {table.theta} outside (0, 1)")
     ensure(table.switch1 < table.switch2, "exponent_table: switch1 >= switch2")
@@ -203,21 +207,18 @@ def interpolation_check(alpha: float) -> InterpolationCheck:
     """
     _require_alpha(alpha, "interpolation_check")
 
-    def theta_of(a: float) -> float:
-        return (1 - a) ** 2 * (1 + 3 * a) / ((1 + a**2) * (3 * a - 1))
-
     def lhs(a: float) -> float:
         return (-3 + 5 * a + 3 * a**2 + 3 * a**3) / ((6 * a - 2) * (1 + a**2))
 
     def rhs(a: float) -> float:
         return (7 * a - 3) / (6 * a - 2)
 
-    theta = theta_of(alpha)
+    theta = _theta(alpha)
     ensure(0 < theta < 1, f"interpolation_check: theta {theta} outside (0, 1)")
     err = abs((1 - theta / 2) - lhs(alpha))
     grid = [0.501 + i * 0.002 for i in range(250)]  # 0.501 .. 0.999
     grid_ok = all(
-        0 < theta_of(a) < 1 and lhs(a) >= rhs(a) - 1e-12 for a in grid
+        0 < _theta(a) < 1 and lhs(a) >= rhs(a) - 1e-12 for a in grid
     )
     return InterpolationCheck(
         theta=theta,

@@ -9,10 +9,10 @@ squarefree kernel of u(n).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, log
 from typing import NamedTuple
 
-from .arith import TABLE_LIMIT, U64_MAX, ensure, is_perfect_square, is_squarefree, jacobi
+from .arith import U64_MAX, check_table, ensure, is_perfect_square, is_squarefree, jacobi
 from .arith import multiplicative_order, prime_chunks
 from .sequences import SequenceSpec, symbol_row, u_eval, u_eval_mod
 
@@ -166,10 +166,7 @@ def _window(M: int, N: int, who: str) -> range:
 
 def _witness_window(M: int, N: int, who: str) -> range:
     # the window, unless its witness symbols pass the table cap: checked before any u(n)
-    if len(_WITNESS_PRIMES) * N > TABLE_LIMIT:
-        raise ValueError(
-            f"{who}: {len(_WITNESS_PRIMES)} x {N} symbols exceed the table cap {TABLE_LIMIT}"
-        )
+    check_table(who, len(_WITNESS_PRIMES) * N, f"{len(_WITNESS_PRIMES)} x {N} symbols")
     return _window(M, N, who)
 
 
@@ -239,10 +236,8 @@ class CensusResult(NamedTuple):
     classes: tuple[tuple[int, tuple[int, ...]], ...]  # (representative, members)
     skipped: tuple[int, ...]  # n with u(n) <= 0
 
-    def to_json(self) -> str:
-        import json  # not at the top: only the artifact writers need it
-
-        doc = {
+    def to_doc(self) -> dict:  # the artifact; the CLI encodes it as sorted JSON
+        return {
             "M": self.M,
             "N": self.N,
             "S": self.S,
@@ -250,7 +245,6 @@ class CensusResult(NamedTuple):
             "classes": [[rep, len(members)] for rep, members in self.classes],
             "skipped": list(self.skipped),
         }
-        return json.dumps(doc, sort_keys=True)
 
 
 def count_Q_total(spec: SequenceSpec, M: int, N: int, S: int) -> CensusResult:
@@ -262,8 +256,8 @@ def count_Q_total(spec: SequenceSpec, M: int, N: int, S: int) -> CensusResult:
     against S.  So a kernel comes out exact (counted iff <= S) or certified to
     exceed S: by the early stop, by a cofactor of primes above B = S, and for
     B < S, B^2 > u(n) leaves no cofactor undecided.  A window whose kernel
-    work, bounded before any u(n) is built, passes KERNEL_WORK_CAP raises
-    ValueError.
+    work, priced before any u(n) is built (and before the sieve to B, from a
+    lower bound on its chunks), passes KERNEL_WORK_CAP raises ValueError.
     """
     _require_census_spec(spec, "count_Q_total")
     if S < 1:
@@ -271,14 +265,18 @@ def count_Q_total(spec: SequenceSpec, M: int, N: int, S: int) -> CensusResult:
     ns = _window(M, N, "count_Q_total")
     top = _u_bits(spec, M + N)  # every u(n) in the window is below 2^top
     B = max(2, min(S, 1 << (top + 1) // 2))
-    chunks = len(prime_chunks(B))  # first, so an oversized B fails on the table cap
+    check_table("count_Q_total", B, f"the numbers to B = {B}")  # an oversized B fails here first
     c = abs(spec.f.constant)
     peel = _smooth_part(c, spec.g).bit_length() if c else top
-    work = (_window_bits(spec, M, N) + 2048 * N) * chunks + N * top * peel // 2048
-    if work > KERNEL_WORK_CAP:
+    per_chunk, rest = _window_bits(spec, M, N) + 2048 * N, N * top * peel // 2048
+    # pi(B) > B / ln B for B >= 17 (Rosser-Schoenfeld), 1 chunk below: sieve only if that passes
+    chunks, least = -(-int(B / log(B)) // 64), "at least "
+    if per_chunk * chunks + rest <= KERNEL_WORK_CAP:
+        chunks, least = len(prime_chunks(B)), ""
+    if (work := per_chunk * chunks + rest) > KERNEL_WORK_CAP:
         raise ValueError(
-            f"count_Q_total: kernel extraction needs about {work:.3g} steps (bits of u(n) "
-            f"and {chunks} prime chunks <= {B}), past the cap {KERNEL_WORK_CAP:.3g}"
+            f"count_Q_total: kernel extraction needs {least or 'about '}{work:.3g} steps (bits of "
+            f"u(n) and {least}{chunks} prime chunks <= {B}), past the cap {KERNEL_WORK_CAP:.3g}"
         )
     per_s: dict[int, int] = {}
     skipped = []

@@ -17,7 +17,7 @@ import math
 from math import gcd
 from typing import NamedTuple
 
-from .arith import TABLE_LIMIT, ensure, is_prime, is_squarefree, jacobi, multiplicative_order
+from .arith import check_table, ensure, is_prime, is_squarefree, jacobi, multiplicative_order
 from .sequences import Polynomial, gcd_degree
 
 __all__ = [
@@ -136,8 +136,7 @@ def _pair_cycles(f, A, lam, ell, p, who, K=math.inf):
     t_p = multiplicative_order(lam, p)
     if gcd(t_ell, t_p) != 1:
         raise ValueError(f"{who}: orders of lam mod ell and mod p share a factor")
-    if (length := min(K, t_ell * t_p)) > TABLE_LIMIT:
-        raise ValueError(f"{who}: {length} pair terms exceed the table cap {TABLE_LIMIT}")
+    check_table(who, length := min(K, t_ell * t_p), f"{length} pair terms")
     return [
         orbit_symbols(f, lam, q, t, shift=A).astype(np.int64)
         for q, t in ((ell, t_ell), (p, t_p))
@@ -194,14 +193,14 @@ def incomplete_sum(f: Polynomial, A: int, lam: int, ell: int, p: int, K: int) ->
     against K*sqrt(ell*p)/tau + sqrt(ell*p)*log(ell*p) attached.  The terms have
     period tau, so the sum is q*S_tau + S_r with q, r = divmod(K, tau)."""
     _require_monic_separable(f, "incomplete_sum")
-    jl, jp = _pair_cycles(f, A, lam, ell, p, "incomplete_sum", K)
-    m = ell * p
+    m = ell * p  # these checks come before the cycles, which cost a term per unit of order
     if gcd(A, m) != 1:
         raise ValueError("incomplete_sum: A must be coprime to ell*p")
-    if (lam * f.constant) % ell == 0 or (lam * f.constant) % p == 0:
+    if gcd(lam * f.constant, m) != 1:
         raise ValueError("incomplete_sum: ell*p must be coprime to lam*f(0)")
     if K < 0:
         raise ValueError("incomplete_sum: K must be >= 0")
+    jl, jp = _pair_cycles(f, A, lam, ell, p, "incomplete_sum", K)
     period = len(jl) * len(jp)
     q, r = divmod(K, period)
     terms = _pair_terms(jl, jp, min(K, period))

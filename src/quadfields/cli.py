@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 flag parsing, 3 precondition violations
 (ValueError from any module), 4 invariant failures (InvariantError, which
 python -O does not strip, or a stray AssertionError).
-Outputs are deterministic for fixed flags; artifacts are
-written only when -o is given, stdout carries the human summary.
+Outputs are deterministic for fixed flags; artifacts are written only when
+-o is given (dicts as sorted JSON, encoded here alone), stdout carries the human summary.
 """
 
 from __future__ import annotations
@@ -115,7 +115,6 @@ def _emit(args: argparse.Namespace, render) -> None:
         doc = render()
         if isinstance(doc, dict):
             import json  # not at the top: only the artifact writers need it
-
             doc = json.dumps(doc, sort_keys=True)
         Path(args.out).write_text(doc)
 
@@ -129,7 +128,7 @@ def _run_census(args: argparse.Namespace) -> int:
         print(f"classes {len(result.classes)}")
         for rep, members in result.classes:
             print(f"  n={rep}: {' '.join(map(str, members))}")
-        _emit(args, result.to_json)
+        _emit(args, result.to_doc)
         return 0
     if args.s is not None:
         count = census.count_Q(spec, args.M, args.N, args.s)
@@ -138,7 +137,7 @@ def _run_census(args: argparse.Namespace) -> int:
         return 0
     result = census.count_Q_total(spec, args.M, args.N, args.S)
     print(result.total)
-    _emit(args, result.to_json)
+    _emit(args, result.to_doc)
     return 0
 
 
@@ -160,7 +159,7 @@ def _run_sieve(args: argparse.Namespace) -> int:
         print(f"ratios U {d.U_ratio:.6g} V {d.V_ratio:.6g} "
               f"T {d.T_ratio:.6g} Q {d.Q_ratio:.6g}")
         print(f"gcd max {d.max_cross_gcd} cap {d.gcd_cap:.6g} holds {d.gcd_bound_holds}")
-    _emit(args, run.to_json)
+    _emit(args, run.to_doc)
     return 0
 
 

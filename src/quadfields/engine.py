@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arith import TABLE_LIMIT, smallest_factors
+from .arith import check_table, smallest_factors
 from .sequences import Polynomial
 
 __all__ = ["shift_orders", "orbit_symbols"]
@@ -97,8 +97,7 @@ def orbit_symbols(f: Polynomial, base: int, p: int, count: int, shift: int = 1) 
         raise ValueError(f"orbit_symbols: modulus {p} must be odd and in [3, 2^31)")
     if count < 1:
         raise ValueError("orbit_symbols: count must be >= 1")
-    if count > TABLE_LIMIT:
-        raise ValueError(f"orbit_symbols: 1 x {count} symbols exceed the table cap {TABLE_LIMIT}")
+    check_table("orbit_symbols", count, f"1 x {count} symbols")
     width = min(count, _CELL_TILE)
     table = None
     if p <= 16 * width:

@@ -20,7 +20,7 @@ from math import gcd
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import TABLE_LIMIT, jacobi
+from .arith import check_table, jacobi
 from .census import _window, window_matches
 from .harvest import SievePrimeSet
 from .sequences import SequenceSpec, symbol_row, u_eval, u_eval_mod
@@ -57,10 +57,7 @@ def detector(spec: SequenceSpec, n: int, s: int, prime_set: SievePrimeSet) -> in
 def _symbols(spec, M, N, prime_set):
     # R[i][j] = (u(M+1+j) / ell_i) + 1: a row of bytes per prime, off one period of g mod ell
     _window(M, N, "sieve")
-    if len(prime_set) * N > TABLE_LIMIT:
-        raise ValueError(
-            f"sieve: {len(prime_set)} x {N} symbols exceed the table cap {TABLE_LIMIT}"
-        )
+    check_table("sieve", len(prime_set) * N, f"{len(prime_set)} x {N} symbols")
     return [
         symbol_row(spec.f, spec.g, sp.ell, M + 1, N, sp.order_g if prime_set.g == spec.g else N)
         for sp in prime_set.members
@@ -223,10 +220,8 @@ class SieveRun(NamedTuple):
         """`diagnostics` for this window, read from the run's symbol table."""
         return _pair_sums(self.symbols, self.N, self.prime_set)
 
-    def to_json(self) -> str:
-        import json  # not at the top: only the artifact writers need it
-
-        doc = {
+    def to_doc(self) -> dict:  # the artifact; the CLI encodes it as sorted JSON
+        return {
             "f": self.spec.f.format(),
             "g": self.spec.g,
             "window": [self.M, self.N],
@@ -255,7 +250,6 @@ class SieveRun(NamedTuple):
                 "holds": self.cert.holds,
             },
         }
-        return json.dumps(doc, sort_keys=True)
 
 
 def run_sieve(

@@ -192,6 +192,19 @@ def test_huge_census_window_exits_3_fast(argv, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("N, S, err", [
+    # B = 10^8: at least 84824 chunks price the window at 8.3e18 steps, so no sieve to 10^8
+    (7000000, 10**8, "needs at least 8.31e+18 steps (bits of u(n) and at least 84824 prime"),
+    # B = 10^6: its 1131-chunk lower bound passes the cap, its 1227 chunks do not
+    (2012, 10**6, "needs about 1.5e+10 steps (bits of u(n) and 1227 prime chunks <= 1000000)"),
+], ids=["lower-bound", "exact-count"])
+def test_census_work_cap_priced_before_the_sieve(N, S, err, capsys):
+    t0 = time.perf_counter()
+    assert cli.main(["census", "-f", "1,6,1", "-g", "2", "-N", str(N), "-S", str(S)]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert err in capsys.readouterr().err
+
+
 def test_large_g_part_of_f0_exits_3_fast():
     # u(n) = 2^400000 * (2^(n - 400000) + 1): the strip takes 400,000 factors of 2 off
     # each 1.2-million-bit u(n), about ten minutes over this window
@@ -223,10 +236,10 @@ def test_huge_f0_coprime_to_g_cap_check_is_fast():
 
 def test_census_json_roundtrip(shanks):
     res = count_Q_total(shanks, 0, 5, 1300)
-    doc = json.loads(res.to_json())
+    doc = res.to_doc()
     assert doc["M"] == 0 and doc["N"] == 5 and doc["S"] == 1300
     assert doc["per_s"] == [[17, 1], [41, 1], [113, 1], [353, 1], [1217, 1]]
-    assert res.to_json() == count_Q_total(shanks, 0, 5, 1300).to_json()
+    assert json.dumps(doc) == json.dumps(count_Q_total(shanks, 0, 5, 1300).to_doc())
 
 
 def test_distinct_fields_small(shanks, dipped):

@@ -428,10 +428,25 @@ def test_charsum_pair_row_past_the_table_cap(K, capsys):
     assert rc == 3 and out == "" and "table cap" in err
 
 
+@pytest.mark.parametrize("bad, reason", [
+    (["--K", "-1"], "K must be >= 0"),
+    (["--A", "3000017", "--K", "5"], "A must be coprime"),
+    (["-f", "3000017,0,0,1", "--K", "5"], "coprime to lam*f(0)"),  # ell divides f(0)
+], ids=["K", "A", "lam-f0"])
+def test_charsum_incomplete_checks_arguments_before_cycles(bad, reason, capsys):
+    # the two cycles mod 3000017 and 3000047 take about a second and 50 MB to build;
+    # a bad A, lam*f(0) or K is refused before either is
+    argv = ["charsum", "-f", "2,0,0,1", "--lam", "2", "--ell", "3000017", "--p", "3000047"]
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, *argv, *bad)
+    assert time.perf_counter() - t0 < 0.5
+    assert rc == 3 and out == "" and reason in err
+
+
 @pytest.mark.parametrize("argv, owner, render", [
-    (["census", "-f", "1,6,1", "-g", "2", "-N", "5", "--classes"], census.CensusResult, "to_json"),
-    (["census", "-f", "1,6,1", "-g", "2", "-N", "5", "-S", "100"], census.CensusResult, "to_json"),
-    (["sieve", "-f", "1,6,1", "-g", "2", "-N", "200", "--z", "100"], sieve.SieveRun, "to_json"),
+    (["census", "-f", "1,6,1", "-g", "2", "-N", "5", "--classes"], census.CensusResult, "to_doc"),
+    (["census", "-f", "1,6,1", "-g", "2", "-N", "5", "-S", "100"], census.CensusResult, "to_doc"),
+    (["sieve", "-f", "1,6,1", "-g", "2", "-N", "200", "--z", "100"], sieve.SieveRun, "to_doc"),
     (["charsum", "-f", "1,1", "--lam", "2", "--scan", "--pmax", "100"],
      charsums.WeilScanReport, "to_csv"),
 ], ids=["classes", "census-S", "sieve", "scan"])

@@ -526,3 +526,29 @@ def test_no_module_imports_dataclasses():
             elif isinstance(node, ast.ImportFrom) and node.module:
                 found.append(node.module.split(".")[0])
         assert "dataclasses" not in found, path.name
+
+
+def _compares_with(tree, name):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Compare) and any(
+        isinstance(n, ast.Name) and n.id == name or isinstance(n, ast.Attribute) and n.attr == name
+        for n in ast.walk(node))]
+
+
+def test_one_owner_for_the_table_cap_and_for_json():
+    # arith.check_table alone compares a size with TABLE_LIMIT, and the CLI alone
+    # encodes artifacts: the other modules call the one and hand dicts to the other
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name == "arith.py":
+            (guard,) = [fn for fn in tree.body
+                        if isinstance(fn, ast.FunctionDef) and fn.name == "check_table"]
+            assert _compares_with(tree, "TABLE_LIMIT") == _compares_with(guard, "TABLE_LIMIT") != []
+        else:
+            assert _compares_with(tree, "TABLE_LIMIT") == [], path.name
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                found.append(node.module.split(".")[0])
+        assert ("json" in found) == (path.name == "cli.py"), path.name

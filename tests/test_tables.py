@@ -16,7 +16,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadfields import cli, engine
+from quadfields import census, charsums, cli, engine, sieve
 from quadfields.arith import (
     TABLE_LIMIT,
     factorize,
@@ -26,6 +26,7 @@ from quadfields.arith import (
     smallest_factors,
 )
 from quadfields.harvest import VARIANTS, SievePrime, build_prime_set, density_report, shift_orders
+from quadfields.sequences import Polynomial, validate
 
 windows = st.integers(-3, 5000).flatmap(
     lambda lo: st.tuples(st.just(lo), st.integers(lo - 20, lo + 3000))
@@ -261,6 +262,32 @@ def test_table_limit_rejects_before_allocating():
     for build in (primes_up_to, smallest_factors, lambda hi: engine.shift_orders(2, 3, hi)):
         with pytest.raises(ValueError, match="table cap"):
             build(TABLE_LIMIT + 1)
+
+
+SHANKS = validate(Polynomial.parse("1,6,1"), 2)
+
+
+@pytest.mark.parametrize("who, build", [
+    ("primes_up_to", lambda: primes_up_to(TABLE_LIMIT + 1)),
+    ("smallest_factors", lambda: smallest_factors(TABLE_LIMIT + 1)),
+    # census._witness_window: 16 witness symbols per n
+    ("window_matches", lambda: census.window_matches(SHANKS, 0, TABLE_LIMIT // 16 + 1, 1)),
+    # sieve._symbols: the 6 primes harvested at z = 100, one row each
+    ("sieve", lambda: sieve.partition(SHANKS, 0, TABLE_LIMIT // 6 + 1, build_prime_set(2, 100.0))),
+    ("orbit_symbols", lambda: engine.orbit_symbols(Polynomial((1, 1)), 2, 7, TABLE_LIMIT + 1)),
+    # charsums._pair_cycles: 2 has coprime orders near 3 * 10^6 mod both primes
+    ("complete_sum_pair",
+     lambda: charsums.complete_sum_pair(Polynomial((2, 0, 0, 1)), 2, 3000017, 3000047, 0)),
+    ("count_Q_total", lambda: census.count_Q_total(SHANKS, 1000, 5, 10**12)),  # B = 10^12
+], ids=["primes", "factors", "witness", "sieve", "orbit", "pair", "census-B"])
+def test_table_cap_guard_sites(who, build):
+    # each table whose size comes from the input is refused through arith.check_table,
+    # by name and before it is built
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="table cap") as exc:
+        build()
+    assert time.perf_counter() - t0 < 1.0
+    assert str(exc.value).startswith(f"{who}: ")
 
 
 @pytest.mark.parametrize("argv", [
