@@ -302,13 +302,14 @@ def distinct_fields(spec: SequenceSpec, M: int, N: int) -> CensusResult:
     -1s.  Where a +1 meets a -1 the fields differ, so with no zero residue only
     the classes of the same plus mask, found by a dict, and those whose rep has
     a zero residue are tried; an n with one tries all.  At most one class
-    passes the exact test, so the order of trials cannot matter.
+    passes the exact test, so the order of trials cannot matter.  A class keeps
+    its masks, not u(rep), which the exact test recomputes: memory stays linear in N.
     """
     _require_census_spec(spec, "distinct_fields")
     ns = _witness_window(M, N, "distinct_fields")
     rows = [_witness_row(spec, M, N, p, ns) for p in _WITNESS_PRIMES]
     full = (1 << len(rows)) - 1
-    classes: list[tuple[int, list[int], int, int, int]] = []  # (rep, members, u(rep), plus, minus)
+    classes: list[tuple[int, list[int], int, int]] = []  # (rep, members, plus, minus)
     by_plus: dict[int, list[int]] = {}  # plus mask -> classes whose rep has no zero residue
     zeroed: list[int] = []  # classes whose rep has a zero residue
     skipped = []
@@ -321,13 +322,13 @@ def distinct_fields(spec: SequenceSpec, M: int, N: int) -> CensusResult:
         mi = sum(1 << i for i, row in enumerate(rows) if row[j] == 0)
         whole = pl | mi == full
         for i in by_plus.get(pl, []) + zeroed if whole else range(len(classes)):
-            _, members, u_rep, rep_pl, rep_mi = classes[i]
-            if not (rep_pl & mi or rep_mi & pl) and is_perfect_square(u_rep * u):
+            rep, members, rep_pl, rep_mi = classes[i]
+            if not (rep_pl & mi or rep_mi & pl) and is_perfect_square(u_eval(spec, rep) * u):
                 members.append(n)
                 break
         else:
             (by_plus.setdefault(pl, []) if whole else zeroed).append(len(classes))
-            classes.append((n, [n], u, pl, mi))
+            classes.append((n, [n], pl, mi))
     return CensusResult(
         M=M,
         N=N,

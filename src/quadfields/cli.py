@@ -13,6 +13,7 @@ import argparse
 import math
 import random
 import sys
+from itertools import permutations
 from pathlib import Path
 
 from . import bounds, census, charsums, harvest, sieve
@@ -300,7 +301,13 @@ def _check_detector(rng: random.Random, quick: bool) -> None:
                     ensure(D == len(pset) - w, (spec.f.format(), n, s))
         ensure(sieve.certificate(spec, 0, N, 17, pset).holds)
         d = sieve.diagnostics(spec, 0, N, 17, pset)
-        ensure(d.gcd_bound_holds and d.W == d.U + d.V)
+        # U and W by a double loop over the ordered pairs of distinct primes, on scalar symbols
+        chi = [(sp.p_plus, [jacobi(17 * u_eval_mod(spec, n, sp.ell), sp.ell)
+                            for n in range(1, N + 1)]) for sp in pset.members]
+        dots = [(a == b, sum(i * j for i, j in zip(x, y)))
+                for (a, x), (b, y) in permutations(chi, 2)]
+        U, W = sum(dot for same, dot in dots if same), sum(dot for _, dot in dots)
+        ensure(d.gcd_bound_holds and (d.U, d.W) == (U, W), ("pairs", d.U, d.W, U, W))
 
 
 def _check_census(rng: random.Random, quick: bool) -> None:
@@ -352,8 +359,13 @@ def _check_bounds(rng: random.Random, quick: bool) -> None:
 
 
 def _check_weil(rng: random.Random, quick: bool) -> None:
-    report = charsums.weil_scan(Polynomial.parse("2,0,0,1"), 2, 500 if quick else 2000)
+    f = Polynomial.parse("2,0,0,1")
+    report = charsums.weil_scan(f, 2, 500 if quick else 2000)
     ensure(report.ok, f"weil ratio {report.max_ratio}")
+    rows = [row for row in report.rows if row.admissible]
+    for row in rows[:: len(rows) // 8 or 1]:  # the FFT's value against the direct sum
+        direct = charsums.complete_sum_p(f, 2, row.modulus, row.frequency).value
+        ensure(abs(direct - row.value) <= 1e-9 * row.period, ("weil", row.modulus))
 
 
 def _run_verify(args: argparse.Namespace) -> int:

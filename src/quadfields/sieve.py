@@ -21,7 +21,7 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import check_table, jacobi
-from .census import _window, window_matches
+from .census import _window, _witness_window, window_matches
 from .harvest import SievePrimeSet
 from .sequences import SequenceSpec, symbol_row, u_eval, u_eval_mod
 
@@ -258,6 +258,7 @@ def run_sieve(
     """Assemble detector values, omega counts, partition, and certificate
     for one window, all read from one symbol table."""
     from fractions import Fraction  # not at the top: fractions and decimal slow every CLI start
+    _witness_window(M, N, "sieve")  # the certificate's witness rows, priced before the table
     R = _symbols(spec, M, N, prime_set)
     L = len(prime_set)
     if L < 1:

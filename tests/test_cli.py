@@ -170,20 +170,6 @@ def test_removed_flags_exit_2(argv, flag, capsys):
     assert rc == 2 and flag in err
 
 
-# verify --quick with count_Q_total made to overcount by one
-SABOTAGED_VERIFY = """
-import sys
-from quadfields import census, cli
-real = census.count_Q_total
-def off_by_one(*args, **kwargs):
-    result = real(*args, **kwargs)
-    return result._replace(total=result.total + 1)
-if sys.argv[1] == "sabotage":
-    census.count_Q_total = off_by_one
-sys.exit(cli.main(["verify", "--quick"]))
-"""
-
-
 def _python(*argv, optimize=()):
     # a fresh interpreter with this checkout's src/ first on its path
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -192,85 +178,46 @@ def _python(*argv, optimize=()):
                          capture_output=True, text=True, env=env, timeout=300)
 
 
-@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "O"])
-@pytest.mark.parametrize("mode, code", [("sabotage", 4), ("honest", 0)])
-def test_invariants_survive_python_O(optimize, mode, code):
-    proc = _python("-c", SABOTAGED_VERIFY, mode, optimize=optimize)
-    assert proc.returncode == code, proc.stderr
-    if code == 4:
-        assert "invariant failure" in proc.stderr and "ok census" not in proc.stdout
+VERIFY_CHECKS = ("arith", "sequences", "detector", "census",
+                 "product_formula", "completion", "bounds", "weil")
 
-
-# verify --quick with each kernel stopped one prime early: decided against S - 1, not S
-EARLY_STOP_VERIFY = """
-import sys
-from quadfields import census, cli
-real = census.squarefree_kernel
-census.squarefree_kernel = lambda n, B, S=None: real(n, B, None if S is None else S - 1)
-sys.exit(cli.main(["verify", "--quick"]))
-"""
-
-
-@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "O"])
-def test_verify_compares_early_kernel_stops_with_factorize(optimize):
-    proc = _python("-c", EARLY_STOP_VERIFY, optimize=optimize)
-    assert proc.returncode == 4, proc.stderr
-    assert "invariant failure" in proc.stderr and "ok census" not in proc.stdout
-
-
-# verify --quick with the sieve table left untwisted by (s/ell)
-UNTWISTED_VERIFY = """
-import sys
-from quadfields import cli, sieve
-sieve._twisted = lambda R, s, prime_set: R
-sys.exit(cli.main(["verify", "--quick"]))
-"""
+# id: (a patch run before verify --quick, the check whose ok line it must suppress)
+VERIFY_MUTANTS = {
+    "honest": ("", None),
+    "overcount": ("real = census.count_Q_total\n"  # one square too many
+                  "census.count_Q_total = lambda *a: (r := real(*a))._replace(total=r.total + 1)",
+                  "census"),
+    "early-stop": ("real = census.squarefree_kernel\n"  # kernels decided against S - 1, not S
+                   "census.squarefree_kernel = lambda n, B, S=None: real(n, B, S and S - 1)",
+                   "census"),
+    "untwisted": ("sieve._twisted = lambda R, s, prime_set: R", "detector"),  # no (s/ell)
+    "kept-diagonal": ("sieve._off_diagonal = lambda rows, N: sum(\n"  # |column sums|^2
+                      "    (c - len(rows)) ** 2 for c in sieve._column_sums(rows, N, None)[0])",
+                      "detector"),
+    "halved-orders": ("real = engine.shift_orders\n"  # even orders halved
+                      "engine.shift_orders = lambda *a: (*(r := real(*a))[:2],\n"
+                      "    engine.np.where(r[2] % 2, r[2], r[2] // 2))", "arith"),
+    "rolled-orbit": ("real = engine.orbit_symbols\n"  # x = 0..n-1 read in place of 1..n
+                     "engine.orbit_symbols = lambda *a, **k: engine.np.roll(real(*a, **k), 1)",
+                     "sequences"),
+    "rolled-spectrum": ("fft = engine.np.fft.fft\n"  # every Weil frequency off by one bin
+                        "engine.np.fft.fft = lambda x: engine.np.roll(fft(x), 1)", "weil"),
+}
 
 
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "O"])
-def test_verify_compares_the_sieve_table_with_the_scalar_detector(optimize):
-    proc = _python("-c", UNTWISTED_VERIFY, optimize=optimize)
-    assert proc.returncode == 4, proc.stderr
-    assert "invariant failure" in proc.stderr and "ok detector" not in proc.stdout
-
-
-# verify --quick with the order engine's even orders halved
-HALVED_ORDERS_VERIFY = """
-import sys
-from quadfields import cli, engine
-real = engine.shift_orders
-
-def halved(g, lo, hi):
-    ells, p_plus, order = real(g, lo, hi)
-    return ells, p_plus, engine.np.where(order % 2, order, order // 2)
-
-engine.shift_orders = halved
-sys.exit(cli.main(["verify", "--quick"]))
-"""
-
-
-@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "O"])
-def test_verify_compares_the_order_engine_with_the_scalar_descent(optimize):
-    proc = _python("-c", HALVED_ORDERS_VERIFY, optimize=optimize)
-    assert proc.returncode == 4, proc.stderr
-    assert "invariant failure" in proc.stderr and "ok arith" not in proc.stdout
-
-
-# verify --quick with the orbit engine reading x = 0..n-1 instead of 1..n
-ROLLED_ORBIT_VERIFY = """
-import sys
-from quadfields import cli, engine
-real = engine.orbit_symbols
-engine.orbit_symbols = lambda *args, **kwargs: engine.np.roll(real(*args, **kwargs), 1)
-sys.exit(cli.main(["verify", "--quick"]))
-"""
-
-
-@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "O"])
-def test_verify_compares_the_orbit_engine_with_jacobi(optimize):
-    proc = _python("-c", ROLLED_ORBIT_VERIFY, optimize=optimize)
-    assert proc.returncode == 4, proc.stderr
-    assert "invariant failure" in proc.stderr and "ok sequences" not in proc.stdout
+@pytest.mark.parametrize("mutant", VERIFY_MUTANTS)
+def test_verify_catches_each_mutant(mutant, optimize):
+    patch, check = VERIFY_MUTANTS[mutant]
+    script = (f"import sys\nfrom quadfields import cli, census, sieve, engine\n{patch}\n"
+              "sys.exit(cli.main(['verify', '--quick']))")
+    proc = _python("-c", script, optimize=optimize)
+    lines, ok = proc.stdout.splitlines(), [f"ok {c}" for c in VERIFY_CHECKS]
+    if check is None:
+        assert proc.returncode == 0 and lines == [*ok, "verify: 8 checks passed"], proc.stderr
+    else:  # the checks before the named one pass, and the named one fails
+        assert proc.returncode == 4 and "invariant failure" in proc.stderr, proc.stderr
+        assert lines == ok[: VERIFY_CHECKS.index(check)]
 
 
 # the modules that importing the CLI adds, by name; a site may preload some
@@ -513,8 +460,7 @@ def test_bounds_table(capsys, tmp_path):
 def test_verify_quick(capsys):
     rc, out, _ = run(capsys, "verify", "--quick")
     assert rc == 0
-    for name in ("arith", "sequences", "detector", "census",
-                 "product_formula", "completion", "bounds", "weil"):
+    for name in VERIFY_CHECKS:
         assert f"ok {name}" in out
     assert out.strip().endswith("verify: 8 checks passed")
 

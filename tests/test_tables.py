@@ -89,7 +89,9 @@ def test_order_engine_window_ends(g, lo, hi):
 @pytest.mark.parametrize("build, mib", [
     (lambda: smallest_factors(10**6), 2.5),  # 16-bit cells and a temporary of hi/6 cells
     (lambda: density_report(2, 1e6, 0.677), 4.5),  # the table, three columns, one tile of bars
-], ids=["smallest_factors", "density_report"])
+    # 200 classes, whose u(rep) of 1000 n bits each would sum to 2.5 MiB
+    (lambda: census.distinct_fields(validate(Polynomial.parse("1,6,1"), 2**500), 0, 200), 0.5),
+], ids=["smallest_factors", "density_report", "classes"])
 def test_table_traced_peak(build, mib):
     # allocations counted by tracemalloc, not RSS, so heap layout cannot move them
     build()  # numpy and first-call state are loaded before tracing
@@ -296,7 +298,8 @@ def test_table_cap_guard_sites(who, build):
     ["primes", "-g", "2", "--z", "1e12"],
     ["primes", "-g", "2", "--z", "1e12", "--density"],
     ["sieve", "-f", "1,6,1", "-g", "2", "-N", "10", "--z", "1e12"],
-    ["sieve", "-f", "1,6,1", "-g", "2", "-N", "10000000", "--z", "1000"],  # 45 x 10^7 cells
+    ["sieve", "-f", "1,6,1", "-g", "2", "-N", "6000000", "--z", "1000"],  # 45 x 6*10^6 cells
+    ["sieve", "-f", "1,6,1", "-g", "2", "--z", "10", "-N", "7000000"],  # 16 x 7*10^6 witnesses
 ])
 def test_table_limit_exits_3_fast(argv, capsys):
     t0 = time.perf_counter()
