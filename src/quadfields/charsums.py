@@ -6,8 +6,9 @@ Conventions: e(t) = exp(2*pi*i*t), sums run over x = 1..tau unless a K says
 otherwise, and every a = 0 path is computed in exact integers.
 
 Each sum reads one row of symbols per prime from `engine.orbit_symbols`,
-and the Weil scan its primes and periods from `engine.shift_orders`; numpy
-is imported inside the functions that call them.
+and the Weil scan its primes and periods from the tiles of
+`engine.shift_orders`, row by row in ascending p; numpy is imported inside
+the functions that call them.
 """
 
 from __future__ import annotations
@@ -261,8 +262,9 @@ def weil_scan(f: Polynomial, lam: int, p_max: int):
     if lam == 0:
         raise ValueError("weil_scan: lam must be nonzero")
     rows = []
-    primes, _, periods = shift_orders(lam, 3, p_max)
-    for p, period in zip(primes.tolist(), periods.tolist()):
+    orders = (row for ells, _, order in shift_orders(lam, 3, p_max)  # tile by tile, ascending
+              for row in zip(ells.tolist(), order.tolist()))
+    for p, period in orders:
         if period == 0:  # p divides lam
             continue
         terms = orbit_symbols(f, lam, p, period).astype(np.float64)

@@ -265,8 +265,9 @@ def _check_arith(rng: random.Random, quick: bool) -> None:
     from .engine import shift_orders  # the twin behind density reports and Weil scans
 
     for g in (2, 3, 12):
-        rows = zip(*(column.tolist() for column in shift_orders(g, 3, 2000)))
-        ensure(list(harvest.shift_orders(g, 3, 2000)) == list(rows), ("orders", g))
+        tiles = shift_orders(g, 3, 2000)
+        rows = [row for tile in tiles for row in zip(*(column.tolist() for column in tile))]
+        ensure(list(harvest.shift_orders(g, 3, 2000)) == rows, ("orders", g))
 
 
 def _check_sequences(rng: random.Random, quick: bool) -> None:

@@ -1,8 +1,9 @@
 """The numpy engine: numpy twins of two pure-Python engines, one call each.
 
-`shift_orders` gives the rows of `harvest.shift_orders` and `orbit_symbols`
-the symbols of `sequences.symbol_row` (with a shift, and -1/0/1 in place of
-0/1/2), as arrays.  Both pairs stay because the pure-Python twin is slower
+`shift_orders` gives the rows of `harvest.shift_orders` as tiles of arrays,
+one segment of odd n per tile, and `orbit_symbols` the symbols of
+`sequences.symbol_row` (with a shift, and -1/0/1 in place of 0/1/2) as one
+array.  Both pairs stay because the pure-Python twin is slower
 on the density report and the Weil scan; the numbers are in ROADMAP's
 standing notes.
 
@@ -14,6 +15,8 @@ start without numpy.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .arith import check_table, smallest_factors
@@ -21,32 +24,41 @@ from .sequences import Polynomial
 
 __all__ = ["shift_orders", "orbit_symbols"]
 
-_ORDER_TILE = 1 << 12  # primes per pass of the order engine; bounds its int64 temporaries
+_ORDER_TILE = 1 << 15  # odd n per segment of shift_orders; a tile holds its primes
 _CELL_TILE = 1 << 16  # orbit_symbols builds its int64 temporaries this many cells at a time
 
 
-def shift_orders(g: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def shift_orders(g: int, lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The odd primes ell in [lo, hi], P+(ell-1) and the order of g mod ell,
-    as three int64 arrays with the rows of `harvest.shift_orders(g, lo, hi)`;
-    the order is 0 where ell divides g.
+    as tiles of three int64 arrays, ascending; the tiles' rows joined are the
+    rows of `harvest.shift_orders(g, lo, hi)`, and the order is 0 where ell
+    divides g.
 
-    The primes are the zero cells at odd n of arith's smallest-prime-factor
-    table, viewed as uint16 (2 bytes per n up to hi).  Cohen's order algorithm
-    (A Course in Computational Algebraic Number Theory, Alg. 1.4.3) runs across
-    them _ORDER_TILE primes at a time: one round per distinct prime q of
-    ell-1, read off the same table.  Strip q^e from ell-1 and from t (t starts
-    at ell-1), then raise y = g^t to the q until it reaches 1, multiplying t by
-    q each time.  Products stay exact in int64: ell <= hi <= TABLE_LIMIT < 2^31.
+    The table is built, or refused past the table cap, at the call, and the
+    tiles come as they are iterated, so nothing of length pi(hi) is ever
+    built.  The primes are the zero cells at odd n of arith's
+    smallest-prime-factor table, viewed as uint16 (2 bytes per n up to hi);
+    a tile holds those of one segment of _ORDER_TILE odd n, and a segment
+    without a prime gives none.  Cohen's order algorithm (A Course in
+    Computational Algebraic Number Theory, Alg. 1.4.3) runs across a tile:
+    one round per distinct prime q of ell-1, read off the same table.  Strip
+    q^e from ell-1 and from t (t starts at ell-1), then raise y = g^t to the q
+    until it reaches 1, multiplying t by q each time.  Products stay exact in
+    int64: ell <= hi <= TABLE_LIMIT < 2^31.
     """
     spf = np.frombuffer(smallest_factors(max(hi, 0)), dtype=np.uint16)
-    lo = max(lo, 3) | 1
-    ells = np.flatnonzero(spf[lo::2] == 0) * 2 + lo  # 0 marks a prime; odd n only
-    p_plus, order = np.ones_like(ells), np.zeros_like(ells)
-    for i in range(0, len(ells), _ORDER_TILE):
-        ell = ells[i : i + _ORDER_TILE]
+    return _tiles(g, spf, max(lo, 3) | 1, hi)
+
+
+def _tiles(g: int, spf: np.ndarray, lo: int, hi: int) -> Iterator[tuple[np.ndarray, ...]]:
+    # the tiles of shift_orders, lo odd, each computed when it is asked for; spf ends at hi
+    for start in range(lo, hi + 1, 2 * _ORDER_TILE):
+        ell = np.flatnonzero(spf[start : start + 2 * _ORDER_TILE : 2] == 0) * 2 + start
+        if not ell.size:  # 0 marks a prime; odd n only
+            continue
         base = np.array([g % e for e in ell.tolist()], dtype=np.int64)
         unit = base != 0  # only these descend; the rest keep order 0
-        n, t, big = ell - 1, ell - 1, p_plus[i : i + _ORDER_TILE]
+        n, t, big = ell - 1, ell - 1, np.ones_like(ell)
         live = np.arange(len(ell))  # n = ell-1 >= 2
         while live.size:
             q = spf[n[live]].astype(np.int64)
@@ -69,8 +81,7 @@ def shift_orders(g: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.n
                 k = k[y[k] != 1]
             t[idx] = tl
             live = live[m > 1]
-        order[i : i + _ORDER_TILE] = np.where(unit, t, 0)
-    return ells, p_plus, order
+        yield ell, big, np.where(unit, t, 0)
 
 
 def _pow_mod(b: np.ndarray, e: np.ndarray, m) -> np.ndarray:

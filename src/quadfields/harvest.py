@@ -5,8 +5,9 @@ harvest up.
 The harvest reads P+(ell-1) and the order of g off arith's
 smallest-prime-factor table (16-bit cells: 2 bytes per n up to Cz) in pure
 Python, one prime at a time; the density report reads the same columns for
-all primes up to z off the numpy twin, `engine.shift_orders` (24 bytes per
-prime, 16 MB at z = 10^7 beside a 20 MB table), and computes its bars by tile.
+all primes up to z off the numpy twin, `engine.shift_orders`, one tile of
+primes at a time, and adds its counts tile by tile: beside the table (20 MB
+at z = 10^7) it holds one tile of orders and bars, never a column per prime.
 """
 
 from __future__ import annotations
@@ -160,24 +161,24 @@ def density_report(g: int, z: float, alpha: float) -> DensityReport:
     """Measure, over all primes ell <= z, how often P+(ell-1) >= ell^alpha
     and how often the order of g mod ell clears the same bar.
 
-    Both columns come from the numpy twin of `shift_orders`; the bars are
-    Python floats, so every comparison is exact.
+    P+ and the order come from the numpy twin of `shift_orders` one tile at
+    a time, and the two counts grow tile by tile; the bars are Python floats,
+    so every comparison is exact.
     """
-    from .engine import _ORDER_TILE, np, shift_orders
+    from .engine import np, shift_orders
     if g <= 1:
         raise ValueError("density_report: g must be > 1")
     if not 10**3 <= z < math.inf:
         raise ValueError("density_report: z must be finite and >= 10^3")
     if not 0.5 <= alpha < 1:
         raise ValueError("density_report: alpha must lie in [1/2, 1)")
-    ells, p_plus, order = shift_orders(g, 3, math.floor(z))
+    primes_counted = 1  # ell = 2 too: P+(1) = 1 and an order <= 1 stay below 2^alpha
     count_alpha = count_order = 0
-    for i in range(0, len(ells), _ORDER_TILE):  # the bars one tile at a time
-        tile = slice(i, i + _ORDER_TILE)
-        bar = np.fromiter((ell**alpha for ell in ells[tile].tolist()), np.float64)
-        count_alpha += int(np.count_nonzero(p_plus[tile] >= bar))
-        count_order += int(np.count_nonzero(order[tile] >= bar))  # order 0 where ell | g
-    primes_counted = len(ells) + 1  # ell = 2 too: P+(1) = 1 and an order <= 1 stay below 2^alpha
+    for ells, p_plus, order in shift_orders(g, 3, math.floor(z)):
+        bar = np.fromiter((ell**alpha for ell in ells.tolist()), np.float64, len(ells))
+        count_alpha += int(np.count_nonzero(p_plus >= bar))
+        count_order += int(np.count_nonzero(order >= bar))  # order 0 where ell | g
+        primes_counted += len(ells)
     return DensityReport(
         z=z,
         alpha=alpha,

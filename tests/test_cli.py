@@ -194,9 +194,10 @@ VERIFY_MUTANTS = {
     "kept-diagonal": ("sieve._off_diagonal = lambda rows, N: sum(\n"  # |column sums|^2
                       "    (c - len(rows)) ** 2 for c in sieve._column_sums(rows, N, None)[0])",
                       "detector"),
-    "halved-orders": ("real = engine.shift_orders\n"  # even orders halved
-                      "engine.shift_orders = lambda *a: (*(r := real(*a))[:2],\n"
-                      "    engine.np.where(r[2] % 2, r[2], r[2] // 2))", "arith"),
+    "halved-orders": ("real = engine.shift_orders\n"  # even orders halved, tile by tile
+                      "engine.shift_orders = lambda *a: (\n"
+                      "    (e, p, engine.np.where(t % 2, t, t // 2))\n"
+                      "    for e, p, t in real(*a))", "arith"),
     "rolled-orbit": ("real = engine.orbit_symbols\n"  # x = 0..n-1 read in place of 1..n
                      "engine.orbit_symbols = lambda *a, **k: engine.np.roll(real(*a, **k), 1)",
                      "sequences"),

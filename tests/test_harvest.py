@@ -16,13 +16,17 @@ from quadfields.harvest import (
 )
 
 
+def _primes(lo, hi):
+    return [ell for ells, _, _ in shift_orders(2, lo, hi) for ell in ells.tolist()]
+
+
 def test_primes_in_range():
-    # the ell column of the order engine holds the odd primes of [lo, hi]
-    assert shift_orders(2, 10, 30)[0].dtype == np.int64
-    assert shift_orders(2, 10, 30)[0].tolist() == [11, 13, 17, 19, 23, 29]
-    assert shift_orders(2, 2, 3)[0].tolist() == [3]
-    assert shift_orders(2, 24, 28)[0].tolist() == []
-    assert shift_orders(2, 9973, 9973)[0].tolist() == [9973]
+    # the ell column of the order engine's tiles holds the odd primes of [lo, hi]
+    assert all(a.dtype == np.int64 for tile in shift_orders(2, 10, 30) for a in tile)
+    assert _primes(10, 30) == [11, 13, 17, 19, 23, 29]
+    assert _primes(2, 3) == [3]
+    assert _primes(24, 28) == []
+    assert _primes(9973, 9973) == [9973]
 
 
 def test_build_prime_set_window_example():

@@ -28,6 +28,20 @@ from quadfields.arith import (
 from quadfields.harvest import VARIANTS, SievePrime, build_prime_set, density_report, shift_orders
 from quadfields.sequences import Polynomial, validate
 
+
+def _columns(g, lo, hi):
+    # the order engine's tiles joined: lists of ell, P+(ell-1) and the order of g
+    columns = ([], [], [])
+    for tile in engine.shift_orders(g, lo, hi):
+        for column, part in zip(columns, tile):
+            column += part.tolist()
+    return columns
+
+
+def _rows(g, lo, hi):
+    return list(zip(*_columns(g, lo, hi)))
+
+
 windows = st.integers(-3, 5000).flatmap(
     lambda lo: st.tuples(st.just(lo), st.integers(lo - 20, lo + 3000))
 )
@@ -42,15 +56,15 @@ windows = st.integers(-3, 5000).flatmap(
 def test_table_primes_match_sympy(window):
     # the ell column of the order engine: the odd primes of the window
     lo, hi = window
-    assert engine.shift_orders(2, lo, hi)[0].tolist() == list(sympy.primerange(max(lo, 3), hi + 1))
+    assert _columns(2, lo, hi)[0] == list(sympy.primerange(max(lo, 3), hi + 1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 10**5))
 def test_table_single_prime_windows(n):
     p = sympy.nextprime(n)
-    assert engine.shift_orders(2, p, p)[0].tolist() == [p]
-    assert engine.shift_orders(2, p + 1, sympy.nextprime(p) - 1)[0].tolist() == []
+    assert _columns(2, p, p)[0] == [p]
+    assert _columns(2, p + 1, sympy.nextprime(p) - 1)[0] == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -82,16 +96,17 @@ def test_smallest_factors_fit_16_bits():
 @pytest.mark.parametrize("g", [2, 3, 12])
 def test_order_engine_window_ends(g, lo, hi):
     # even and odd ends for the engine's odd-only prime scan; 1013 is prime
-    rows = zip(*(a.tolist() for a in engine.shift_orders(g, lo, hi)))
-    assert list(rows) == list(shift_orders(g, lo, hi))
+    assert _rows(g, lo, hi) == list(shift_orders(g, lo, hi))
 
 
 @pytest.mark.parametrize("build, mib", [
     (lambda: smallest_factors(10**6), 2.5),  # 16-bit cells and a temporary of hi/6 cells
-    (lambda: density_report(2, 1e6, 0.677), 4.5),  # the table, three columns, one tile of bars
+    (lambda: density_report(2, 1e6, 0.677), 3.1),  # the table and one tile of orders and bars
+    # the table's 2 bytes per n and at most 1.5 MiB beside it, whatever pi(z) is
+    (lambda: density_report(2, 4e6, 0.677), 2 * (4 * 10**6 + 1) / 2**20 + 1.5),
     # 200 classes, whose u(rep) of 1000 n bits each would sum to 2.5 MiB
     (lambda: census.distinct_fields(validate(Polynomial.parse("1,6,1"), 2**500), 0, 200), 0.5),
-], ids=["smallest_factors", "density_report", "classes"])
+], ids=["smallest_factors", "density_report", "density_report_4e6", "classes"])
 def test_table_traced_peak(build, mib):
     # allocations counted by tracemalloc, not RSS, so heap layout cannot move them
     build()  # numpy and first-call state are loaded before tracing
@@ -122,28 +137,35 @@ def _scalar_orders(g, ells):
     )
 
 
+spans = st.integers(8, 64)  # odd n per segment: windows cross many, some without a prime
+
+
 @settings(max_examples=80, deadline=None)
-@given(bases, st.integers(2, 3 * 10**5), st.integers(0, 3000), st.integers(1, 40))
-@example(2, 2, 1, 1)  # ell = 3: P+(2) = 2
-@example(-7, 257, 0, 1)  # 256 and 65536 are powers of 2
-@example(2**64 + 1, 65537, 0, 1)
-@example(0, 2, 100, 7)  # 0 has no order anywhere
-@example(30, 2, 40, 4)  # ell = 3, 5 divide the base
-def test_orders_match_scalar_descent_and_sympy(g, lo, width, tile):
+@given(bases, st.integers(2, 3 * 10**5), st.integers(0, 3000), spans)
+@example(2, 2, 1, 8)  # ell = 3: P+(2) = 2
+@example(-7, 257, 0, 8)  # 256 and 65536 are powers of 2
+@example(2**64 + 1, 65537, 0, 8)
+@example(0, 2, 100, 13)  # 0 has no order anywhere
+@example(30, 2, 40, 8)  # ell = 3, 5 divide the base
+@example(2, 1327, 200, 8)  # 1327..1361 is a prime gap of 34: segments without a prime
+def test_orders_match_scalar_descent_and_sympy(g, lo, width, span):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_ORDER_TILE", tile)  # so the windows straddle tile edges
-        ells, p_plus, order = engine.shift_orders(g, lo, lo + width)
-    assert ells.dtype == p_plus.dtype == order.dtype == np.int64
-    ells = ells.tolist()
-    assert (p_plus.tolist(), order.tolist()) == _scalar_orders(g, ells)
-    for ell, pp, t in zip(ells, p_plus.tolist(), order.tolist()):
+        mp.setattr(engine, "_ORDER_TILE", span)
+        tiles = list(engine.shift_orders(g, lo, lo + width))
+    for tile in tiles:  # each tile is the primes of one segment of odd n, none empty
+        assert all(a.dtype == np.int64 and len(a) == len(tile[0]) for a in tile)
+        assert 0 < len(tile[0]) and tile[0][-1] - tile[0][0] < 2 * span
+    ells, p_plus, order = ([n for tile in tiles for n in tile[k].tolist()] for k in range(3))
+    assert list(zip(ells, p_plus, order)) == list(shift_orders(g, lo, lo + width))
+    assert (p_plus, order) == _scalar_orders(g, ells)
+    for ell, pp, t in zip(ells, p_plus, order):
         assert pp == max(sympy.factorint(ell - 1))
         assert t == (sympy.n_order(g % ell, ell) if g % ell else 0)
 
 
 def _orders(g, *ells):
     # (P+(ell-1), order of g) for the given primes, read off the engine's window
-    window, p_plus, order = (a.tolist() for a in engine.shift_orders(g, min(ells), max(ells)))
+    window, p_plus, order = _columns(g, min(ells), max(ells))
     rows = dict(zip(window, zip(p_plus, order)))
     return [rows[ell] for ell in ells]
 
@@ -154,10 +176,10 @@ def test_orders_edge_cases():
     assert _orders(-3, 7) == [(3, 3)]
     assert _orders(2**64 + 1, 3, 5) == [(2, 2), (2, 4)]
     assert _orders(2**64 * 257, 257) == [(2, 0)]  # masked, never 1
-    assert [a.tolist() for a in engine.shift_orders(5, 8, 10)] == [[], [], []]
-    ells, _, order = engine.shift_orders(2, 0, 200000)
-    assert len(ells) > 2 * engine._ORDER_TILE  # more than two tiles, one partial
-    assert order.tolist() == [multiplicative_order(2, ell) for ell in ells.tolist()]
+    assert list(engine.shift_orders(5, 8, 10)) == []  # no prime, no tile
+    assert len(list(engine.shift_orders(2, 0, 200000))) > 2  # more than two tiles, one partial
+    ells, _, order = _columns(2, 0, 200000)
+    assert order == [multiplicative_order(2, ell) for ell in ells]
 
 
 @pytest.mark.parametrize("ells", [
@@ -165,15 +187,16 @@ def test_orders_edge_cases():
     (91, 91), (1, 2), (0, 0), (-5, -1),  # no odd prime in the window
 ])
 def test_orders_guard_fails_fast(ells):
-    # the engine picks its primes from the window [lo, hi]: past the table cap it
-    # raises before allocating, and a window without an odd prime is empty
+    # the engine picks its primes from the window [lo, hi]: past the table cap the call
+    # raises before allocating, before any tile is asked for, and a window without an
+    # odd prime gives no tile
     lo, hi = ells
     t0 = time.perf_counter()
     if hi > TABLE_LIMIT:
         with pytest.raises(ValueError, match="table cap"):
             engine.shift_orders(2, lo, hi)
     else:
-        assert [a.tolist() for a in engine.shift_orders(2, lo, hi)] == [[], [], []]
+        assert list(engine.shift_orders(2, lo, hi)) == []
     assert time.perf_counter() - t0 < 0.1
 
 
@@ -183,15 +206,14 @@ def test_orders_guard_fails_fast(ells):
 @example(30, 0, 40, 0.0)  # 3 and 5 divide the base
 def test_shift_orders_match_the_order_engine(g, lo, width, bar):
     # the harvest's scalar P+ and descent against its numpy twin
-    rows = zip(*(a.tolist() for a in engine.shift_orders(g, lo, lo + width)))
+    rows = _rows(g, lo, lo + width)
     assert list(shift_orders(g, lo, lo + width, bar)) == [row for row in rows if row[1] >= bar]
 
 
 def _engine_prime_set(g, z, C, alpha, variant):
     # the harvest as the order engine runs it: P+ and the order for every prime of [z, Cz]
     members = []
-    columns = engine.shift_orders(g, math.ceil(z), math.floor(C * z))
-    for ell, pp, order in zip(*(a.tolist() for a in columns)):
+    for ell, pp, order in _rows(g, math.ceil(z), math.floor(C * z)):
         large = order > ell / math.log(ell)
         if pp >= z**alpha and order >= pp and (variant == "standard" or large):
             members.append(SievePrime(ell, pp, order, large))
@@ -256,6 +278,18 @@ def _scalar_density(g, z, alpha):
 ])
 def test_density_report_matches_scalar_harvest(g, z, alpha):
     rep = density_report(g, z, alpha)
+    assert (rep.primes_counted, rep.count_alpha, rep.count_order) == \
+        _scalar_density(g, z, alpha)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 10**6), st.floats(10**3, 4000), st.floats(0.5, 0.999), spans)
+@example(6, 1000.0, 0.677, 8)  # 2 and 3 divide g
+def test_density_report_counts_tile_by_tile(g, z, alpha, span):
+    # the counts summed over tiles of a few dozen odd n, against the scalar harvest
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_ORDER_TILE", span)
+        rep = density_report(g, z, alpha)
     assert (rep.primes_counted, rep.count_alpha, rep.count_order) == \
         _scalar_density(g, z, alpha)
 
