@@ -150,7 +150,7 @@ def _run_sieve(args: argparse.Namespace) -> int:
     pset = harvest.build_prime_set(args.g, z, args.C, args.alpha, args.variant)
     run = sieve.run_sieve(spec, args.M, args.N, args.s, pset)
     print(f"z {z:.6g} primes {len(pset)}")
-    print(f"partition light {len(run.part.n_z)} heavy {len(run.part.e_z)} "
+    print(f"partition light {run.part.heavy.count(0)} heavy {run.part.heavy.count(1)} "
           f"heavy_ratio {run.part.e_ratio:.6g}")
     print(f"certificate lhs {run.cert.lhs} rhs {run.cert.rhs.numerator}/"
           f"{run.cert.rhs.denominator} holds {run.cert.holds}")
@@ -297,7 +297,7 @@ def _check_detector(rng: random.Random, quick: bool) -> None:
             run = sieve.run_sieve(spec, 0, N, s, pset)  # the table behind `quadfields sieve`
             for n in range(1, N + 1):
                 D, w = sieve.detector(spec, n, s, pset), sieve.omega_z(spec, n, s, pset)
-                ensure((run.detector_map[n], run.omega_map[n]) == (D, w), ("table", n, s))
+                ensure((run.detector[n - 1], run.omega[n - 1]) == (D, w), ("table", n, s))
                 if census.s_matches(spec, n, s):
                     ensure(D == len(pset) - w, (spec.f.format(), n, s))
         ensure(sieve.certificate(spec, 0, N, 17, pset).holds)

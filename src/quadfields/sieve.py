@@ -10,6 +10,8 @@ The window's symbol table is pure Python: one row of bytes per prime, the
 symbol plus one in each cell, tiled from one period of g mod ell
 (`sequences.symbol_row`).  Its column sums come from packing each row into
 one wide integer, a lane per cell, and adding: one big-int add per row.
+A run keeps each per-n result as a column read at n - M - 1: D(n) and
+omega_z in 1-4 bytes per n, and the light/heavy partition in one.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def _symbols(spec, M, N, prime_set):
 
 _NEGATED = bytes.maketrans(b"\0\2", b"\2\0")  # a row times (s/ell) = -1
 _ZEROED = bytes([1]) * 256  # a row times (s/ell) = 0
-_ZEROS = bytes.maketrans(b"\1\2", b"\1\0")  # 1 where the symbol is 0, else 0
+_ZEROS = bytes.maketrans(b"\0\1\2", b"\1\2\1")  # 2 where the symbol is 0, else 1
 
 
 def _twisted(R, s, prime_set):
@@ -76,26 +78,30 @@ def _twisted(R, s, prime_set):
 
 
 def _column_sums(rows, N, *views):
-    # the column sums of each view of rows (a translation table, or None for the bytes
-    # themselves), as memoryviews of N ints.  Each cell is a lane of one field per view,
-    # each field wide enough for 2 * len(rows); every row goes in with one big-int add.
+    # the column sums of (byte - 1) in each view of rows (a translation table, or None for
+    # the bytes themselves), as read-only memoryviews of N signed ints.  Each cell is a lane
+    # of one field per view, wide enough for +-len(rows); every row goes in with one big-int
+    # add.  Lanes start at half their range less len(rows), so no add carries; flipping the
+    # top bits at the end leaves the sums in two's complement.
     width = next(w for w in (1, 2, 4) if 2 * len(rows) < 256**w)
+    top = 128 << 8 * (width - 1)
     low = (width - 1) * (sys.byteorder == "big")  # the field's low byte
     stride = width * len(views)
     buf = bytearray(N * stride)
-    acc = 0
+    ones = ((1 << 8 * len(buf)) - 1) // (256**width - 1)  # a 1 in every lane
+    acc = (top - len(rows)) * ones
     for row in rows:
         for i, view in enumerate(views):
             buf[i * width + low :: stride] = row.translate(view) if view else row
         acc += int.from_bytes(buf, sys.byteorder)
-    lanes = memoryview(acc.to_bytes(len(buf), sys.byteorder)).cast({1: "B", 2: "H", 4: "I"}[width])
+    acc ^= top * ones
+    lanes = memoryview(acc.to_bytes(len(buf), sys.byteorder)).cast({1: "b", 2: "h", 4: "i"}[width])
     return [lanes[i :: len(views)] for i in range(len(views))]
 
 
 class Partition(NamedTuple):
-    n_z: tuple[int, ...]  # omega_z(u(n)) <= floor(|L|/2)
-    e_z: tuple[int, ...]
-    e_ratio: float  # |e_z| / (N z^-alpha + log z)
+    heavy: bytes  # 1 where omega_z(u(n)) > floor(|L|/2), else 0, at n - M - 1
+    e_ratio: float  # heavy count / (N z^-alpha + log z)
 
 
 def partition(spec: SequenceSpec, M: int, N: int, prime_set: SievePrimeSet) -> Partition:
@@ -104,17 +110,13 @@ def partition(spec: SequenceSpec, M: int, N: int, prime_set: SievePrimeSet) -> P
     n with u(n) = 0 land in the heavy side: every modulus divides 0.
     """
     omega = _column_sums(_symbols(spec, M, N, prime_set), N, _ZEROS)[0]
-    return _partition(M, N, omega, prime_set)
+    return _partition(omega, prime_set)
 
 
-def _partition(M, N, omega, prime_set):
-    half = len(prime_set) // 2
-    n_z, e_z = [], []
-    for n, w in enumerate(omega, M + 1):
-        (n_z if w <= half else e_z).append(n)
+def _partition(omega, prime_set):
+    heavy = bytes(map((len(prime_set) // 2).__lt__, omega))
     z, alpha = prime_set.z, prime_set.alpha
-    denom = N * z**-alpha + math.log(z)
-    return Partition(tuple(n_z), tuple(e_z), len(e_z) / denom)
+    return Partition(heavy, heavy.count(1) / (len(heavy) * z**-alpha + math.log(z)))
 
 
 class Certificate(NamedTuple):
@@ -196,12 +198,9 @@ def _pair_sums(R, N, prime_set):
 
 def _off_diagonal(rows, N):
     # sum of <r_i, r_j> over ordered pairs i != j of rows, i.e. the Gram matrix
-    # less its diagonal: |sum of rows|^2 - sum of |r_i|^2, entries in {-1, 0, 1}.
-    # The column sums come as c + k, k = len(rows), since each byte is entry + 1.
-    k = len(rows)
+    # less its diagonal: |sum of rows|^2 - sum of |r_i|^2, entries in {-1, 0, 1}
     (c,) = _column_sums(rows, N, None)
-    square = sum(map(mul, c, c)) - 2 * k * sum(c) + N * k * k
-    return square - sum(N - row.count(1) for row in rows)
+    return sum(map(mul, c, c)) - sum(N - row.count(1) for row in rows)
 
 
 class SieveRun(NamedTuple):
@@ -210,8 +209,8 @@ class SieveRun(NamedTuple):
     N: int
     s: int
     prime_set: SievePrimeSet
-    detector_map: dict[int, int]
-    omega_map: dict[int, int]  # omega_z(s*u(n))
+    detector: memoryview  # D(n), at n - M - 1
+    omega: memoryview  # omega_z(s*u(n)), at n - M - 1
     part: Partition
     cert: Certificate
     symbols: list[bytes]  # (s*u(n) / ell) + 1, a row per prime
@@ -237,11 +236,11 @@ class SieveRun(NamedTuple):
                     for sp in self.prime_set.members
                 ],
             },
-            "detector": [[n, d] for n, d in sorted(self.detector_map.items())],
-            "omega": [[n, w] for n, w in sorted(self.omega_map.items())],
+            "detector": [[n, d] for n, d in enumerate(self.detector, self.M + 1)],
+            "omega": [[n, w] for n, w in enumerate(self.omega, self.M + 1)],
             "partition": {
-                "n_z": list(self.part.n_z),
-                "e_z": list(self.part.e_z),
+                "n_z": [n for n, h in enumerate(self.part.heavy, self.M + 1) if not h],
+                "e_z": [n for n, h in enumerate(self.part.heavy, self.M + 1) if h],
                 "e_ratio": self.part.e_ratio,
             },
             "certificate": {
@@ -264,12 +263,9 @@ def run_sieve(
     if L < 1:
         raise ValueError("certificate: prime set must be nonempty")
     Rs = _twisted(R, s, prime_set)
-    ns = range(M + 1, M + N + 1)
-    sums, zeros = _column_sums(Rs, N, None, _ZEROS)
-    detector_map = {n: c - L for n, c in zip(ns, sums)}
-    omega_map = dict(zip(ns, zeros))
-    part = _partition(M, N, _column_sums(R, N, _ZEROS)[0], prime_set)
-    matched = tuple(sorted(set(part.n_z).intersection(window_matches(spec, M, N, s))))
-    rhs = Fraction(2 * sum(detector_map[n] ** 2 for n in matched), L)
+    D, omega = _column_sums(Rs, N, None, _ZEROS)
+    part = _partition(_column_sums(R, N, _ZEROS)[0], prime_set)
+    matched = tuple(n for n in window_matches(spec, M, N, s) if not part.heavy[n - M - 1])
+    rhs = Fraction(2 * sum(D[n - M - 1] ** 2 for n in matched), L)
     cert = Certificate(lhs=len(matched), rhs=rhs, holds=len(matched) <= rhs, matches=matched)
-    return SieveRun(spec, M, N, s, prime_set, detector_map, omega_map, part, cert, Rs)
+    return SieveRun(spec, M, N, s, prime_set, D, omega, part, cert, Rs)

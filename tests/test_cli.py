@@ -192,8 +192,10 @@ VERIFY_MUTANTS = {
                    "census"),
     "untwisted": ("sieve._twisted = lambda R, s, prime_set: R", "detector"),  # no (s/ell)
     "kept-diagonal": ("sieve._off_diagonal = lambda rows, N: sum(\n"  # |column sums|^2
-                      "    (c - len(rows)) ** 2 for c in sieve._column_sums(rows, N, None)[0])",
-                      "detector"),
+                      "    c * c for c in sieve._column_sums(rows, N, None)[0])", "detector"),
+    "shifted-detector": ("real = sieve.run_sieve\n"  # D(n + 1) read in place of D(n)
+                         "sieve.run_sieve = lambda *a: (r := real(*a))._replace(\n"
+                         "    detector=[*r.detector[1:], r.detector[0]])", "detector"),
     "halved-orders": ("real = engine.shift_orders\n"  # even orders halved, tile by tile
                       "engine.shift_orders = lambda *a: (\n"
                       "    (e, p, engine.np.where(t % 2, t, t // 2))\n"

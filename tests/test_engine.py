@@ -179,22 +179,21 @@ def test_sieve_matches_scalar_oracles(data, f, g, M, N, s):
     ns = range(M + 1, M + N + 1)
     omega1 = [sum(1 for row in light if row[j] == 0) for j in range(N)]
     part = sieve.partition(spec, M, N, pset)
-    assert part.n_z == tuple(n for n, w in zip(ns, omega1) if w <= half)
-    assert part.e_z == tuple(n for n, w in zip(ns, omega1) if w > half)
+    assert part.heavy == bytes(w > half for w in omega1)
     if not members:
         with pytest.raises(ValueError, match="nonempty"):
             sieve.run_sieve(spec, M, N, s, pset)
         return
     run = sieve.run_sieve(spec, M, N, s, pset)
     assert run.part == part
-    D = {n: sum(row[j] for row in rows) for j, n in enumerate(ns)}
-    assert run.detector_map == D
-    assert run.omega_map == {n: sum(1 for row in rows if row[j] == 0) for j, n in enumerate(ns)}
-    matched = tuple(n for n in part.n_z if census.s_matches(spec, n, s))
+    D = [sum(row[j] for row in rows) for j in range(N)]
+    assert run.detector.tolist() == D
+    assert run.omega.tolist() == [sum(1 for row in rows if row[j] == 0) for j in range(N)]
+    matched = tuple(n for n, w in zip(ns, omega1) if w <= half and census.s_matches(spec, n, s))
     assert run.cert.matches == matched
-    assert run.cert.rhs == Fraction(2 * sum(D[n] ** 2 for n in matched), len(members))
+    assert run.cert.rhs == Fraction(2 * sum(D[n - M - 1] ** 2 for n in matched), len(members))
     for n in ns[:3]:
-        assert D[n] == sieve.detector(spec, n, s, pset)
+        assert D[n - M - 1] == sieve.detector(spec, n, s, pset)
 
 
 # primes where 2 has order 3 to 14 (7 and 73 share P+(ell-1) = 3, 43 and 127 share 7),
@@ -220,13 +219,10 @@ def test_sieve_table_tiled_from_one_period(data, f, M, N, s):
     assert [[b - 1 for b in row] for row in sieve._twisted(R, s, pset)] == rows
 
     run = sieve.run_sieve(spec, M, N, s, pset)
-    ns = range(M + 1, M + N + 1)
-    assert run.detector_map == {n: sum(row[j] for row in rows) for j, n in enumerate(ns)}
-    assert run.omega_map == {n: sum(row[j] == 0 for row in rows) for j, n in enumerate(ns)}
+    assert run.detector.tolist() == [sum(row[j] for row in rows) for j in range(N)]
+    assert run.omega.tolist() == [sum(row[j] == 0 for row in rows) for j in range(N)]
     half = len(members) // 2
-    heavy = [n for j, n in enumerate(ns) if sum(row[j] == 0 for row in light) > half]
-    assert run.part.e_z == tuple(heavy)
-    assert run.part.n_z == tuple(n for n in ns if n not in heavy)
+    assert run.part.heavy == bytes(sum(row[j] == 0 for row in light) > half for j in range(N))
     U, V, T, Q, max_cross = scalar_pair_sums(rows, members)
     d = run.diagnostics()
     assert (d.U, d.V, d.W, d.T, d.Q_quantity, d.max_cross_gcd) == (U, V, U + V, T, Q, max_cross)
@@ -447,7 +443,8 @@ def test_run_sieve_matches_old_s_matches_filter(data, f, g, M, N):
     spec = validate(f, g)
     s = _multiplier(data, spec, M, N)
     run = sieve.run_sieve(spec, M, N, s, pset)
-    assert run.cert.matches == tuple(n for n in run.part.n_z if scalar_s_matches(spec, n, s))
+    light = (n for n, h in enumerate(run.part.heavy, M + 1) if not h)
+    assert run.cert.matches == tuple(n for n in light if scalar_s_matches(spec, n, s))
 
 
 # squarefree kernels, among them products of witness primes, 2^61 - 1 and 1

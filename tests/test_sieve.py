@@ -73,7 +73,7 @@ def test_detector_identity_on_constructed_squares(low, g, t, z, data):
     pset = build_prime_set(g, z)
     run = run_sieve(spec, n - 1, 1, s, pset)
     D, w = detector(spec, n, s, pset), omega_z(spec, n, s, pset)
-    assert run.detector_map == {n: D} and run.omega_map == {n: w}
+    assert run.detector.tolist() == [D] and run.omega.tolist() == [w]
     assert D == len(pset) - w
 
 
@@ -92,10 +92,10 @@ def test_detector_basics(shanks, pset100):
 
 def test_partition_window(shanks, pset100):
     part = partition(shanks, 0, 500, pset100)
-    assert len(part.n_z) == 500 and part.e_z == ()
+    assert part.heavy == bytes(500)  # every n light
     assert part.e_ratio == 0.0
     single = partition(shanks, 7, 1, pset100)
-    assert single.n_z == (8,) and single.e_z == ()
+    assert single.heavy == b"\0"
     with pytest.raises(ValueError):
         partition(shanks, 0, 0, pset100)
 
@@ -115,13 +115,13 @@ def test_sieve_rejects_a_negative_window(build, shanks, pset100, monkeypatch):
 
 def test_partition_empty_set_puts_everything_light(shanks):
     part = partition(shanks, 0, 10, _tiny_set())
-    assert len(part.n_z) == 10 and part.e_z == ()
+    assert part.heavy == bytes(10)
 
 
 def test_partition_zero_u_lands_heavy():
     vanishing = validate(Polynomial.parse("-8,1"), 2)
     part = partition(vanishing, 0, 5, _tiny_set(SEVENTEEN))
-    assert 3 in part.e_z  # u(3) = 0: every modulus divides it
+    assert part.heavy[3 - 1] == 1  # u(3) = 0: every modulus divides it
 
 
 def test_certificate_golden(shanks, pset100):
@@ -169,8 +169,8 @@ def test_diagnostics_per_pair_cap(shanks, pset100):
 
 def test_run_sieve_json(shanks, pset100):
     run = run_sieve(shanks, 0, 20, 1, pset100)
-    assert run.detector_map[1] == -2
-    assert run.omega_map[1] == 0
+    assert run.detector[0] == -2  # n = 1
+    assert run.omega[0] == 0
     doc = run.to_doc()
     assert sorted(doc.keys()) == [
         "certificate",
@@ -189,11 +189,21 @@ def test_run_sieve_json(shanks, pset100):
     assert json.dumps(doc) == json.dumps(again.to_doc())
 
 
+@pytest.mark.parametrize("L", [1, 127, 128, 32767, 32768])
+def test_column_sums_at_each_lane_width(L):
+    # signed sums in 1-, 2- and 4-byte lanes, out to -L and L (bytes are symbol + 1)
+    rows = [bytes([0, 2, 1, i % 3, i * i % 3]) for i in range(L)]
+    D, zeros = sieve._column_sums(rows, 5, None, sieve._ZEROS)
+    assert D.tolist() == [-L, L, 0, *(sum(row[j] - 1 for row in rows) for j in (3, 4))]
+    assert zeros.tolist() == [0, 0, L, *(sum(row[j] == 1 for row in rows) for j in (3, 4))]
+    assert D.readonly and zeros.readonly
+
+
 def test_run_sieve_consistency(cubic2, pset100):
     run = run_sieve(cubic2, 0, 30, 5, pset100)
     for n in range(1, 31):
-        assert run.detector_map[n] == detector(cubic2, n, 5, pset100)
-        assert run.omega_map[n] == omega_z(cubic2, n, 5, pset100)
+        assert run.detector[n - 1] == detector(cubic2, n, 5, pset100)
+        assert run.omega[n - 1] == omega_z(cubic2, n, 5, pset100)
     assert run.cert.holds
 
 
@@ -202,8 +212,8 @@ def test_run_sieve_with_a_set_harvested_for_another_g(cubic3, pset100):
     run = run_sieve(cubic3, 0, 300, 5, pset100)
     assert max(sp.order_g for sp in pset100.members) < 300
     for n in range(1, 301):
-        assert run.detector_map[n] == detector(cubic3, n, 5, pset100)
-        assert run.omega_map[n] == omega_z(cubic3, n, 5, pset100)
+        assert run.detector[n - 1] == detector(cubic3, n, 5, pset100)
+        assert run.omega[n - 1] == omega_z(cubic3, n, 5, pset100)
 
 
 def _count_rows(monkeypatch):

@@ -16,7 +16,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadfields import census, charsums, cli, engine, sieve
+from quadfields import bounds, census, charsums, cli, engine, sieve
 from quadfields.arith import (
     TABLE_LIMIT,
     factorize,
@@ -99,14 +99,19 @@ def test_order_engine_window_ends(g, lo, hi):
     assert _rows(g, lo, hi) == list(shift_orders(g, lo, hi))
 
 
+SIEVE_PRIMES = build_prime_set(2, bounds.default_z(2 * 10**5, 0.677))  # 12 primes
+
+
 @pytest.mark.parametrize("build, mib", [
-    (lambda: smallest_factors(10**6), 2.5),  # 16-bit cells and a temporary of hi/6 cells
+    (lambda: smallest_factors(10**6), 2.1),  # 16-bit cells, written in slices of 2^15
     (lambda: density_report(2, 1e6, 0.677), 3.1),  # the table and one tile of orders and bars
-    # the table's 2 bytes per n and at most 1.5 MiB beside it, whatever pi(z) is
-    (lambda: density_report(2, 4e6, 0.677), 2 * (4 * 10**6 + 1) / 2**20 + 1.5),
+    # the table's 2 bytes per n and at most 1.2 MiB beside it (one tile), whatever pi(z) is
+    (lambda: density_report(2, 4e6, 0.677), 2 * (4 * 10**6 + 1) / 2**20 + 1.2),
     # 200 classes, whose u(rep) of 1000 n bits each would sum to 2.5 MiB
     (lambda: census.distinct_fields(validate(Polynomial.parse("1,6,1"), 2**500), 0, 200), 0.5),
-], ids=["smallest_factors", "density_report", "density_report_4e6", "classes"])
+    # 12 bytes of symbols per n, a few of columns and mask, and the witness filter's lists
+    (lambda: sieve.run_sieve(SHANKS, 0, 2 * 10**5, 1, SIEVE_PRIMES), 10),
+], ids=["smallest_factors", "density_report", "density_report_4e6", "classes", "run_sieve"])
 def test_table_traced_peak(build, mib):
     # allocations counted by tracemalloc, not RSS, so heap layout cannot move them
     build()  # numpy and first-call state are loaded before tracing
