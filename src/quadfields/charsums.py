@@ -7,8 +7,8 @@ otherwise, and every a = 0 path is computed in exact integers.
 
 Each sum reads one row of symbols per prime from `engine.orbit_symbols`,
 and the Weil scan its primes and periods from the tiles of
-`engine.shift_orders`, row by row in ascending p; numpy is imported inside
-the functions that call them.
+`engine.shift_orders`, its primes split across the CPUs by
+`engine.fork_map`; numpy is imported inside the functions that call them.
 """
 
 from __future__ import annotations
@@ -256,34 +256,46 @@ def weil_scan(f: Polynomial, lam: int, p_max: int):
     One FFT per prime covers every frequency at once.  Rows where p divides
     f(0) carry admissible=False: the square-root bound promises nothing
     there, so they are reported but never asserted against.
+
+    The primes and periods come from `engine.shift_orders` in this process;
+    the (p, period) rows are then dealt out as rows[i::k] to the k shards of
+    `engine.fork_map`, k from `engine.shard_count` of the total period, and
+    the shards' rows are merged back in ascending p.  Each row is computed
+    the same way in whichever process runs it, so the report does not
+    depend on k.
     """
-    from .engine import np, orbit_symbols, shift_orders
+    from .engine import fork_map, np, orbit_symbols, shard_count, shift_orders
     _require_monic_separable(f, "weil_scan")
     if lam == 0:
         raise ValueError("weil_scan: lam must be nonzero")
-    rows = []
-    orders = (row for ells, _, order in shift_orders(lam, 3, p_max)  # tile by tile, ascending
-              for row in zip(ells.tolist(), order.tolist()))
-    for p, period in orders:
-        if period == 0:  # p divides lam
-            continue
-        terms = orbit_symbols(f, lam, p, period).astype(np.float64)
-        # terms[x-1] holds x = 1..period; numpy's fft sign convention means
-        # our sum at frequency a is e(a/period) * conj(fft[a])
-        spectrum = np.fft.fft(terms)
-        mags = np.abs(spectrum)
-        a_best = int(mags.argmax())
-        value = cmath.exp(2j * cmath.pi * a_best / period) * spectrum[a_best].conjugate()
-        rows.append(
-            WeilScanRow(
-                modulus=p,
-                period=period,
-                frequency=a_best,
-                value=complex(value),
-                ratio=float(mags[a_best]) / math.sqrt(p),
-                admissible=f.constant % p != 0,
+
+    def scan(shard):
+        rows = []
+        for p, period in shard:
+            terms = orbit_symbols(f, lam, p, period).astype(np.float64)
+            # terms[x-1] holds x = 1..period; numpy's fft sign convention means
+            # our sum at frequency a is e(a/period) * conj(fft[a])
+            spectrum = np.fft.fft(terms)
+            mags = np.abs(spectrum)
+            a_best = int(mags.argmax())
+            value = cmath.exp(2j * cmath.pi * a_best / period) * spectrum[a_best].conjugate()
+            rows.append(
+                WeilScanRow(
+                    modulus=p,
+                    period=period,
+                    frequency=a_best,
+                    value=complex(value),
+                    ratio=float(mags[a_best]) / math.sqrt(p),
+                    admissible=f.constant % p != 0,
+                )
             )
-        )
+        return rows
+
+    orders = [(p, period) for ells, _, order in shift_orders(lam, 3, p_max)  # ascending
+              for p, period in zip(ells.tolist(), order.tolist()) if period]  # 0: p | lam
+    k = shard_count(sum(period for _, period in orders))
+    parts = fork_map(scan, [orders[i::k] for i in range(k)])
+    rows = sorted(row for part in parts for row in part)  # by p: the moduli are distinct
     return WeilScanReport(slack=float(f.degree + WEIL_SLACK), rows=tuple(rows))
 
 

@@ -17,8 +17,8 @@ from itertools import permutations
 from pathlib import Path
 
 from . import bounds, census, charsums, harvest, sieve
-from .arith import InvariantError, ensure, factorize, is_squarefree, jacobi, multiplicative_order
-from .arith import prime_chunks
+from .arith import InvariantError, ensure, factorize, is_prime, is_squarefree, jacobi
+from .arith import multiplicative_order, prime_chunks
 from .sequences import Polynomial, SequenceSpec, symbol_row, u_eval, u_eval_mod, validate
 
 __all__ = ["main"]
@@ -360,12 +360,16 @@ def _check_bounds(rng: random.Random, quick: bool) -> None:
 
 
 def _check_weil(rng: random.Random, quick: bool) -> None:
-    f = Polynomial.parse("2,0,0,1")
-    report = charsums.weil_scan(f, 2, 500 if quick else 2000)
+    f, lam, p_max = Polynomial.parse("2,0,0,1"), 2, 500 if quick else 2000
+    report = charsums.weil_scan(f, lam, p_max)
     ensure(report.ok, f"weil ratio {report.max_ratio}")
+    # one row per odd prime p <= p_max not dividing lam, in ascending p, with its period
+    want = [(p, multiplicative_order(lam, p)) for p in range(3, p_max + 1, 2)
+            if is_prime(p) and lam % p]
+    ensure([(row.modulus, row.period) for row in report.rows] == want, "weil rows")
     rows = [row for row in report.rows if row.admissible]
     for row in rows[:: len(rows) // 8 or 1]:  # the FFT's value against the direct sum
-        direct = charsums.complete_sum_p(f, 2, row.modulus, row.frequency).value
+        direct = charsums.complete_sum_p(f, lam, row.modulus, row.frequency).value
         ensure(abs(direct - row.value) <= 1e-9 * row.period, ("weil", row.modulus))
 
 

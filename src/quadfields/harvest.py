@@ -8,6 +8,8 @@ Python, one prime at a time; the density report reads the same columns for
 all primes up to z off the numpy twin, `engine.shift_orders`, one tile of
 primes at a time, and adds its counts tile by tile: beside the table (20 MB
 at z = 10^7) it holds one tile of orders and bars, never a column per prime.
+The harvest stays in one process; the report splits its tiles across the
+CPUs with `engine.fork_map`.
 """
 
 from __future__ import annotations
@@ -162,23 +164,33 @@ def density_report(g: int, z: float, alpha: float) -> DensityReport:
     and how often the order of g mod ell clears the same bar.
 
     P+ and the order come from the numpy twin of `shift_orders` one tile at
-    a time, and the two counts grow tile by tile; the bars are Python floats,
-    so every comparison is exact.
+    a time, and the counts grow tile by tile; the bars are Python floats, so
+    every comparison is exact.  The table is built once, before the fork,
+    and `engine.order_shards` deals its tiles out to the k shards of
+    `engine.fork_map` (k from `engine.shard_count(z)`); the shards' integer
+    counts add up to the same report for every k.
     """
-    from .engine import np, shift_orders
+    from .engine import fork_map, np, order_shards, shard_count
     if g <= 1:
         raise ValueError("density_report: g must be > 1")
     if not 10**3 <= z < math.inf:
         raise ValueError("density_report: z must be finite and >= 10^3")
     if not 0.5 <= alpha < 1:
         raise ValueError("density_report: alpha must lie in [1/2, 1)")
-    primes_counted = 1  # ell = 2 too: P+(1) = 1 and an order <= 1 stay below 2^alpha
-    count_alpha = count_order = 0
-    for ells, p_plus, order in shift_orders(g, 3, math.floor(z)):
-        bar = np.fromiter((ell**alpha for ell in ells.tolist()), np.float64, len(ells))
-        count_alpha += int(np.count_nonzero(p_plus >= bar))
-        count_order += int(np.count_nonzero(order >= bar))  # order 0 where ell | g
-        primes_counted += len(ells)
+
+    def count(tiles):
+        counted = passed_alpha = passed_order = 0
+        for ells, p_plus, order in tiles:
+            bar = np.fromiter((ell**alpha for ell in ells.tolist()), np.float64, len(ells))
+            passed_alpha += int(np.count_nonzero(p_plus >= bar))
+            passed_order += int(np.count_nonzero(order >= bar))  # order 0 where ell | g
+            counted += len(ells)
+        return counted, passed_alpha, passed_order
+
+    hi = math.floor(z)
+    counts = fork_map(count, order_shards(g, 3, hi, shard_count(hi)))
+    primes_counted, count_alpha, count_order = map(sum, zip(*counts))
+    primes_counted += 1  # ell = 2 too: P+(1) = 1 and an order <= 1 stay below 2^alpha
     return DensityReport(
         z=z,
         alpha=alpha,

@@ -205,6 +205,10 @@ VERIFY_MUTANTS = {
                      "sequences"),
     "rolled-spectrum": ("fft = engine.np.fft.fft\n"  # every Weil frequency off by one bin
                         "engine.np.fft.fft = lambda x: engine.np.roll(fft(x), 1)", "weil"),
+    "dropped-shard": ("engine._cpu_count, engine._SHARD_WORK = lambda: 2, 1\n"  # two shards
+                      "real = engine.fork_map\n"  # and the last one's rows lost
+                      "engine.fork_map = lambda fn, shards: [*real(fn, shards)[:-1], []]",
+                      "weil"),
 }
 
 
