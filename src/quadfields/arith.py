@@ -131,10 +131,12 @@ def primes_up_to(limit: int) -> list[int]:
 def smallest_factors(hi: int) -> array:
     """Smallest prime factor of every composite n <= hi, 0 where n is prime (and
     at 0 and 1), as one array('H') (no factor passes isqrt(TABLE_LIMIT) < 2^16):
-    the table harvest and the order engine read.  Even n start at 2 from a
-    repeated [2, 0]; each odd prime p <= sqrt(hi) writes only its odd multiples,
-    2^15 at a time, so nothing beside the table grows with hi."""
+    the table harvest and the order engine read, empty for hi < 0.  Even n start
+    at 2 from a repeated [2, 0]; each odd prime p <= sqrt(hi) writes only its odd
+    multiples, 2^15 at a time, so nothing beside the table grows with hi."""
     check_table("smallest_factors", hi, f"the numbers to {hi}")
+    if hi < 0:
+        return array("H")
     spf = array("H", [2, 0]) * (hi // 2 + 2)  # even n hold 2; the cells past hi are cut below
     spf[0:3:2] = array("H", [0, 0])  # 0 and the prime 2
     for p in reversed(primes_up_to(isqrt(hi))[1:]):  # smaller primes overwrite

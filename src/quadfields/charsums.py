@@ -7,7 +7,7 @@ otherwise, and every a = 0 path is computed in exact integers.
 
 Each sum reads one row of symbols per prime from `engine.orbit_symbols`,
 and the Weil scan its primes and periods from the tiles of
-`engine.shift_orders`, its primes split across the CPUs by
+`engine.order_tiles`, its primes split across the CPUs by
 `engine.fork_map`; numpy is imported inside the functions that call them.
 """
 
@@ -257,14 +257,13 @@ def weil_scan(f: Polynomial, lam: int, p_max: int):
     f(0) carry admissible=False: the square-root bound promises nothing
     there, so they are reported but never asserted against.
 
-    The primes and periods come from `engine.shift_orders` in this process;
-    the (p, period) rows are then dealt out as rows[i::k] to the k shards of
-    `engine.fork_map`, k from `engine.shard_count` of the total period, and
-    the shards' rows are merged back in ascending p.  Each row is computed
-    the same way in whichever process runs it, so the report does not
-    depend on k.
+    The primes and periods come from `engine.order_tiles` in this process;
+    the (p, period) rows then go to `engine.fork_map` with their total
+    period as the work, and the shards' rows are merged back in ascending
+    p.  Each row is computed the same way in whichever process runs it, so
+    the report does not depend on the split.
     """
-    from .engine import fork_map, np, orbit_symbols, shard_count, shift_orders
+    from .engine import fork_map, np, orbit_symbols, order_tiles
     _require_monic_separable(f, "weil_scan")
     if lam == 0:
         raise ValueError("weil_scan: lam must be nonzero")
@@ -291,10 +290,9 @@ def weil_scan(f: Polynomial, lam: int, p_max: int):
             )
         return rows
 
-    orders = [(p, period) for ells, _, order in shift_orders(lam, 3, p_max)  # ascending
-              for p, period in zip(ells.tolist(), order.tolist()) if period]  # 0: p | lam
-    k = shard_count(sum(period for _, period in orders))
-    parts = fork_map(scan, [orders[i::k] for i in range(k)])
+    orders = [(p, t) for tile in order_tiles(lam, 3, p_max)  # ascending in p
+              for p, _, t in zip(*(column.tolist() for column in tile())) if t]  # 0: p | lam
+    parts = fork_map(scan, orders, sum(period for _, period in orders))
     rows = sorted(row for part in parts for row in part)  # by p: the moduli are distinct
     return WeilScanReport(slack=float(f.degree + WEIL_SLACK), rows=tuple(rows))
 

@@ -262,11 +262,11 @@ def _check_arith(rng: random.Random, quick: bool) -> None:
     for _ in range(rounds // 4):
         n = rng.randrange(2, 1 << 48)
         ensure(math.prod(p**e for p, e in factorize(n)) == n)
-    from .engine import shift_orders  # the twin behind density reports and Weil scans
+    from .engine import order_tiles  # the twin behind density reports and Weil scans
 
     for g in (2, 3, 12):
-        tiles = shift_orders(g, 3, 2000)
-        rows = [row for tile in tiles for row in zip(*(column.tolist() for column in tile))]
+        tiles = order_tiles(g, 3, 2000)
+        rows = [row for tile in tiles for row in zip(*(column.tolist() for column in tile()))]
         ensure(list(harvest.shift_orders(g, 3, 2000)) == rows, ("orders", g))
 
 
@@ -293,22 +293,23 @@ def _check_detector(rng: random.Random, quick: bool) -> None:
     N = 40 if quick else 120
     for spec in (_shanks(), validate(Polynomial.parse("2,0,0,1"), 3)):
         pset = harvest.build_prime_set(spec.g, 50.0)
-        for s in (1, 2, 17):  # 2 is a non-residue mod both primes of the set: the s-twist shows
-            run = sieve.run_sieve(spec, 0, N, s, pset)  # the table behind `quadfields sieve`
+        # the set is {59, 83}: s = 2 twists both rows (D shows it), s = 5 one (U and W do)
+        for s in (1, 2, 5):
+            run = sieve.run_sieve(spec, 0, N, s, pset)  # the run behind `quadfields sieve --diag`
             for n in range(1, N + 1):
                 D, w = sieve.detector(spec, n, s, pset), sieve.omega_z(spec, n, s, pset)
                 ensure((run.detector[n - 1], run.omega[n - 1]) == (D, w), ("table", n, s))
                 if census.s_matches(spec, n, s):
                     ensure(D == len(pset) - w, (spec.f.format(), n, s))
-        ensure(sieve.certificate(spec, 0, N, 17, pset).holds)
-        d = sieve.diagnostics(spec, 0, N, 17, pset)
-        # U and W by a double loop over the ordered pairs of distinct primes, on scalar symbols
-        chi = [(sp.p_plus, [jacobi(17 * u_eval_mod(spec, n, sp.ell), sp.ell)
-                            for n in range(1, N + 1)]) for sp in pset.members]
-        dots = [(a == b, sum(i * j for i, j in zip(x, y)))
-                for (a, x), (b, y) in permutations(chi, 2)]
-        U, W = sum(dot for same, dot in dots if same), sum(dot for _, dot in dots)
-        ensure(d.gcd_bound_holds and (d.U, d.W) == (U, W), ("pairs", d.U, d.W, U, W))
+            ensure(run.cert.holds, ("certificate", s))
+            # U and W by a double loop over the ordered pairs of distinct primes, on scalar symbols
+            chi = [(sp.p_plus, [jacobi(s * u_eval_mod(spec, n, sp.ell), sp.ell)
+                                for n in range(1, N + 1)]) for sp in pset.members]
+            dots = [(a == b, sum(i * j for i, j in zip(x, y)))
+                    for (a, x), (b, y) in permutations(chi, 2)]
+            U, W = sum(dot for same, dot in dots if same), sum(dot for _, dot in dots)
+            d = run.diagnostics()
+            ensure(d.gcd_bound_holds and (d.U, d.W) == (U, W), ("pairs", s, d.U, d.W, U, W))
 
 
 def _check_census(rng: random.Random, quick: bool) -> None:

@@ -1,18 +1,18 @@
-"""The numpy engine: numpy twins of two pure-Python engines, one call each,
-and the fork helper that splits the loops over them across the CPUs.
+"""The numpy engine: numpy twins of two pure-Python engines, and the fork
+helper that splits the loops over them across the CPUs.
 
-`shift_orders` gives the rows of `harvest.shift_orders` as tiles of arrays,
-one segment of odd n per tile, and `orbit_symbols` the symbols of
+`order_tiles` gives the rows of `harvest.shift_orders` as tiles of arrays,
+one call per segment of odd n, and `orbit_symbols` the symbols of
 `sequences.symbol_row` (with a shift, and -1/0/1 in place of 0/1/2) as one
 array.  Both pairs stay because the pure-Python twin is slower
 on the density report and the Weil scan; the numbers are in ROADMAP's
 standing notes.
 
 The Weil scan and the density report are independent per prime, so each
-deals its primes (or its tiles of primes, `order_shards`) into
-`shard_count(work)` shards and runs them with `fork_map`: the first in this
-process, each other in a forked child.  Outputs do not depend on the
-number of shards: the scan puts its rows back in ascending p and the
+hands its items (rows of p and period, or tile calls) to `fork_map`, the
+only code that picks the number of shards and deals the items to them: the
+first shard runs in this process, each other in a forked child.  Outputs do
+not depend on the split: the scan puts its rows back in ascending p and the
 report adds up integer counts.
 
 The only module that imports numpy at the top.  The density report, the
@@ -26,87 +26,73 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
+from functools import partial
 
 import numpy as np
 
 from .arith import check_table, ensure, smallest_factors
 from .sequences import Polynomial
 
-__all__ = ["shift_orders", "order_shards", "orbit_symbols", "shard_count", "fork_map"]
+__all__ = ["order_tiles", "orbit_symbols", "fork_map"]
 
-_ORDER_TILE = 1 << 15  # odd n per segment of shift_orders; a tile holds its primes
+_ORDER_TILE = 1 << 15  # odd n per segment of order_tiles; a tile holds its primes
 _CELL_TILE = 1 << 16  # orbit_symbols builds its int64 temporaries this many cells at a time
-_SHARD_CAP = 8  # most shards fork_map is given, whatever the CPU count
-_SHARD_WORK = 1 << 18  # least work per shard, in orbit points or n; see shard_count
+_SHARD_CAP = 8  # most shards fork_map makes, whatever the CPU count
+_SHARD_WORK = 1 << 18  # least work per shard, in orbit points or n; see fork_map
 
 
-def shift_orders(g: int, lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The odd primes ell in [lo, hi], P+(ell-1) and the order of g mod ell,
-    as tiles of three int64 arrays, ascending; the tiles' rows joined are the
-    rows of `harvest.shift_orders(g, lo, hi)`, and the order is 0 where ell
-    divides g.
+def order_tiles(g: int, lo: int, hi: int) -> list[Callable[[], tuple[np.ndarray, ...]]]:
+    """One zero-argument call per segment of _ORDER_TILE odd n in [lo, hi],
+    ascending, each returning three int64 arrays: the segment's odd primes
+    ell (maybe none), P+(ell-1) and the order of g mod ell (0 where ell
+    divides g).  The calls' rows joined are those of `harvest.shift_orders`.
 
-    The table is built, or refused past the table cap, at the call, and the
-    tiles come as they are iterated, so nothing of length pi(hi) is ever
-    built.  The primes are the zero cells at odd n of arith's
-    smallest-prime-factor table, viewed as uint16 (2 bytes per n up to hi);
-    a tile holds those of one segment of _ORDER_TILE odd n, and a segment
-    without a prime gives none.  Cohen's order algorithm (A Course in
-    Computational Algebraic Number Theory, Alg. 1.4.3) runs across a tile:
-    one round per distinct prime q of ell-1, read off the same table.  Strip
-    q^e from ell-1 and from t (t starts at ell-1), then raise y = g^t to the q
-    until it reaches 1, multiplying t by q each time.  Products stay exact in
-    int64: ell <= hi <= TABLE_LIMIT < 2^31.
+    The table is built, or refused past the table cap, at this call, so
+    calls made in forked children read the parent's copy, and nothing of
+    length pi(hi) is ever built.  The primes are the zero cells at odd n of
+    arith's smallest-prime-factor table, viewed as uint16 (2 bytes per n up
+    to hi).  Cohen's order algorithm (A Course in Computational Algebraic
+    Number Theory, Alg. 1.4.3) runs across a tile: one round per distinct
+    prime q of ell-1, read off the same table.  Strip q^e from ell-1 and from
+    t (t starts at ell-1), then raise y = g^t to the q until it reaches 1,
+    multiplying t by q each time.  Products stay exact in int64:
+    ell <= hi <= TABLE_LIMIT < 2^31.
     """
-    return order_shards(g, lo, hi, 1)[0]
-
-
-def order_shards(g: int, lo: int, hi: int, k: int) -> list[Iterator[tuple[np.ndarray, ...]]]:
-    """The tiles of `shift_orders(g, lo, hi)` dealt into k shards: shard i
-    yields the tiles of segments i, i + k, i + 2k, ... in ascending order.
-
-    The table is built, or refused, once at the call, so shards iterated in
-    forked children read the parent's copy; a shard computes its tiles only
-    as it is iterated, and may be empty.
-    """
-    spf = np.frombuffer(smallest_factors(max(hi, 0)), dtype=np.uint16)
+    spf = np.frombuffer(smallest_factors(hi), dtype=np.uint16)
     starts = range(max(lo, 3) | 1, hi + 1, 2 * _ORDER_TILE)
-    return [_tiles(g, spf, starts[i::k], hi) for i in range(k)]
+    return [partial(_tile, g, spf, start) for start in starts]
 
 
-def _tiles(g: int, spf: np.ndarray, starts: range, hi: int) -> Iterator[tuple[np.ndarray, ...]]:
-    # the tiles of the segments at starts (odd), each computed when it is asked for; spf ends at hi
-    for start in starts:
-        ell = np.flatnonzero(spf[start : start + 2 * _ORDER_TILE : 2] == 0) * 2 + start
-        if not ell.size:  # 0 marks a prime; odd n only
-            continue
-        base = np.array([g % e for e in ell.tolist()], dtype=np.int64)
-        unit = base != 0  # only these descend; the rest keep order 0
-        n, t, big = ell - 1, ell - 1, np.ones_like(ell)
-        live = np.arange(len(ell))  # n = ell-1 >= 2
-        while live.size:
-            q = spf[n[live]].astype(np.int64)
-            q = np.where(q == 0, n[live], q)  # n itself when prime
-            m, qe = n[live] // q, q.copy()
-            j = np.flatnonzero(m % q == 0)
-            while j.size:
-                m[j] //= q[j]
-                qe[j] *= q[j]
-                j = j[m[j] % q[j] == 0]
-            n[live], big[live] = m, q  # q ascends, so the last one is P+
-            u = unit[live]
-            idx, q = live[u], q[u]
-            tl, mod = t[idx] // qe[u], ell[idx]
-            y = _pow_mod(base[idx], tl, mod)
-            k = np.flatnonzero(y != 1)
-            while k.size:
-                tl[k] *= q[k]
-                y[k] = _pow_mod(y[k], q[k], mod[k])
-                k = k[y[k] != 1]
-            t[idx] = tl
-            live = live[m > 1]
-        yield ell, big, np.where(unit, t, 0)
+def _tile(g: int, spf: np.ndarray, start: int) -> tuple[np.ndarray, ...]:
+    # the tile of the segment at start (odd); spf ends at hi
+    ell = np.flatnonzero(spf[start : start + 2 * _ORDER_TILE : 2] == 0) * 2 + start  # 0: prime
+    base = np.array([g % e for e in ell.tolist()], dtype=np.int64)
+    unit = base != 0  # only these descend; the rest keep order 0
+    n, t, big = ell - 1, ell - 1, np.ones_like(ell)
+    live = np.arange(len(ell))  # n = ell-1 >= 2
+    while live.size:
+        q = spf[n[live]].astype(np.int64)
+        q = np.where(q == 0, n[live], q)  # n itself when prime
+        m, qe = n[live] // q, q.copy()
+        j = np.flatnonzero(m % q == 0)
+        while j.size:
+            m[j] //= q[j]
+            qe[j] *= q[j]
+            j = j[m[j] % q[j] == 0]
+        n[live], big[live] = m, q  # q ascends, so the last one is P+
+        u = unit[live]
+        idx, q = live[u], q[u]
+        tl, mod = t[idx] // qe[u], ell[idx]
+        y = _pow_mod(base[idx], tl, mod)
+        k = np.flatnonzero(y != 1)
+        while k.size:
+            tl[k] *= q[k]
+            y[k] = _pow_mod(y[k], q[k], mod[k])
+            k = k[y[k] != 1]
+        t[idx] = tl
+        live = live[m > 1]
+    return ell, big, np.where(unit, t, 0)
 
 
 def _pow_mod(b: np.ndarray, e: np.ndarray, m) -> np.ndarray:
@@ -168,23 +154,18 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def shard_count(work: int) -> int:
-    """How many shards to deal `work` units (orbit points of a Weil scan, or
-    n up to z for a density report) into: one per CPU in this process's
-    affinity mask, at most _SHARD_CAP, and at most one per _SHARD_WORK
-    units.  A unit costs about 0.2 us in either loop.  Two shards lost to
-    one at 1.6*10^5 points (a scan to pmax 2000: 54 against 66 ms, since a
-    child costs 10-20 ms of fork and copy-on-write faults) and won 9 of 9
-    alternations from 5*10^5 units (pmax 4000, z = 5.2*10^5) on a shared
-    2-core x86-64, hence 2^18 units per shard; `verify` and the tests' scans
-    and reports stay in one process.
-    """
-    return max(1, min(_cpu_count(), _SHARD_CAP, work // _SHARD_WORK))
+def fork_map(fn: Callable, items: Sequence, work: int) -> list:
+    """[fn(items[i::k]) for i in range(k)]: the items dealt into k shards,
+    the first run in this process and each other in a child made with
+    os.fork().
 
-
-def fork_map(fn: Callable, shards: Sequence) -> list:
-    """[fn(shard) for shard in shards], the first in this process and each
-    other in a child made with os.fork().
+    k is one per CPU in this process's affinity mask, at most _SHARD_CAP,
+    and at most one per _SHARD_WORK units of `work` (orbit points of a Weil
+    scan, or n up to z for a density report), at least 1.  A unit costs
+    about 0.2 us in either loop and a child 10-20 ms of fork and
+    copy-on-write faults: two shards lost to one at 1.6*10^5 units and won
+    from 5*10^5 (ROADMAP's standing notes), hence 2^18 units per shard;
+    `verify` and the tests' scans and reports stay in one process.
 
     A child pickles its result, or the exception it raised, back over a
     pipe and ends with os._exit, so it runs no exit handlers and flushes
@@ -196,17 +177,18 @@ def fork_map(fn: Callable, shards: Sequence) -> list:
     a fork (its own atfork handler) and starts them again at the next BLAS
     call; no shard calls BLAS.
     """
+    k = max(1, min(_cpu_count(), _SHARD_CAP, work // _SHARD_WORK))
     children = []  # (pid, read end of its pipe), each dropped once its child is reaped
     try:
-        for shard in shards[1:]:
+        for i in range(1, k):
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
                 os.close(r)
-                _child(fn, shard, w)
+                _child(fn, items[i::k], w)
             os.close(w)
             children.append((pid, open(r, "rb")))
-        results = [fn(shards[0])]
+        results = [fn(items[::k])]
         while children:  # read to EOF first: a child blocks on a full pipe until then
             pid, pipe = children[0]
             with pipe:

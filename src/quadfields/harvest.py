@@ -5,11 +5,11 @@ harvest up.
 The harvest reads P+(ell-1) and the order of g off arith's
 smallest-prime-factor table (16-bit cells: 2 bytes per n up to Cz) in pure
 Python, one prime at a time; the density report reads the same columns for
-all primes up to z off the numpy twin, `engine.shift_orders`, one tile of
+all primes up to z off the numpy twin, `engine.order_tiles`, one tile of
 primes at a time, and adds its counts tile by tile: beside the table (20 MB
 at z = 10^7) it holds one tile of orders and bars, never a column per prime.
-The harvest stays in one process; the report splits its tiles across the
-CPUs with `engine.fork_map`.
+The harvest stays in one process; the report hands its tile calls to
+`engine.fork_map`, which splits them across the CPUs.
 """
 
 from __future__ import annotations
@@ -165,12 +165,12 @@ def density_report(g: int, z: float, alpha: float) -> DensityReport:
 
     P+ and the order come from the numpy twin of `shift_orders` one tile at
     a time, and the counts grow tile by tile; the bars are Python floats, so
-    every comparison is exact.  The table is built once, before the fork,
-    and `engine.order_shards` deals its tiles out to the k shards of
-    `engine.fork_map` (k from `engine.shard_count(z)`); the shards' integer
-    counts add up to the same report for every k.
+    every comparison is exact.  `engine.order_tiles` builds the table once,
+    before the fork, and its tile calls go to `engine.fork_map` with z as
+    the work; the shards' integer counts add up to the same report for
+    every split.
     """
-    from .engine import fork_map, np, order_shards, shard_count
+    from .engine import fork_map, np, order_tiles
     if g <= 1:
         raise ValueError("density_report: g must be > 1")
     if not 10**3 <= z < math.inf:
@@ -180,7 +180,7 @@ def density_report(g: int, z: float, alpha: float) -> DensityReport:
 
     def count(tiles):
         counted = passed_alpha = passed_order = 0
-        for ells, p_plus, order in tiles:
+        for ells, p_plus, order in (tile() for tile in tiles):
             bar = np.fromiter((ell**alpha for ell in ells.tolist()), np.float64, len(ells))
             passed_alpha += int(np.count_nonzero(p_plus >= bar))
             passed_order += int(np.count_nonzero(order >= bar))  # order 0 where ell | g
@@ -188,7 +188,7 @@ def density_report(g: int, z: float, alpha: float) -> DensityReport:
         return counted, passed_alpha, passed_order
 
     hi = math.floor(z)
-    counts = fork_map(count, order_shards(g, 3, hi, shard_count(hi)))
+    counts = fork_map(count, order_tiles(g, 3, hi), hi)
     primes_counted, count_alpha, count_order = map(sum, zip(*counts))
     primes_counted += 1  # ell = 2 too: P+(1) = 1 and an order <= 1 stay below 2^alpha
     return DensityReport(

@@ -193,13 +193,16 @@ VERIFY_MUTANTS = {
     "untwisted": ("sieve._twisted = lambda R, s, prime_set: R", "detector"),  # no (s/ell)
     "kept-diagonal": ("sieve._off_diagonal = lambda rows, N: sum(\n"  # |column sums|^2
                       "    c * c for c in sieve._column_sums(rows, N, None)[0])", "detector"),
+    "stored-untwisted": ("real = sieve.run_sieve\n"  # the run's pair table kept without (s/ell)
+                         "sieve.run_sieve = lambda spec, M, N, s, pset: real(spec, M, N, s, pset)"
+                         "._replace(\n    symbols=sieve._symbols(spec, M, N, pset))", "detector"),
     "shifted-detector": ("real = sieve.run_sieve\n"  # D(n + 1) read in place of D(n)
                          "sieve.run_sieve = lambda *a: (r := real(*a))._replace(\n"
                          "    detector=[*r.detector[1:], r.detector[0]])", "detector"),
-    "halved-orders": ("real = engine.shift_orders\n"  # even orders halved, tile by tile
-                      "engine.shift_orders = lambda *a: (\n"
-                      "    (e, p, engine.np.where(t % 2, t, t // 2))\n"
-                      "    for e, p, t in real(*a))", "arith"),
+    "halved-orders": ("real = engine.order_tiles\n"  # even orders halved, tile by tile
+                      "halve = lambda e, p, t: (e, p, engine.np.where(t % 2, t, t // 2))\n"
+                      "engine.order_tiles = lambda *a: [lambda t=t: halve(*t()) for t in real(*a)]",
+                      "arith"),
     "rolled-orbit": ("real = engine.orbit_symbols\n"  # x = 0..n-1 read in place of 1..n
                      "engine.orbit_symbols = lambda *a, **k: engine.np.roll(real(*a, **k), 1)",
                      "sequences"),
@@ -207,7 +210,7 @@ VERIFY_MUTANTS = {
                         "engine.np.fft.fft = lambda x: engine.np.roll(fft(x), 1)", "weil"),
     "dropped-shard": ("engine._cpu_count, engine._SHARD_WORK = lambda: 2, 1\n"  # two shards
                       "real = engine.fork_map\n"  # and the last one's rows lost
-                      "engine.fork_map = lambda fn, shards: [*real(fn, shards)[:-1], []]",
+                      "engine.fork_map = lambda *a: [*real(*a)[:-1], []]",
                       "weil"),
 }
 

@@ -1,6 +1,6 @@
 """The fork helper behind the Weil scan and the density report.
 
-Outputs must not depend on how many shards `engine.fork_map` is given, and
+Outputs must not depend on how many shards `engine.fork_map` makes, and
 every way a child can fail (an exception, a signal, silence) must come back
 to the parent as an exception, with no child left behind.
 """
@@ -26,9 +26,14 @@ CUBIC = Polynomial.parse("2,0,0,1")
 
 
 def pin_shards(mp, k):
-    # k CPUs and no work floor: shard_count gives k for any work of k units or more
+    # k CPUs and no work floor: fork_map makes k shards for any work of k units or more
     mp.setattr(engine, "_cpu_count", lambda: k)
     mp.setattr(engine, "_SHARD_WORK", 1)
+
+
+def k_for(work):
+    # how many shards fork_map makes for this much work, each empty
+    return len(engine.fork_map(len, [], work))
 
 
 def assert_no_child_left():
@@ -54,7 +59,7 @@ def one_shard(build):
 def test_outputs_do_not_depend_on_shards(build, k, monkeypatch):
     want = one_shard(build)
     pin_shards(monkeypatch, k)
-    assert engine.shard_count(k) == k
+    assert k_for(k) == k
     assert build() == want
     assert_no_child_left()
 
@@ -71,28 +76,31 @@ def test_weil_scan_any_f_and_lam_matches_one_shard(low, lam, p_max, k):
         assert weil_scan(f, lam, p_max) == want
 
 
-def test_shard_count_floor_and_cap(monkeypatch):
+def test_fork_map_floor_and_cap(monkeypatch):
     monkeypatch.setattr(engine, "_cpu_count", lambda: 64)
-    assert engine.shard_count(0) == 1
-    assert engine.shard_count(engine._SHARD_WORK * 2 - 1) == 1
-    assert engine.shard_count(engine._SHARD_WORK * 3) == 3
-    assert engine.shard_count(10**12) == engine._SHARD_CAP
+    assert k_for(0) == 1
+    assert k_for(engine._SHARD_WORK * 2 - 1) == 1
+    assert k_for(engine._SHARD_WORK * 3) == 3
+    assert k_for(10**12) == engine._SHARD_CAP
     monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
-    assert engine.shard_count(10**12) == 2
+    assert k_for(10**12) == 2
     # the scans and reports that verify and the tests run stay in one process
-    assert engine.shard_count(sum(row.period for row in weil_scan(CUBIC, 2, 2000).rows)) == 1
-    assert engine.shard_count(2 * 10**5) == 1
+    assert k_for(sum(row.period for row in weil_scan(CUBIC, 2, 2000).rows)) == 1
+    assert k_for(2 * 10**5) == 1
+    assert_no_child_left()
 
 
-def test_fork_map_keeps_shard_order():
-    assert engine.fork_map(lambda shard: [x * x for x in shard], [[1], [], [2, 3], [4]]) == \
-        [[1], [], [4, 9], [16]]
+def test_fork_map_keeps_shard_order(monkeypatch):
+    pin_shards(monkeypatch, 3)
+    assert engine.fork_map(lambda shard: [x * x for x in shard], [1, 2, 3, 4, 5], 3) == \
+        [[1, 16], [4, 25], [9]]
+    assert engine.fork_map(list, [1], 3) == [[1], [], []]
     assert_no_child_left()
 
 
 def _raise_in_child(exc):
     def fn(shard):
-        if shard:
+        if any(shard):
             raise exc
         return shard
     return fn
@@ -100,40 +108,44 @@ def _raise_in_child(exc):
 
 @pytest.mark.parametrize("exc", [ValueError("bad shard 1"), InvariantError("broken", 3),
                                  KeyError("k")], ids=["value", "invariant", "key"])
-def test_child_exception_comes_back(exc):
+def test_child_exception_comes_back(exc, monkeypatch):
+    pin_shards(monkeypatch, 3)
     with pytest.raises(type(exc)) as caught:
-        engine.fork_map(_raise_in_child(exc), [0, 1, 0])
+        engine.fork_map(_raise_in_child(exc), [0, 1, 0], 3)
     assert caught.value.args == exc.args
     assert_no_child_left()
 
 
 def _die(shard):
-    if shard == "kill":
+    (how,) = shard
+    if how == "kill":
         os.kill(os.getpid(), signal.SIGKILL)
-    if shard == "silent":
+    if how == "silent":
         os._exit(0)  # ends without writing its result
-    return shard
+    return how
 
 
 @pytest.mark.parametrize("how", ["kill", "silent"])
-def test_child_that_dies_or_sends_nothing_raises(how):
+def test_child_that_dies_or_sends_nothing_raises(how, monkeypatch):
+    pin_shards(monkeypatch, 3)
     with pytest.raises(InvariantError, match="fork_map: child"):
-        engine.fork_map(_die, ["parent", how, "fine"])
+        engine.fork_map(_die, ["parent", how, "fine"], 3)
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("shards", [["fail", "sleep", "sleep"], ["ok", "fail", "sleep"]],
+@pytest.mark.parametrize("items", [["fail", "sleep", "sleep"], ["ok", "fail", "sleep"]],
                          ids=["parent-fails", "first-child-fails"])
-def test_failure_kills_and_reaps_the_running_children(shards):
+def test_failure_kills_and_reaps_the_running_children(items, monkeypatch):
     def fn(shard):
-        if shard == "fail":
+        if shard == ["fail"]:
             raise ValueError("failed shard")
-        if shard == "sleep":
+        if shard == ["sleep"]:
             time.sleep(60)
 
+    pin_shards(monkeypatch, 3)
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="failed shard"):
-        engine.fork_map(fn, shards)
+        engine.fork_map(fn, items, 3)
     assert time.perf_counter() - t0 < 30  # killed, not waited for
     assert_no_child_left()
 

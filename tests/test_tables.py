@@ -32,8 +32,8 @@ from quadfields.sequences import Polynomial, validate
 def _columns(g, lo, hi):
     # the order engine's tiles joined: lists of ell, P+(ell-1) and the order of g
     columns = ([], [], [])
-    for tile in engine.shift_orders(g, lo, hi):
-        for column, part in zip(columns, tile):
+    for tile in engine.order_tiles(g, lo, hi):
+        for column, part in zip(columns, tile()):
             column += part.tolist()
     return columns
 
@@ -80,9 +80,10 @@ def test_smallest_factors_match_sympy(hi):
     (0, [0]), (1, [0, 0]), (2, [0, 0, 0]), (3, [0, 0, 0, 0]), (4, [0, 0, 0, 0, 2]),
     (9, [0, 0, 0, 0, 2, 0, 2, 0, 2, 3]),
     (25, [0, 0, 0, 0, 2, 0, 2, 0, 2, 3, 2, 0, 2, 0, 2, 3, 2, 0, 2, 0, 2, 3, 2, 0, 2, 5]),
+    (-1, []), (-5, []),
 ])
 def test_smallest_factors_small_tables(hi, table):
-    # the [2, 0] pattern cut at hi, with 0 and 2 cleared and odd squares written
+    # the [2, 0] pattern cut at hi, with 0 and 2 cleared and odd squares written; none below 0
     assert smallest_factors(hi).tolist() == table
 
 
@@ -156,10 +157,11 @@ spans = st.integers(8, 64)  # odd n per segment: windows cross many, some withou
 def test_orders_match_scalar_descent_and_sympy(g, lo, width, span):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_ORDER_TILE", span)
-        tiles = list(engine.shift_orders(g, lo, lo + width))
-    for tile in tiles:  # each tile is the primes of one segment of odd n, none empty
+        tiles = [tile() for tile in engine.order_tiles(g, lo, lo + width)]
+    assert len(tiles) == len(range(max(lo, 3) | 1, lo + width + 1, 2 * span))  # one per segment
+    for tile in tiles:  # each tile is the primes of one segment of odd n, maybe none
         assert all(a.dtype == np.int64 and len(a) == len(tile[0]) for a in tile)
-        assert 0 < len(tile[0]) and tile[0][-1] - tile[0][0] < 2 * span
+        assert len(tile[0]) == 0 or tile[0][-1] - tile[0][0] < 2 * span
     ells, p_plus, order = ([n for tile in tiles for n in tile[k].tolist()] for k in range(3))
     assert list(zip(ells, p_plus, order)) == list(shift_orders(g, lo, lo + width))
     assert (p_plus, order) == _scalar_orders(g, ells)
@@ -181,8 +183,9 @@ def test_orders_edge_cases():
     assert _orders(-3, 7) == [(3, 3)]
     assert _orders(2**64 + 1, 3, 5) == [(2, 2), (2, 4)]
     assert _orders(2**64 * 257, 257) == [(2, 0)]  # masked, never 1
-    assert list(engine.shift_orders(5, 8, 10)) == []  # no prime, no tile
-    assert len(list(engine.shift_orders(2, 0, 200000))) > 2  # more than two tiles, one partial
+    (empty,) = engine.order_tiles(5, 8, 10)  # one segment, no prime
+    assert [a.tolist() for a in empty()] == [[], [], []]
+    assert len(engine.order_tiles(2, 0, 200000)) > 2  # more than two tiles, one partial
     ells, _, order = _columns(2, 0, 200000)
     assert order == [multiplicative_order(2, ell) for ell in ells]
 
@@ -194,14 +197,14 @@ def test_orders_edge_cases():
 def test_orders_guard_fails_fast(ells):
     # the engine picks its primes from the window [lo, hi]: past the table cap the call
     # raises before allocating, before any tile is asked for, and a window without an
-    # odd prime gives no tile
+    # odd prime gives no row
     lo, hi = ells
     t0 = time.perf_counter()
     if hi > TABLE_LIMIT:
         with pytest.raises(ValueError, match="table cap"):
-            engine.shift_orders(2, lo, hi)
+            engine.order_tiles(2, lo, hi)
     else:
-        assert list(engine.shift_orders(2, lo, hi)) == []
+        assert _columns(2, lo, hi) == ([], [], [])
     assert time.perf_counter() - t0 < 0.1
 
 
@@ -300,7 +303,7 @@ def test_density_report_counts_tile_by_tile(g, z, alpha, span):
 
 
 def test_table_limit_rejects_before_allocating():
-    for build in (primes_up_to, smallest_factors, lambda hi: engine.shift_orders(2, 3, hi)):
+    for build in (primes_up_to, smallest_factors, lambda hi: engine.order_tiles(2, 3, hi)):
         with pytest.raises(ValueError, match="table cap"):
             build(TABLE_LIMIT + 1)
 
