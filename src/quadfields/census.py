@@ -117,17 +117,9 @@ def squarefree_kernel(n: int, B: int, S: int | None = None) -> KernelResult:
 
 
 def same_field(a: int, b: int) -> bool:
-    """Q(sqrt(a)) equals Q(sqrt(b)) iff a*b is a perfect square.
-
-    Jacobi witnesses mod fixed small primes run first, so unequal fields are
-    usually rejected without ever forming the product a*b.
-    """
+    """Q(sqrt(a)) equals Q(sqrt(b)) iff a*b is a perfect square."""
     if a <= 0 or b <= 0:
         raise ValueError("same_field: inputs must be positive")
-    for p in _WITNESS_PRIMES:
-        r = (a % p) * (b % p) % p
-        if r and jacobi(r, p) == -1:
-            return False
     return is_perfect_square(a * b)
 
 
@@ -204,14 +196,14 @@ def window_matches(spec: SequenceSpec, M: int, N: int, s: int) -> list[int]:
     The witness primes thin the window one at a time, each dropping about half
     of what is left: n goes when (s/p)(u(n)/p) = -1.  The symbols come from the
     window's witness rows, computed at most once per (f, g, window) across calls.
-    Only survivors get the exact u(n) and square test.
+    Only survivors get the exact test, `s_matches`.
     """
     live = _witness_window(M, N, "window_matches")
     for p in _WITNESS_PRIMES:
         if j := jacobi(s, p):  # n goes when (u(n)/p) = -(s/p); none when p | s
             row = _witness_row(spec, M, N, p, live)
             live = [n for n in live if row[n - M - 1] != 1 - j]
-    return [n for n in live if (u := u_eval(spec, n)) > 0 and is_perfect_square(s * u)]
+    return [n for n in live if s_matches(spec, n, s)]
 
 
 def count_Q(spec: SequenceSpec, M: int, N: int, s: int) -> int:
@@ -264,7 +256,8 @@ def count_Q_total(spec: SequenceSpec, M: int, N: int, S: int) -> CensusResult:
         raise ValueError("count_Q_total: S must be >= 1")
     ns = _window(M, N, "count_Q_total")
     top = _u_bits(spec, M + N)  # every u(n) in the window is below 2^top
-    B = max(2, min(S, 1 << (top + 1) // 2))
+    half = (top + 1) // 2  # min(S, 2^half) by bit lengths: 2^half is not built past S
+    B = max(2, S if S.bit_length() <= half else 1 << half)
     check_table("count_Q_total", B, f"the numbers to B = {B}")  # an oversized B fails here first
     c = abs(spec.f.constant)
     peel = _smooth_part(c, spec.g).bit_length() if c else top
@@ -274,8 +267,10 @@ def count_Q_total(spec: SequenceSpec, M: int, N: int, S: int) -> CensusResult:
     if per_chunk * chunks + rest <= KERNEL_WORK_CAP:
         chunks, least = len(prime_chunks(B)), ""
     if (work := per_chunk * chunks + rest) > KERNEL_WORK_CAP:
+        from decimal import Decimal  # not at the top, as with fractions; work may pass floats
+        shown = work if work < 1e300 else Decimal(work)
         raise ValueError(
-            f"count_Q_total: kernel extraction needs {least or 'about '}{work:.3g} steps (bits of "
+            f"count_Q_total: kernel extraction needs {least or 'about '}{shown:.3g} steps (bits of "
             f"u(n) and {least}{chunks} prime chunks <= {B}), past the cap {KERNEL_WORK_CAP:.3g}"
         )
     per_s: dict[int, int] = {}
@@ -302,8 +297,9 @@ def distinct_fields(spec: SequenceSpec, M: int, N: int) -> CensusResult:
     -1s.  Where a +1 meets a -1 the fields differ, so with no zero residue only
     the classes of the same plus mask, found by a dict, and those whose rep has
     a zero residue are tried; an n with one tries all.  At most one class
-    passes the exact test, so the order of trials cannot matter.  A class keeps
-    its masks, not u(rep), which the exact test recomputes: memory stays linear in N.
+    passes the exact test, `same_field`, so the order of trials cannot matter.
+    A class keeps its masks, not u(rep), which the exact test recomputes:
+    memory stays linear in N.
     """
     _require_census_spec(spec, "distinct_fields")
     ns = _witness_window(M, N, "distinct_fields")
@@ -323,7 +319,7 @@ def distinct_fields(spec: SequenceSpec, M: int, N: int) -> CensusResult:
         whole = pl | mi == full
         for i in by_plus.get(pl, []) + zeroed if whole else range(len(classes)):
             rep, members, rep_pl, rep_mi = classes[i]
-            if not (rep_pl & mi or rep_mi & pl) and is_perfect_square(u_eval(spec, rep) * u):
+            if not (rep_pl & mi or rep_mi & pl) and same_field(u_eval(spec, rep), u):
                 members.append(n)
                 break
         else:

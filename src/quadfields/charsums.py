@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from math import gcd
 from typing import NamedTuple
 
@@ -201,6 +202,8 @@ def incomplete_sum(f: Polynomial, A: int, lam: int, ell: int, p: int, K: int) ->
         raise ValueError("incomplete_sum: ell*p must be coprime to lam*f(0)")
     if K < 0:
         raise ValueError("incomplete_sum: K must be >= 0")
+    if K * K * m > int(sys.float_info.max) ** 2:  # the bound's K*sqrt(ell*p) passes a float
+        raise ValueError("incomplete_sum: K*sqrt(ell*p) must stay in the float range")
     jl, jp = _pair_cycles(f, A, lam, ell, p, "incomplete_sum", K)
     period = len(jl) * len(jp)
     q, r = divmod(K, period)

@@ -155,7 +155,7 @@ def _run_sieve(args: argparse.Namespace) -> int:
     print(f"certificate lhs {run.cert.lhs} rhs {run.cert.rhs.numerator}/"
           f"{run.cert.rhs.denominator} holds {run.cert.holds}")
     if args.diag:
-        d = run.diagnostics()
+        d = sieve.diagnostics(run)
         print(f"pairs U {d.U} V {d.V} W {d.W} T {d.T} Q {d.Q_quantity}")
         print(f"ratios U {d.U_ratio:.6g} V {d.V_ratio:.6g} "
               f"T {d.T_ratio:.6g} Q {d.Q_ratio:.6g}")
@@ -292,15 +292,18 @@ def _check_sequences(rng: random.Random, quick: bool) -> None:
 def _check_detector(rng: random.Random, quick: bool) -> None:
     N = 40 if quick else 120
     for spec in (_shanks(), validate(Polynomial.parse("2,0,0,1"), 3)):
-        pset = harvest.build_prime_set(spec.g, 50.0)
-        # the set is {59, 83}: s = 2 twists both rows (D shows it), s = 5 one (U and W do)
-        for s in (1, 2, 5):
+        pset = harvest.build_prime_set(spec.g, 120.0)
+        # 7 primes, 149 and 223 sharing P+ = 37 (U needs a pair); s = 2 and 5 twist some rows,
+        # and s = u(1) makes s*u(1) a square, so the identity below runs on each spec
+        squares = 0
+        for s in (1, 2, 5, u_eval(spec, 1)):
             run = sieve.run_sieve(spec, 0, N, s, pset)  # the run behind `quadfields sieve --diag`
             for n in range(1, N + 1):
                 D, w = sieve.detector(spec, n, s, pset), sieve.omega_z(spec, n, s, pset)
                 ensure((run.detector[n - 1], run.omega[n - 1]) == (D, w), ("table", n, s))
                 if census.s_matches(spec, n, s):
                     ensure(D == len(pset) - w, (spec.f.format(), n, s))
+                    squares += 1
             ensure(run.cert.holds, ("certificate", s))
             # U and W by a double loop over the ordered pairs of distinct primes, on scalar symbols
             chi = [(sp.p_plus, [jacobi(s * u_eval_mod(spec, n, sp.ell), sp.ell)
@@ -308,8 +311,9 @@ def _check_detector(rng: random.Random, quick: bool) -> None:
             dots = [(a == b, sum(i * j for i, j in zip(x, y)))
                     for (a, x), (b, y) in permutations(chi, 2)]
             U, W = sum(dot for same, dot in dots if same), sum(dot for _, dot in dots)
-            d = run.diagnostics()
+            d = sieve.diagnostics(run)
             ensure(d.gcd_bound_holds and (d.U, d.W) == (U, W), ("pairs", s, d.U, d.W, U, W))
+        ensure(squares > 0, ("no square s*u(n)", spec.f.format()))
 
 
 def _check_census(rng: random.Random, quick: bool) -> None:

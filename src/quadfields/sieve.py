@@ -104,16 +104,11 @@ class Partition(NamedTuple):
     e_ratio: float  # heavy count / (N z^-alpha + log z)
 
 
-def partition(spec: SequenceSpec, M: int, N: int, prime_set: SievePrimeSet) -> Partition:
-    """Split the window by omega_z(u(n)) against the half-set threshold.
+def partition(omega, prime_set: SievePrimeSet) -> Partition:
+    """Split the window by its omega_z(u(n)) column against the half-set threshold.
 
     n with u(n) = 0 land in the heavy side: every modulus divides 0.
     """
-    omega = _column_sums(_symbols(spec, M, N, prime_set), N, _ZEROS)[0]
-    return _partition(omega, prime_set)
-
-
-def _partition(omega, prime_set):
     heavy = bytes(map((len(prime_set) // 2).__lt__, omega))
     z, alpha = prime_set.z, prime_set.alpha
     return Partition(heavy, heavy.count(1) / (len(heavy) * z**-alpha + math.log(z)))
@@ -127,14 +122,20 @@ class Certificate(NamedTuple):
 
 
 def certificate(
-    spec: SequenceSpec, M: int, N: int, s: int, prime_set: SievePrimeSet
+    spec: SequenceSpec, M: int, s: int, D, part: Partition, prime_set: SievePrimeSet
 ) -> Certificate:
     """Exact check of |N_{s,z}| <= (2/|L|) * sum of D(n)^2 over the matches.
 
     lhs counts n in the light part of the window whose s*u(n) is a perfect
     square (the field-census criterion); rhs is exact rational arithmetic.
+    Both read the run's columns D(n) and the partition, at n - M - 1.
     """
-    return run_sieve(spec, M, N, s, prime_set).cert
+    from fractions import Fraction  # not at the top: fractions and decimal slow every CLI start
+    if not prime_set.members:
+        raise ValueError("certificate: prime set must be nonempty")
+    matched = tuple(n for n in window_matches(spec, M, len(D), s) if not part.heavy[n - M - 1])
+    rhs = Fraction(2 * sum(D[n - M - 1] ** 2 for n in matched), len(prime_set))
+    return Certificate(lhs=len(matched), rhs=rhs, holds=len(matched) <= rhs, matches=matched)
 
 
 class Diagnostics(NamedTuple):
@@ -152,19 +153,15 @@ class Diagnostics(NamedTuple):
     gcd_bound_holds: bool
 
 
-def diagnostics(
-    spec: SequenceSpec, M: int, N: int, s: int, prime_set: SievePrimeSet
-) -> Diagnostics:
+def diagnostics(run: SieveRun) -> Diagnostics:
     """The pair sums behind the variance argument, over ordered pairs
-    (both orientations, matching the expansion of D(n)^2).
+    (both orientations, matching the expansion of D(n)^2), read from the
+    run's symbol table.
 
     The per-pair cap gcd(ell-1, p-1) <= C z^(1-alpha) for distinct-P+ pairs
     is reported exactly; it must hold for any honestly harvested set.
     """
-    return _pair_sums(_twisted(_symbols(spec, M, N, prime_set), s, prime_set), N, prime_set)
-
-
-def _pair_sums(R, N, prime_set):
+    R, N, prime_set = run.symbols, run.N, run.prime_set
     members = prime_set.members
     groups: dict[int, list[bytes]] = {}
     for sp, row in zip(members, R):
@@ -215,10 +212,6 @@ class SieveRun(NamedTuple):
     cert: Certificate
     symbols: list[bytes]  # (s*u(n) / ell) + 1, a row per prime
 
-    def diagnostics(self) -> Diagnostics:
-        """`diagnostics` for this window, read from the run's symbol table."""
-        return _pair_sums(self.symbols, self.N, self.prime_set)
-
     def to_doc(self) -> dict:  # the artifact; the CLI encodes it as sorted JSON
         return {
             "f": self.spec.f.format(),
@@ -255,17 +248,12 @@ def run_sieve(
     spec: SequenceSpec, M: int, N: int, s: int, prime_set: SievePrimeSet
 ) -> SieveRun:
     """Assemble detector values, omega counts, partition, and certificate
-    for one window, all read from one symbol table."""
-    from fractions import Fraction  # not at the top: fractions and decimal slow every CLI start
+    for one window, all read from one symbol table; `partition` and
+    `certificate` are its stages, and `diagnostics` reads the table it keeps."""
     _witness_window(M, N, "sieve")  # the certificate's witness rows, priced before the table
     R = _symbols(spec, M, N, prime_set)
-    L = len(prime_set)
-    if L < 1:
-        raise ValueError("certificate: prime set must be nonempty")
     Rs = _twisted(R, s, prime_set)
     D, omega = _column_sums(Rs, N, None, _ZEROS)
-    part = _partition(_column_sums(R, N, _ZEROS)[0], prime_set)
-    matched = tuple(n for n in window_matches(spec, M, N, s) if not part.heavy[n - M - 1])
-    rhs = Fraction(2 * sum(D[n - M - 1] ** 2 for n in matched), L)
-    cert = Certificate(lhs=len(matched), rhs=rhs, holds=len(matched) <= rhs, matches=matched)
+    part = partition(_column_sums(R, N, _ZEROS)[0], prime_set)
+    cert = certificate(spec, M, s, D, part, prime_set)
     return SieveRun(spec, M, N, s, prime_set, D, omega, part, cert, Rs)

@@ -104,10 +104,10 @@ def test_criterion_3_certificate_and_pair_caps():
     holds = 0
     for spec, pset in _sweep_configs():
         for s in (1, 17):
-            cert = sieve.certificate(spec, 0, 500, s, pset)
+            cert = sieve.run_sieve(spec, 0, 500, s, pset).cert
             assert cert.holds, (spec.f.format(), spec.g, pset.z, s)
             holds += 1
-        diag = sieve.diagnostics(spec, 0, 200, 17, pset)
+        diag = sieve.diagnostics(sieve.run_sieve(spec, 0, 200, 17, pset))
         assert diag.W == diag.U + diag.V
         assert diag.gcd_bound_holds
         for i, a in enumerate(pset.members):

@@ -192,15 +192,19 @@ def test_huge_census_window_exits_3_fast(argv, capsys):
     assert "cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("N, S, err", [
+@pytest.mark.parametrize("M, N, S, err", [
     # B = 10^8: at least 84824 chunks price the window at 8.3e18 steps, so no sieve to 10^8
-    (7000000, 10**8, "needs at least 8.31e+18 steps (bits of u(n) and at least 84824 prime"),
+    (0, 7000000, 10**8, "needs at least 8.31e+18 steps (bits of u(n) and at least 84824 prime"),
     # B = 10^6: its 1131-chunk lower bound passes the cap, its 1227 chunks do not
-    (2012, 10**6, "needs about 1.5e+10 steps (bits of u(n) and 1227 prime chunks <= 1000000)"),
-], ids=["lower-bound", "exact-count"])
-def test_census_work_cap_priced_before_the_sieve(N, S, err, capsys):
+    (0, 2012, 10**6, "needs about 1.5e+10 steps (bits of u(n) and 1227 prime chunks <= 1000000)"),
+    # u(n) near 2^(4M): B = min(S, 2^ceil(top/2)) = 10 by bit lengths, 2^ceil(top/2) never built
+    (10**11, 1, 10, "needs at least 4e+11 steps (bits of u(n) and at least 1 prime chunks <= 10)"),
+    (10**400, 1, 10, "needs at least 4.00e+400 steps"),  # past the float range as well
+], ids=["lower-bound", "exact-count", "far-offset", "farther-offset"])
+def test_census_work_cap_priced_before_the_sieve(M, N, S, err, capsys):
     t0 = time.perf_counter()
-    assert cli.main(["census", "-f", "1,6,1", "-g", "2", "-N", str(N), "-S", str(S)]) == 3
+    argv = ["census", "-f", "1,6,1", "-g", "2", "-M", str(M), "-N", str(N), "-S", str(S)]
+    assert cli.main(argv) == 3
     assert time.perf_counter() - t0 < 1.0
     assert err in capsys.readouterr().err
 

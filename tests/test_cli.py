@@ -196,6 +196,10 @@ VERIFY_MUTANTS = {
     "stored-untwisted": ("real = sieve.run_sieve\n"  # the run's pair table kept without (s/ell)
                          "sieve.run_sieve = lambda spec, M, N, s, pset: real(spec, M, N, s, pset)"
                          "._replace(\n    symbols=sieve._symbols(spec, M, N, pset))", "detector"),
+    "unmatched": ("census.s_matches = lambda spec, n, s: False", "detector"),  # no square found
+    "shanks-pairs-zeroed": ("real = sieve.diagnostics\n"  # U = V = W = 0 on the Shanks spec only
+                            "sieve.diagnostics = lambda run: (real(run)._replace(U=0, V=0, W=0)\n"
+                            "    if run.spec.g == 2 else real(run))", "detector"),
     "shifted-detector": ("real = sieve.run_sieve\n"  # D(n + 1) read in place of D(n)
                          "sieve.run_sieve = lambda *a: (r := real(*a))._replace(\n"
                          "    detector=[*r.detector[1:], r.detector[0]])", "detector"),
@@ -324,6 +328,9 @@ def test_charsum_incomplete_and_errors(capsys):
                      "--p", "11", "--ell", "7", "--K", "15")
     assert rc == 0 and out.startswith("incomplete modulus 77")
     assert "value 1+0i" in out
+    rc, out, _ = run(capsys, "charsum", "-f", "2,0,0,1", "--lam", "2", "--ell", "3", "--p", "7",
+                     "--K", str(10**300))  # K*sqrt(ell*p) still inside the float range
+    assert (rc, out) == (0, "incomplete modulus 21 period 6 value -5e+299+0i ratio 0.654653670708\n")
     rc, _, err = run(capsys, "charsum", "-f", "1,1", "--lam", "2")
     assert rc == 3 and "need --p" in err
     rc, _, _ = run(capsys, "charsum", "-f", "1,-2,1", "--lam", "2", "--p", "7")
@@ -389,7 +396,10 @@ def test_charsum_pair_row_past_the_table_cap(K, capsys):
     (["--K", "-1"], "K must be >= 0"),
     (["--A", "3000017", "--K", "5"], "A must be coprime"),
     (["-f", "3000017,0,0,1", "--K", "5"], "coprime to lam*f(0)"),  # ell divides f(0)
-], ids=["K", "A", "lam-f0"])
+    # the bound K*sqrt(ell*p)/tau is a float: it was inf (ratio 0), then an OverflowError
+    (["--K", str(2**1023)], "float range"),
+    (["--K", str(2**1024)], "float range"),
+], ids=["K", "A", "lam-f0", "K-inf", "K-overflow"])
 def test_charsum_incomplete_checks_arguments_before_cycles(bad, reason, capsys):
     # the two cycles mod 3000017 and 3000047 take about a second and 50 MB to build;
     # a bad A, lam*f(0) or K is refused before either is
@@ -398,6 +408,36 @@ def test_charsum_incomplete_checks_arguments_before_cycles(bad, reason, capsys):
     rc, out, err = run(capsys, *argv, *bad)
     assert time.perf_counter() - t0 < 0.5
     assert rc == 3 and out == "" and reason in err
+
+
+# each stage of the square sieve and each exact census test, by the name the benchmark traces
+STAGES = ("sieve.partition", "sieve.certificate", "sieve.diagnostics",
+          "census.same_field", "census.s_matches")
+
+
+def test_stage_names_are_what_the_cli_calls(capsys, monkeypatch):
+    # each name is wrapped wherever a quadfields module binds it, as perfbench/replay.py does,
+    # so a CLI path that bypasses the name would leave its traced layer at 0
+    calls = dict.fromkeys(STAGES, 0)
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "quadfields"]
+    for qual in STAGES:
+        module, attr = qual.split(".")
+        orig = getattr(sys.modules[f"quadfields.{module}"], attr)
+
+        def counted(*args, _orig=orig, _qual=qual, **kwargs):
+            calls[_qual] += 1
+            return _orig(*args, **kwargs)
+
+        for m in modules:
+            for key, val in list(vars(m).items()):
+                if val is orig:
+                    monkeypatch.setattr(m, key, counted)
+    for argv in (["sieve", "-f", "1,6,1", "-g", "2", "-N", "200", "-s", "17", "--z", "100",
+                  "--diag"],
+                 ["census", "-f=-8,1", "-g", "2", "-N", "20", "--classes"],  # u(6) u(9) a square
+                 ["census", "-f", "1,6,1", "-g", "2", "-N", "100", "-s", "17"]):
+        assert run(capsys, *argv)[0] == 0
+    assert all(calls.values()), calls
 
 
 @pytest.mark.parametrize("argv, owner, render", [

@@ -171,14 +171,10 @@ def test_sieve_matches_scalar_oracles(data, f, g, M, N, s):
     rows = scalar_symbol_rows(spec, M, N, s, pset)
     light = scalar_symbol_rows(spec, M, N, 1, pset)
 
-    U, V, T, Q, max_cross = scalar_pair_sums(rows, members)
-    d = sieve.diagnostics(spec, M, N, s, pset)
-    assert (d.U, d.V, d.W, d.T, d.Q_quantity, d.max_cross_gcd) == (U, V, U + V, T, Q, max_cross)
-
     half = len(members) // 2
     ns = range(M + 1, M + N + 1)
     omega1 = [sum(1 for row in light if row[j] == 0) for j in range(N)]
-    part = sieve.partition(spec, M, N, pset)
+    part = sieve.partition(omega1, pset)
     assert part.heavy == bytes(w > half for w in omega1)
     if not members:
         with pytest.raises(ValueError, match="nonempty"):
@@ -186,6 +182,9 @@ def test_sieve_matches_scalar_oracles(data, f, g, M, N, s):
         return
     run = sieve.run_sieve(spec, M, N, s, pset)
     assert run.part == part
+    U, V, T, Q, max_cross = scalar_pair_sums(rows, members)
+    d = sieve.diagnostics(run)
+    assert (d.U, d.V, d.W, d.T, d.Q_quantity, d.max_cross_gcd) == (U, V, U + V, T, Q, max_cross)
     D = [sum(row[j] for row in rows) for j in range(N)]
     assert run.detector.tolist() == D
     assert run.omega.tolist() == [sum(1 for row in rows if row[j] == 0) for j in range(N)]
@@ -224,7 +223,7 @@ def test_sieve_table_tiled_from_one_period(data, f, M, N, s):
     half = len(members) // 2
     assert run.part.heavy == bytes(sum(row[j] == 0 for row in light) > half for j in range(N))
     U, V, T, Q, max_cross = scalar_pair_sums(rows, members)
-    d = run.diagnostics()
+    d = sieve.diagnostics(run)
     assert (d.U, d.V, d.W, d.T, d.Q_quantity, d.max_cross_gcd) == (U, V, U + V, T, Q, max_cross)
 
 

@@ -20,7 +20,7 @@ def _one_of_each():
     return [
         f, spec, pset, pset.members[0], harvest.density_report(2, 1000, 0.677),
         census.squarefree_kernel(12, 10), census.count_Q_total(spec, 0, 5, 100),
-        run, run.part, run.cert, run.diagnostics(),
+        run, run.part, run.cert, sieve.diagnostics(run),
         charsums.complete_sum_p(f, 2, 101, 1), scan, scan.rows[0], charsums.hb_average(3, 3),
         ts, bounds.grakol_optimize(ts), bounds.exponent_table(0.677),
         bounds.regime_bound(0.677, 10**6, 100), bounds.interpolation_check(0.677),

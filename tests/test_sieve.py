@@ -91,21 +91,20 @@ def test_detector_basics(shanks, pset100):
 
 
 def test_partition_window(shanks, pset100):
-    part = partition(shanks, 0, 500, pset100)
+    part = run_sieve(shanks, 0, 500, 17, pset100).part
     assert part.heavy == bytes(500)  # every n light
     assert part.e_ratio == 0.0
-    single = partition(shanks, 7, 1, pset100)
+    single = run_sieve(shanks, 7, 1, 17, pset100).part
     assert single.heavy == b"\0"
     with pytest.raises(ValueError):
-        partition(shanks, 0, 0, pset100)
+        run_sieve(shanks, 0, 0, 17, pset100)
+    # heavy once omega passes half the set: |L| = 6, so from 4 on
+    assert partition([0, 3, 4, 6], pset100).heavy == bytes([0, 0, 1, 1])
 
 
 @pytest.mark.parametrize("build", [
-    lambda spec, pset: partition(spec, -1, 10, pset),
-    lambda spec, pset: diagnostics(spec, -1, 10, 17, pset),
-    lambda spec, pset: certificate(spec, -1, 10, 17, pset),
     lambda spec, pset: run_sieve(spec, -1, 10, 17, pset),
-], ids=["partition", "diagnostics", "certificate", "run_sieve"])
+], ids=["run_sieve"])
 def test_sieve_rejects_a_negative_window(build, shanks, pset100, monkeypatch):
     # checked before any symbol: n <= 0 would read f(g^n) mod ell through inverses
     monkeypatch.setattr(sieve, "symbol_row", None)
@@ -114,35 +113,39 @@ def test_sieve_rejects_a_negative_window(build, shanks, pset100, monkeypatch):
 
 
 def test_partition_empty_set_puts_everything_light(shanks):
-    part = partition(shanks, 0, 10, _tiny_set())
+    empty = _tiny_set()
+    omega = sieve._column_sums(sieve._symbols(shanks, 0, 10, empty), 10, sieve._ZEROS)[0]
+    part = partition(omega, empty)
     assert part.heavy == bytes(10)
 
 
 def test_partition_zero_u_lands_heavy():
     vanishing = validate(Polynomial.parse("-8,1"), 2)
-    part = partition(vanishing, 0, 5, _tiny_set(SEVENTEEN))
+    part = run_sieve(vanishing, 0, 5, 1, _tiny_set(SEVENTEEN)).part
     assert part.heavy[3 - 1] == 1  # u(3) = 0: every modulus divides it
 
 
 def test_certificate_golden(shanks, pset100):
-    cert = certificate(shanks, 0, 200, 17, pset100)
+    run = run_sieve(shanks, 0, 200, 17, pset100)
+    cert = run.cert
     assert cert.matches == (1,)
     assert cert.lhs == 1
     assert cert.rhs == Fraction(12)
     assert cert.holds
+    assert certificate(shanks, 0, 17, run.detector, run.part, pset100) == cert
 
 
 def test_certificate_vacuous_and_small(shanks, pset100):
-    cert = certificate(shanks, 10, 5, 17, pset100)
+    cert = run_sieve(shanks, 10, 5, 17, pset100).cert
     assert cert.lhs == 0 and cert.rhs == 0 and cert.holds
-    cert = certificate(shanks, 0, 50, 17, _tiny_set(SEVENTEEN))
+    cert = run_sieve(shanks, 0, 50, 17, _tiny_set(SEVENTEEN)).cert
     assert cert.holds  # L = 1: rhs = 2 * lhs
-    with pytest.raises(ValueError):
-        certificate(shanks, 0, 50, 17, _tiny_set())
+    with pytest.raises(ValueError, match="nonempty"):
+        run_sieve(shanks, 0, 50, 17, _tiny_set())
 
 
 def test_diagnostics_golden(shanks, pset100):
-    d = diagnostics(shanks, 0, 200, 17, pset100)
+    d = diagnostics(run_sieve(shanks, 0, 200, 17, pset100))
     assert (d.U, d.V, d.W, d.T, d.Q_quantity) == (0, -20, -20, 64, 144)
     assert d.W == d.U + d.V
     assert d.max_cross_gcd == 4
@@ -153,13 +156,13 @@ def test_diagnostics_golden(shanks, pset100):
 
 
 def test_diagnostics_single_member(shanks):
-    d = diagnostics(shanks, 0, 20, 1, _tiny_set(SEVENTEEN))
+    d = diagnostics(run_sieve(shanks, 0, 20, 1, _tiny_set(SEVENTEEN)))
     assert (d.U, d.V, d.W, d.T, d.Q_quantity) == (0, 0, 0, 0, 0)
     assert d.max_cross_gcd == 0 and d.gcd_bound_holds
 
 
 def test_diagnostics_per_pair_cap(shanks, pset100):
-    d = diagnostics(shanks, 0, 50, 1, pset100)
+    d = diagnostics(run_sieve(shanks, 0, 50, 1, pset100))
     members = pset100.members
     for i, a in enumerate(members):
         for b in members[i + 1 :]:

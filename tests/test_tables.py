@@ -316,8 +316,10 @@ SHANKS = validate(Polynomial.parse("1,6,1"), 2)
     ("smallest_factors", lambda: smallest_factors(TABLE_LIMIT + 1)),
     # census._witness_window: 16 witness symbols per n
     ("window_matches", lambda: census.window_matches(SHANKS, 0, TABLE_LIMIT // 16 + 1, 1)),
-    # sieve._symbols: the 6 primes harvested at z = 100, one row each
-    ("sieve", lambda: sieve.partition(SHANKS, 0, TABLE_LIMIT // 6 + 1, build_prime_set(2, 100.0))),
+    # sieve._symbols: the 45 primes harvested at z = 1000, one row each, past the cap where
+    # the 16 witness rows that run_sieve prices first are not
+    ("sieve", lambda: sieve.run_sieve(SHANKS, 0, TABLE_LIMIT // 45 + 1, 1,
+                                      build_prime_set(2, 1000.0))),
     ("orbit_symbols", lambda: engine.orbit_symbols(Polynomial((1, 1)), 2, 7, TABLE_LIMIT + 1)),
     # charsums._pair_cycles: 2 has coprime orders near 3 * 10^6 mod both primes
     ("complete_sum_pair",
