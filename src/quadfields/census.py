@@ -239,6 +239,14 @@ class CensusResult(NamedTuple):
         }
 
 
+def _g3(x: int) -> str:
+    # x in .3g, past the float range through decimal: not at the top, as with fractions
+    if x < 1e300:
+        return f"{x:.3g}"
+    from decimal import Decimal
+    return f"{Decimal(x):.3g}"
+
+
 def count_Q_total(spec: SequenceSpec, M: int, N: int, S: int) -> CensusResult:
     """Sum of count_Q over all squarefree s <= S, computed per n by kernel
     extraction instead of a loop over s.
@@ -258,7 +266,7 @@ def count_Q_total(spec: SequenceSpec, M: int, N: int, S: int) -> CensusResult:
     top = _u_bits(spec, M + N)  # every u(n) in the window is below 2^top
     half = (top + 1) // 2  # min(S, 2^half) by bit lengths: 2^half is not built past S
     B = max(2, S if S.bit_length() <= half else 1 << half)
-    check_table("count_Q_total", B, f"the numbers to B = {B}")  # an oversized B fails here first
+    check_table("count_Q_total", B, f"the numbers to B = {_g3(B)}")  # an oversized B fails first
     c = abs(spec.f.constant)
     peel = _smooth_part(c, spec.g).bit_length() if c else top
     per_chunk, rest = _window_bits(spec, M, N) + 2048 * N, N * top * peel // 2048
@@ -267,10 +275,8 @@ def count_Q_total(spec: SequenceSpec, M: int, N: int, S: int) -> CensusResult:
     if per_chunk * chunks + rest <= KERNEL_WORK_CAP:
         chunks, least = len(prime_chunks(B)), ""
     if (work := per_chunk * chunks + rest) > KERNEL_WORK_CAP:
-        from decimal import Decimal  # not at the top, as with fractions; work may pass floats
-        shown = work if work < 1e300 else Decimal(work)
         raise ValueError(
-            f"count_Q_total: kernel extraction needs {least or 'about '}{shown:.3g} steps (bits of "
+            f"count_Q_total: kernel extraction needs {least or 'about '}{_g3(work)} steps (bits of "
             f"u(n) and {least}{chunks} prime chunks <= {B}), past the cap {KERNEL_WORK_CAP:.3g}"
         )
     per_s: dict[int, int] = {}

@@ -9,6 +9,7 @@ Each sum reads one row of symbols per prime from `engine.orbit_symbols`,
 and the Weil scan its primes and periods from the tiles of
 `engine.order_tiles`, its primes split across the CPUs by
 `engine.fork_map`; numpy is imported inside the functions that call them.
+The shift A of an incomplete sum goes into f, as f_A(X) = f(A X).
 """
 
 from __future__ import annotations
@@ -122,10 +123,10 @@ def complete_sum_p(f: Polynomial, lam: int, p: int, a: int) -> CharSumResult:
     )
 
 
-def _pair_cycles(f, A, lam, ell, p, who, K=math.inf):
-    # J[x] = (f(A lam^x) / q) for x = 1..t_q with t_q the order of lam mod q;
-    # the sequence mod q has period t_q in x, so two short cycles replace
-    # every symbol mod ell*p, and each period is the length of its cycle.
+def _pair_cycles(f, lam, ell, p, who, K=math.inf):
+    # J[x] = (f(lam^x) / q) for x = 1..t_q, t_q the order of lam mod q (a shift
+    # A is already in f); the sequence mod q has period t_q in x, so two short
+    # cycles replace every symbol mod ell*p, each period the length of its cycle.
     from .engine import np, orbit_symbols
     if ell == p:
         raise ValueError(f"{who}: ell and p must be distinct")
@@ -139,10 +140,7 @@ def _pair_cycles(f, A, lam, ell, p, who, K=math.inf):
     if gcd(t_ell, t_p) != 1:
         raise ValueError(f"{who}: orders of lam mod ell and mod p share a factor")
     check_table(who, length := min(K, t_ell * t_p), f"{length} pair terms")
-    return [
-        orbit_symbols(f, lam, q, t, shift=A).astype(np.int64)
-        for q, t in ((ell, t_ell), (p, t_p))
-    ]
+    return [orbit_symbols(f, lam, q, t).astype(np.int64) for q, t in ((ell, t_ell), (p, t_p))]
 
 
 def _pair_terms(jl, jp, length):
@@ -168,7 +166,7 @@ def complete_sum_pair(f: Polynomial, lam: int, ell: int, p: int, a: int) -> Char
     No monic gate here: the product identity this feeds is exact for any
     integer f, and the coprimality conditions are the whole hypothesis.
     """
-    jl, jp = _pair_cycles(f, 1, lam, ell, p, "complete_sum_pair")
+    jl, jp = _pair_cycles(f, lam, ell, p, "complete_sum_pair")
     period = len(jl) * len(jp)
     value = _fourier_sum(_pair_terms(jl, jp, period), a)
     return CharSumResult(
@@ -184,7 +182,7 @@ def complete_sum_pair(f: Polynomial, lam: int, ell: int, p: int, a: int) -> Char
 def product_formula_residual(f: Polynomial, lam: int, ell: int, p: int, a: int) -> float:
     """|pair sum - product of split sums|; 0 exactly on the a=0 integer path,
     pure roundoff otherwise."""
-    jl, jp = _pair_cycles(f, 1, lam, ell, p, "product_formula_residual")
+    jl, jp = _pair_cycles(f, lam, ell, p, "product_formula_residual")
     a_ell, a_p = split_frequencies(a, len(jl), len(jp))
     lhs = _fourier_sum(_pair_terms(jl, jp, len(jl) * len(jp)), a)
     return abs(lhs - _fourier_sum(jl, a_ell) * _fourier_sum(jp, a_p))
@@ -204,7 +202,9 @@ def incomplete_sum(f: Polynomial, A: int, lam: int, ell: int, p: int, K: int) ->
         raise ValueError("incomplete_sum: K must be >= 0")
     if K * K * m > int(sys.float_info.max) ** 2:  # the bound's K*sqrt(ell*p) passes a float
         raise ValueError("incomplete_sum: K*sqrt(ell*p) must stay in the float range")
-    jl, jp = _pair_cycles(f, A, lam, ell, p, "incomplete_sum", K)
+    # not Polynomial(): A = 0 passes the gates above only at ell*p = +-1, which _pair_cycles refuses
+    f_A = f._replace(coefficients=tuple(c * A**i for i, c in enumerate(f.coefficients)))  # f(A X)
+    jl, jp = _pair_cycles(f_A, lam, ell, p, "incomplete_sum", K)
     period = len(jl) * len(jp)
     q, r = divmod(K, period)
     terms = _pair_terms(jl, jp, min(K, period))

@@ -17,8 +17,8 @@ from itertools import permutations
 from pathlib import Path
 
 from . import bounds, census, charsums, harvest, sieve
-from .arith import InvariantError, ensure, factorize, is_prime, is_squarefree, jacobi
-from .arith import multiplicative_order, prime_chunks
+from .arith import InvariantError, ensure, factorize, is_perfect_square, is_prime, is_squarefree
+from .arith import jacobi, multiplicative_order, prime_chunks
 from .sequences import Polynomial, SequenceSpec, symbol_row, u_eval, u_eval_mod, validate
 
 __all__ = ["main"]
@@ -281,12 +281,11 @@ def _check_sequences(rng: random.Random, quick: bool) -> None:
     count = 60 if quick else 300
     for p in (7, 101, 7919, 1000003):  # square tables, then Euler's criterion
         f = Polynomial((*(rng.randrange(-50, 50) for _ in range(3)), 1))
-        g, A = rng.randrange(2, 10**6), rng.randrange(1, p)
-        powers = [pow(g, x, p) for x in range(1, count + 1)]
+        g = rng.randrange(2, 10**6)
+        want = [jacobi(f.eval_mod(pow(g, x, p), p), p) for x in range(1, count + 1)]
         row = symbol_row(f, g, p, 1, count, multiplicative_order(g, p) if g % p else 1)
-        ensure([b - 1 for b in row] == [jacobi(f.eval_mod(y, p), p) for y in powers], ("row", p))
-        want = [jacobi(f.eval_mod(A * y % p, p), p) for y in powers]
-        ensure(orbit_symbols(f, g, p, count, shift=A).tolist() == want, ("orbit", p))
+        ensure([b - 1 for b in row] == want, ("row", p))
+        ensure(orbit_symbols(f, g, p, count).tolist() == want, ("orbit", p))
 
 
 def _check_detector(rng: random.Random, quick: bool) -> None:
@@ -332,6 +331,13 @@ def _check_census(rng: random.Random, quick: bool) -> None:
         k = census.squarefree_kernel(u, 10**4, s)
         true = math.prod(q for q, e in factorize(u) if e % 2)
         ensure(k.kernel == true if k.complete else s < k.kernel <= true, (u, s, k))
+    # field classes, n with the first rep r whose u(r) u(n) is a square: 2^n - 5 at n = 3, 5, 9
+    spec, classes = validate(Polynomial.parse("-5,1"), 2), {}
+    for n in (n for n in range(1, 13) if u_eval(spec, n) > 0):
+        rep = next((r for r in classes if is_perfect_square(u_eval(spec, r) * u_eval(spec, n))), n)
+        classes.setdefault(rep, []).append(n)
+    got = census.distinct_fields(spec, 0, 12).classes
+    ensure(got == tuple((r, tuple(m)) for r, m in classes.items()), ("classes", got))
 
 
 def _check_product_formula(rng: random.Random, quick: bool) -> None:
@@ -346,10 +352,12 @@ def _check_product_formula(rng: random.Random, quick: bool) -> None:
 
 def _check_completion(rng: random.Random, quick: bool) -> None:
     f = Polynomial.parse("2,0,0,1")
-    for ell, p in ((3, 7), (5, 7))[: 1 if quick else 2]:
+    for (ell, p), A in zip(((3, 7), (5, 7))[: 1 if quick else 2], (5, -2)):
         pair = charsums.complete_sum_pair(f, 2, ell, p, 0)
-        inc = charsums.incomplete_sum(f, 1, 2, ell, p, pair.period)
-        ensure(inc.value == pair.value, (ell, p))
+        ensure(charsums.incomplete_sum(f, 1, 2, ell, p, pair.period).value == pair.value, (ell, p))
+        K = 2 * pair.period + 5  # past one period, at a shift A != +-1, against the direct sum
+        inc = charsums.incomplete_sum(f, A, 2, ell, p, K).value
+        ensure(inc == sum(jacobi(f(A * 2**n), ell * p) for n in range(1, K + 1)), (A, K, inc))
     for S in (1, 10, 100):
         ensure(charsums.hb_average(1, S).lhs == float(S * S))
 

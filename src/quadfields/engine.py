@@ -3,10 +3,9 @@ helper that splits the loops over them across the CPUs.
 
 `order_tiles` gives the rows of `harvest.shift_orders` as tiles of arrays,
 one call per segment of odd n, and `orbit_symbols` the symbols of
-`sequences.symbol_row` (with a shift, and -1/0/1 in place of 0/1/2) as one
-array.  Both pairs stay because the pure-Python twin is slower
-on the density report and the Weil scan; the numbers are in ROADMAP's
-standing notes.
+`sequences.symbol_row` (-1/0/1 in place of 0/1/2) as one array.  Both
+pairs stay because the pure-Python twin is slower on the density report
+and the Weil scan; the numbers are in ROADMAP's standing notes.
 
 The Weil scan and the density report are independent per prime, so each
 hands its items (rows of p and period, or tile calls) to `fork_map`, the
@@ -105,8 +104,8 @@ def _pow_mod(b: np.ndarray, e: np.ndarray, m) -> np.ndarray:
     return r
 
 
-def orbit_symbols(f: Polynomial, base: int, p: int, count: int, shift: int = 1) -> np.ndarray:
-    """Legendre symbols (f(shift * base^x) / p) for x = 1..count, as one int8 row.
+def orbit_symbols(f: Polynomial, base: int, p: int, count: int) -> np.ndarray:
+    """Legendre symbols (f(base^x) / p) for x = 1..count, as one int8 row.
 
     The orbit-residue engine behind the character sums and the Weil scan.
     Powers are built by doubling and f by Horner in int64, exact because
@@ -130,7 +129,7 @@ def orbit_symbols(f: Polynomial, base: int, p: int, count: int, shift: int = 1) 
     out = np.empty(count, dtype=np.int8)
     for c0 in range(0, count, width):
         x = np.empty(min(width, count - c0), dtype=np.int64)
-        x[0] = shift % p * pow(base, 1 + c0, p) % p
+        x[0] = pow(base, 1 + c0, p)
         step, k = base % p, 1  # step = base^k
         while k < len(x):
             m = min(k, len(x) - k)

@@ -77,26 +77,21 @@ def _twisted(R, s, prime_set):
     return [row if c == 1 else row.translate(_NEGATED if c else _ZEROED) for row, c in zip(R, chi)]
 
 
-def _column_sums(rows, N, *views):
-    # the column sums of (byte - 1) in each view of rows (a translation table, or None for
-    # the bytes themselves), as read-only memoryviews of N signed ints.  Each cell is a lane
-    # of one field per view, wide enough for +-len(rows); every row goes in with one big-int
-    # add.  Lanes start at half their range less len(rows), so no add carries; flipping the
-    # top bits at the end leaves the sums in two's complement.
+def _column_sums(rows, N, view=None):
+    # the column sums of (byte - 1) over rows read through view (a translation table, or None
+    # for the bytes themselves), as a read-only memoryview of N signed ints: a lane per cell,
+    # wide enough for +-len(rows), and one big-int add per row.  Lanes start at half their
+    # range less len(rows), so no add carries; flipping their top bits leaves two's complement.
     width = next(w for w in (1, 2, 4) if 2 * len(rows) < 256**w)
     top = 128 << 8 * (width - 1)
-    low = (width - 1) * (sys.byteorder == "big")  # the field's low byte
-    stride = width * len(views)
-    buf = bytearray(N * stride)
+    buf = bytearray(N * width)
     ones = ((1 << 8 * len(buf)) - 1) // (256**width - 1)  # a 1 in every lane
     acc = (top - len(rows)) * ones
     for row in rows:
-        for i, view in enumerate(views):
-            buf[i * width + low :: stride] = row.translate(view) if view else row
+        buf[(width - 1) * (sys.byteorder == "big") :: width] = row.translate(view)  # low bytes
         acc += int.from_bytes(buf, sys.byteorder)
     acc ^= top * ones
-    lanes = memoryview(acc.to_bytes(len(buf), sys.byteorder)).cast({1: "b", 2: "h", 4: "i"}[width])
-    return [lanes[i :: len(views)] for i in range(len(views))]
+    return memoryview(acc.to_bytes(len(buf), sys.byteorder)).cast({1: "b", 2: "h", 4: "i"}[width])
 
 
 class Partition(NamedTuple):
@@ -196,7 +191,7 @@ def diagnostics(run: SieveRun) -> Diagnostics:
 def _off_diagonal(rows, N):
     # sum of <r_i, r_j> over ordered pairs i != j of rows, i.e. the Gram matrix
     # less its diagonal: |sum of rows|^2 - sum of |r_i|^2, entries in {-1, 0, 1}
-    (c,) = _column_sums(rows, N, None)
+    c = _column_sums(rows, N)
     return sum(map(mul, c, c)) - sum(N - row.count(1) for row in rows)
 
 
@@ -253,7 +248,7 @@ def run_sieve(
     _witness_window(M, N, "sieve")  # the certificate's witness rows, priced before the table
     R = _symbols(spec, M, N, prime_set)
     Rs = _twisted(R, s, prime_set)
-    D, omega = _column_sums(Rs, N, None, _ZEROS)
-    part = partition(_column_sums(R, N, _ZEROS)[0], prime_set)
+    D, omega = _column_sums(Rs, N), _column_sums(Rs, N, _ZEROS)
+    part = partition(_column_sums(R, N, _ZEROS), prime_set)
     cert = certificate(spec, M, s, D, part, prime_set)
     return SieveRun(spec, M, N, s, prime_set, D, omega, part, cert, Rs)

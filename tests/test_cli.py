@@ -192,11 +192,12 @@ VERIFY_MUTANTS = {
                    "census"),
     "untwisted": ("sieve._twisted = lambda R, s, prime_set: R", "detector"),  # no (s/ell)
     "kept-diagonal": ("sieve._off_diagonal = lambda rows, N: sum(\n"  # |column sums|^2
-                      "    c * c for c in sieve._column_sums(rows, N, None)[0])", "detector"),
+                      "    c * c for c in sieve._column_sums(rows, N))", "detector"),
     "stored-untwisted": ("real = sieve.run_sieve\n"  # the run's pair table kept without (s/ell)
                          "sieve.run_sieve = lambda spec, M, N, s, pset: real(spec, M, N, s, pset)"
                          "._replace(\n    symbols=sieve._symbols(spec, M, N, pset))", "detector"),
     "unmatched": ("census.s_matches = lambda spec, n, s: False", "detector"),  # no square found
+    "never-merged": ("census.same_field = lambda a, b: False", "census"),  # a class per n
     "shanks-pairs-zeroed": ("real = sieve.diagnostics\n"  # U = V = W = 0 on the Shanks spec only
                             "sieve.diagnostics = lambda run: (real(run)._replace(U=0, V=0, W=0)\n"
                             "    if run.spec.g == 2 else real(run))", "detector"),
@@ -210,6 +211,8 @@ VERIFY_MUTANTS = {
     "rolled-orbit": ("real = engine.orbit_symbols\n"  # x = 0..n-1 read in place of 1..n
                      "engine.orbit_symbols = lambda *a, **k: engine.np.roll(real(*a, **k), 1)",
                      "sequences"),
+    "unshifted": ("real = charsums.incomplete_sum\n"  # the shift A dropped
+                  "charsums.incomplete_sum = lambda f, A, *a: real(f, 1, *a)", "completion"),
     "rolled-spectrum": ("fft = engine.np.fft.fft\n"  # every Weil frequency off by one bin
                         "engine.np.fft.fft = lambda x: engine.np.roll(fft(x), 1)", "weil"),
     "dropped-shard": ("engine._cpu_count, engine._SHARD_WORK = lambda: 2, 1\n"  # two shards
@@ -223,7 +226,7 @@ VERIFY_MUTANTS = {
 @pytest.mark.parametrize("mutant", VERIFY_MUTANTS)
 def test_verify_catches_each_mutant(mutant, optimize):
     patch, check = VERIFY_MUTANTS[mutant]
-    script = (f"import sys\nfrom quadfields import cli, census, sieve, engine\n{patch}\n"
+    script = (f"import sys\nfrom quadfields import cli, census, charsums, sieve, engine\n{patch}\n"
               "sys.exit(cli.main(['verify', '--quick']))")
     proc = _python("-c", script, optimize=optimize)
     lines, ok = proc.stdout.splitlines(), [f"ok {c}" for c in VERIFY_CHECKS]

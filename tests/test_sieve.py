@@ -114,7 +114,7 @@ def test_sieve_rejects_a_negative_window(build, shanks, pset100, monkeypatch):
 
 def test_partition_empty_set_puts_everything_light(shanks):
     empty = _tiny_set()
-    omega = sieve._column_sums(sieve._symbols(shanks, 0, 10, empty), 10, sieve._ZEROS)[0]
+    omega = sieve._column_sums(sieve._symbols(shanks, 0, 10, empty), 10, sieve._ZEROS)
     part = partition(omega, empty)
     assert part.heavy == bytes(10)
 
@@ -196,7 +196,7 @@ def test_run_sieve_json(shanks, pset100):
 def test_column_sums_at_each_lane_width(L):
     # signed sums in 1-, 2- and 4-byte lanes, out to -L and L (bytes are symbol + 1)
     rows = [bytes([0, 2, 1, i % 3, i * i % 3]) for i in range(L)]
-    D, zeros = sieve._column_sums(rows, 5, None, sieve._ZEROS)
+    D, zeros = sieve._column_sums(rows, 5), sieve._column_sums(rows, 5, sieve._ZEROS)
     assert D.tolist() == [-L, L, 0, *(sum(row[j] - 1 for row in rows) for j in (3, 4))]
     assert zeros.tolist() == [0, 0, L, *(sum(row[j] == 1 for row in rows) for j in (3, 4))]
     assert D.readonly and zeros.readonly
