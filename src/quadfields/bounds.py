@@ -66,26 +66,13 @@ class GrakolResult(NamedTuple):
     holds: bool  # value <= guarantee
 
 
-def _refine_log_grid(ts: TermSystem, lo: float, hi: float) -> tuple[float, float]:
-    # shrink around the grid argmin until relative step <= 1e-4
-    n = 96
-    while True:
-        if hi <= lo:
-            return lo, ts.value(lo)
-        ratio = hi / lo
-        pts = [lo * ratio ** (i / n) for i in range(n + 1)]
-        vals = [ts.value(z) for z in pts]
-        i = min(range(n + 1), key=vals.__getitem__)
-        if ratio ** (1 / n) <= 1 + 1e-4:
-            return pts[i], vals[i]
-        lo, hi = pts[max(i - 1, 0)], pts[min(i + 1, n)]
-
-
 def grakol_optimize(ts: TermSystem) -> GrakolResult:
     """Balance ascending against descending power terms over [z1, z2].
 
-    T_jk is closed form; z_star is the best of the clipped pairwise
-    balancing points and a refined logarithmic grid.  The guarantee
+    T_jk is closed form.  B is strictly convex in u = log z, so z_star is
+    found by one bisection on u over [log z1, log z2]: keep the half where
+    dB/du = sum A_j B_j z^B_j - sum C_k D_k z^-D_k changes sign, until the
+    midpoint equals an endpoint.  The guarantee
     B(z_star) <= 2JK * sum T_jk + sum A_j z1^B_j + sum C_k z2^-D_k is the
     balancing lemma with its constant made explicit.
     """
@@ -94,20 +81,19 @@ def grakol_optimize(ts: TermSystem) -> GrakolResult:
         tuple((a**d * c**b) ** (1 / (b + d)) for c, d in ts.descending)
         for a, b in ts.ascending
     )
-    best_z, best_v = _refine_log_grid(ts, ts.z1, ts.z2)
-    for a, b in ts.ascending:
-        for c, d in ts.descending:
-            # stationary point of a z^b + c z^-d, clipped to the range
-            z = min(max((c * d / (a * b)) ** (1 / (b + d)), ts.z1), ts.z2)
-            v = ts.value(z)
-            if v < best_v:
-                best_z, best_v = z, v
+    lo, hi = math.log(ts.z1), math.log(ts.z2)
+    while lo < (mid := (lo + hi) / 2) < hi:
+        z = math.exp(mid)
+        up = sum(a * b * z**b for a, b in ts.ascending)
+        lo, hi = (lo, mid) if up > sum(c * d * z**-d for c, d in ts.descending) else (mid, hi)
+    z_star = min(max(math.exp(lo), ts.z1), ts.z2)
+    value = ts.value(z_star)
     edges = sum(a * ts.z1**b for a, b in ts.ascending) + sum(
         c * ts.z2**-d for c, d in ts.descending
     )
     guarantee = 2 * J * K * sum(sum(row) for row in T) + edges
     return GrakolResult(
-        z_star=best_z, value=best_v, T=T, guarantee=guarantee, holds=best_v <= guarantee
+        z_star=z_star, value=value, T=T, guarantee=guarantee, holds=value <= guarantee
     )
 
 

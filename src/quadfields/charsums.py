@@ -6,9 +6,9 @@ Conventions: e(t) = exp(2*pi*i*t), sums run over x = 1..tau unless a K says
 otherwise, and every a = 0 path is computed in exact integers.
 
 Each sum reads one row of symbols per prime from `engine.orbit_symbols`,
-and the Weil scan its primes and periods from the tiles of
-`engine.order_tiles`, its primes split across the CPUs by
-`engine.fork_map`; numpy is imported inside the functions that call them.
+and the Weil scan its primes and periods from `harvest.shift_orders`, its
+primes split across the CPUs by `engine.fork_map`; numpy is imported inside
+the functions that call them.
 The shift A of an incomplete sum goes into f, as f_A(X) = f(A X).
 """
 
@@ -21,6 +21,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .arith import check_table, ensure, is_prime, is_squarefree, jacobi, multiplicative_order
+from .harvest import shift_orders
 from .sequences import Polynomial, gcd_degree
 
 __all__ = [
@@ -37,6 +38,9 @@ __all__ = [
 ]
 
 WEIL_SLACK = 1  # asserted bound is (degree + WEIL_SLACK) * sqrt(p)
+# orbit points of one Weil scan: 0.17 us each on one CPU, 0.085 on two (shared x86-64), so the
+# largest scan it accepts (lam = 2, pmax 125118) takes 69 s or 34 s: the cap is about a minute
+WEIL_POINT_CAP = 4 * 10**8
 
 
 class _CharSumFields(NamedTuple):
@@ -260,16 +264,20 @@ def weil_scan(f: Polynomial, lam: int, p_max: int):
     f(0) carry admissible=False: the square-root bound promises nothing
     there, so they are reported but never asserted against.
 
-    The primes and periods come from `engine.order_tiles` in this process;
-    the (p, period) rows then go to `engine.fork_map` with their total
-    period as the work, and the shards' rows are merged back in ascending
-    p.  Each row is computed the same way in whichever process runs it, so
-    the report does not depend on the split.
+    The primes and periods come from `harvest.shift_orders`, and periods
+    summing past WEIL_POINT_CAP raise ValueError before numpy is imported.
+    The (p, period) rows go to `engine.fork_map` with that sum as the work,
+    and the shards' rows are merged back in ascending p.  Each row is
+    computed the same way in whichever process runs it, so the report does
+    not depend on the split.
     """
-    from .engine import fork_map, np, orbit_symbols, order_tiles
     _require_monic_separable(f, "weil_scan")
     if lam == 0:
         raise ValueError("weil_scan: lam must be nonzero")
+    orders = [(p, t) for p, _, t in shift_orders(lam, 3, p_max) if t]  # ascending; 0: p | lam
+    if (points := sum(t for _, t in orders)) > WEIL_POINT_CAP:
+        raise ValueError(f"weil_scan: {points} orbit points, past the cap {WEIL_POINT_CAP}")
+    from .engine import fork_map, np, orbit_symbols
 
     def scan(shard):
         rows = []
@@ -293,9 +301,7 @@ def weil_scan(f: Polynomial, lam: int, p_max: int):
             )
         return rows
 
-    orders = [(p, t) for tile in order_tiles(lam, 3, p_max)  # ascending in p
-              for p, _, t in zip(*(column.tolist() for column in tile())) if t]  # 0: p | lam
-    parts = fork_map(scan, orders, sum(period for _, period in orders))
+    parts = fork_map(scan, orders, points)
     rows = sorted(row for part in parts for row in part)  # by p: the moduli are distinct
     return WeilScanReport(slack=float(f.degree + WEIL_SLACK), rows=tuple(rows))
 

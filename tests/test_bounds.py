@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadfields.bounds import (
     TermSystem,
@@ -65,6 +67,33 @@ def test_grakol_endgame_term():
     edge_down = N * 1e30 ** -(2 * a - 1)
     assert edge_down < 1e-3
     assert res.holds
+
+
+_COEFF = st.floats(1e-3, 1e3)
+_EXP = st.floats(0.1, 3.0)
+_RANGE = st.tuples(st.floats(1e-3, 1.0), st.floats(1.0, 1e3))  # (z1, z2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_COEFF, _EXP, _COEFF, _EXP, _RANGE)
+def test_grakol_one_pair_is_the_clipped_closed_form(a, b, c, d, zs):
+    # a z^b + c z^-d is stationary where a b z^b = c d z^-d
+    z1, z2 = zs
+    res = grakol_optimize(TermSystem(((a, b),), ((c, d),), z1, z2))
+    closed = min(max((c * d / (a * b)) ** (1 / (b + d)), z1), z2)
+    assert res.z_star == pytest.approx(closed, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_COEFF, _EXP), min_size=1, max_size=3),
+       st.lists(st.tuples(_COEFF, _EXP), min_size=1, max_size=3), _RANGE)
+def test_grakol_value_is_at_most_a_log_grid_minimum(ascending, descending, zs):
+    z1, z2 = zs
+    ts = TermSystem(tuple(ascending), tuple(descending), z1, z2)
+    res = grakol_optimize(ts)
+    grid = min(ts.value(z1 * (z2 / z1) ** (i / 1999)) for i in range(2000))
+    assert z1 <= res.z_star <= z2
+    assert res.value == ts.value(res.z_star) <= grid * (1 + 1e-12)
 
 
 def test_exponent_table_goldens():

@@ -102,6 +102,8 @@ _SUM_PAIR = ["charsum", "-f", "2,0,0,1", "--lam", "2", "--p", "11", "--ell", "7"
 _SUM_K = [*_SUM_PAIR, "--K", "15"]
 _DENSITY = ["primes", "-g", "2", "--z", "1000", "--density"]
 _TABLE = ["bounds", "--alpha", "0.677", "-N", "100"]
+# periods of 2 mod the primes to 10^6 sum to 2.15*10^10 orbit points, over half an hour of scan
+_SCAN_PAST_CAP = ["charsum", "-f", "2,0,0,1", "--lam", "2", "--scan", "--pmax", "1000000"]
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -215,6 +217,8 @@ VERIFY_MUTANTS = {
                   "charsums.incomplete_sum = lambda f, A, *a: real(f, 1, *a)", "completion"),
     "rolled-spectrum": ("fft = engine.np.fft.fft\n"  # every Weil frequency off by one bin
                         "engine.np.fft.fft = lambda x: engine.np.roll(fft(x), 1)", "weil"),
+    "zeroed-U": ("real = sieve.diagnostics\n"  # U dropped on both specs
+                 "sieve.diagnostics = lambda run: real(run)._replace(U=0)", "detector"),
     "dropped-shard": ("engine._cpu_count, engine._SHARD_WORK = lambda: 2, 1\n"  # two shards
                       "real = engine.fork_map\n"  # and the last one's rows lost
                       "engine.fork_map = lambda *a: [*real(*a)[:-1], []]",
@@ -262,23 +266,25 @@ print("numpy" in sys.modules, rc)
 """
 
 
-@pytest.mark.parametrize("argv, loads", [
-    (["--help"], False),
-    (["census", "-f", "2,0,0,1", "-g", "2", "-M", "1000", "-N", "20", "-S", "100000"], False),
-    (["bounds", "--alpha", "0.677", "-N", "1e8", "-S", "100"], False),
-    (["census", "-f", "1,6,1", "-g", "2", "-N", "100", "-s", "17"], False),
-    (["census", "-f", "2,0,0,1", "-g", "3", "-N", "100", "--classes"], False),
-    (["sieve", "-f", "1,6,1", "-g", "2", "-N", "50", "--z", "100"], False),
-    (["primes", "-g", "2", "--z", "100"], False),
-    (["primes", "-g", "2", "--z", "1000", "--density"], True),
-    (["charsum", "-f", "2,0,0,1", "--lam", "2", "--scan", "--pmax", "100"], True),
+@pytest.mark.parametrize("argv, loads, rc", [
+    (["--help"], False, 0),
+    (["census", "-f", "2,0,0,1", "-g", "2", "-M", "1000", "-N", "20", "-S", "100000"], False, 0),
+    (["bounds", "--alpha", "0.677", "-N", "1e8", "-S", "100"], False, 0),
+    (["census", "-f", "1,6,1", "-g", "2", "-N", "100", "-s", "17"], False, 0),
+    (["census", "-f", "2,0,0,1", "-g", "3", "-N", "100", "--classes"], False, 0),
+    (["sieve", "-f", "1,6,1", "-g", "2", "-N", "50", "--z", "100"], False, 0),
+    (["primes", "-g", "2", "--z", "100"], False, 0),
+    (["primes", "-g", "2", "--z", "1000", "--density"], True, 0),
+    (["charsum", "-f", "2,0,0,1", "--lam", "2", "--scan", "--pmax", "100"], True, 0),
+    (_SCAN_PAST_CAP, False, 3),
 ], ids=["help", "census-S", "bounds", "census-s", "census-classes", "sieve", "primes",
-        "primes-density", "charsum-scan"])
-def test_numpy_loads_only_where_a_table_is_built(argv, loads):
+        "primes-density", "charsum-scan", "charsum-scan-past-cap"])
+def test_numpy_loads_only_where_a_table_is_built(argv, loads, rc):
     # the exact integer paths, the square sieve and the harvest start without
-    # numpy; the density report and the character sums load it
+    # numpy; the density report and the character sums load it, but a scan
+    # past its cap is refused before it does
     proc = _python("-c", NUMPY_PROBE, *argv, optimize=["-O"] * sys.flags.optimize)
-    assert proc.stdout.splitlines()[-1] == f"{loads} 0", proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{loads} {rc}", proc.stderr
 
 
 def test_sieve_stdout_and_artifact(capsys, tmp_path):
@@ -462,6 +468,17 @@ def test_artifact_rendered_only_with_out(argv, owner, render, capsys, tmp_path, 
     art = tmp_path / "art"
     assert run(capsys, *argv, "-o", str(art))[0] == 0 and calls == [1]
     assert art.stat().st_size > 0
+
+
+def test_charsum_scan_priced_before_it_runs(capsys):
+    rc, out, err = run(capsys, *_SCAN_PAST_CAP)
+    assert rc == 3 and out == ""
+    assert "21491478829 orbit points, past the cap" in err and len(err.encode()) < 200
+
+
+def test_charsum_help_names_the_orbit(capsys):
+    rc, out, _ = run(capsys, "charsum", "--help")
+    assert rc == 0 and "f(A * lam^n)" in " ".join(out.split())  # as argparse wraps it
 
 
 def test_charsum_scan_csv(capsys, tmp_path):
