@@ -7,7 +7,7 @@ otherwise, and every a = 0 path is computed in exact integers.
 
 Each sum reads one row of symbols per prime from `engine.orbit_symbols`,
 and the Weil scan its primes and periods from `harvest.shift_orders`, its
-primes split across the CPUs by `engine.fork_map`; numpy is imported inside
+primes split across the CPUs by `harvest.fork_map`; numpy is imported inside
 the functions that call them.
 The shift A of an incomplete sum goes into f, as f_A(X) = f(A X).
 """
@@ -38,9 +38,11 @@ __all__ = [
 ]
 
 WEIL_SLACK = 1  # asserted bound is (degree + WEIL_SLACK) * sqrt(p)
-# orbit points of one Weil scan: 0.17 us each on one CPU, 0.085 on two (shared x86-64), so the
-# largest scan it accepts (lam = 2, pmax 125118) takes 69 s or 34 s: the cap is about a minute
+# priced points of one Weil scan: each prime costs its period plus WEIL_PRIME_POINTS (0.12 ms
+# against 0.15 us a point on one CPU, shared x86-64); the largest scans accepted, lam = 2 to pmax
+# 123580 and lam = 1 to 7358970, take 66 s and 69 s on one CPU: the cap is about a minute
 WEIL_POINT_CAP = 4 * 10**8
+WEIL_PRIME_POINTS = 800
 
 
 class _CharSumFields(NamedTuple):
@@ -264,20 +266,26 @@ def weil_scan(f: Polynomial, lam: int, p_max: int):
     f(0) carry admissible=False: the square-root bound promises nothing
     there, so they are reported but never asserted against.
 
-    The primes and periods come from `harvest.shift_orders`, and periods
-    summing past WEIL_POINT_CAP raise ValueError before numpy is imported.
-    The (p, period) rows go to `engine.fork_map` with that sum as the work,
-    and the shards' rows are merged back in ascending p.  Each row is
-    computed the same way in whichever process runs it, so the report does
-    not depend on the split.
+    The primes and periods come from `harvest.shift_orders`.  Each prime
+    costs its period plus WEIL_PRIME_POINTS, and the first prime whose
+    running price passes WEIL_POINT_CAP raises ValueError, before numpy is
+    imported.  The (p, period) rows go to `harvest.fork_map` with that
+    price as the work, and the shards' rows are merged back in ascending p.
+    Each row is computed the same way in whichever process runs it, so the
+    report does not depend on the split.
     """
     _require_monic_separable(f, "weil_scan")
     if lam == 0:
         raise ValueError("weil_scan: lam must be nonzero")
-    orders = [(p, t) for p, _, t in shift_orders(lam, 3, p_max) if t]  # ascending; 0: p | lam
-    if (points := sum(t for _, t in orders)) > WEIL_POINT_CAP:
-        raise ValueError(f"weil_scan: {points} orbit points, past the cap {WEIL_POINT_CAP}")
-    from .engine import fork_map, np, orbit_symbols
+    orders, points = [], 0  # (p, period) ascending, and their price
+    for p, _, t in shift_orders(lam, 3, p_max):
+        if t:  # 0: p | lam
+            orders.append((p, t))
+            points += t + WEIL_PRIME_POINTS
+            if points > WEIL_POINT_CAP:
+                raise ValueError(f"weil_scan: past the cap of {WEIL_POINT_CAP} points at p = {p}")
+    from .engine import np, orbit_symbols
+    from .harvest import fork_map
 
     def scan(shard):
         rows = []

@@ -262,12 +262,11 @@ def _check_arith(rng: random.Random, quick: bool) -> None:
     for _ in range(rounds // 4):
         n = rng.randrange(2, 1 << 48)
         ensure(math.prod(p**e for p, e in factorize(n)) == n)
-    from .engine import order_tiles  # the twin behind density reports
-
-    for g in (2, 3, 12):
-        tiles = order_tiles(g, 3, 2000)
-        rows = [row for tile in tiles for row in zip(*(column.tolist() for column in tile()))]
-        ensure(list(harvest.shift_orders(g, 3, 2000)) == rows, ("orders", g))
+    for g in (2, 3, 12):  # the density report's decided orders against the full descent
+        rows = [(ell**0.677, p_plus, t) for ell, p_plus, t in harvest.shift_orders(g, 3, 2000)]
+        want = (sum(p >= bar for bar, p, _ in rows), sum(t >= bar for bar, _, t in rows))
+        rep = harvest.density_report(g, 2000, 0.677)
+        ensure((rep.count_alpha, rep.count_order) == want, ("orders", g))
 
 
 def _check_sequences(rng: random.Random, quick: bool) -> None:

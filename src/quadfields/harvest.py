@@ -1,26 +1,25 @@
 """Harvest sieving primes: ell in [z, Cz] with a large P+(ell-1) and large
-multiplicative order of g, plus the empirical density report that backs the
-harvest up.
+multiplicative order of g, the empirical density report that backs the
+harvest up, and `fork_map`, which splits the report and the Weil scan
+across the CPUs.
 
-The harvest reads P+(ell-1) and the order of g off arith's
-smallest-prime-factor table (16-bit cells: 2 bytes per n up to Cz) in pure
-Python, one prime at a time; the density report reads the same columns for
-all primes up to z off the numpy twin, `engine.order_tiles`, one tile of
-primes at a time, and adds its counts tile by tile: beside the table (20 MB
-at z = 10^7) it holds one tile of orders and bars, never a column per prime.
-The harvest stays in one process; the report hands its tile calls to
-`engine.fork_map`, which splits them across the CPUs.
+Both read P+(ell-1) and the order of g off arith's smallest-prime-factor
+table (2 bytes per n up to Cz or z) in pure Python, one prime at a time.
+The harvest computes each order in full, in one process; the report only
+decides it against the bar ell^alpha, one segment of n per item of
+`fork_map`, and holds a few integers beside the table (20 MB at z = 10^7).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+import os
+from collections.abc import Callable, Iterator, Sequence
 from itertools import compress
 from operator import not_
 from typing import NamedTuple
 
-from .arith import is_prime, smallest_factors
+from .arith import ensure, is_prime, smallest_factors
 
 __all__ = [
     "SievePrime",
@@ -29,11 +28,15 @@ __all__ = [
     "build_prime_set",
     "shift_orders",
     "density_report",
+    "fork_map",
     "format_records",
     "parse_records",
 ]
 
 VARIANTS = ("standard", "erh")
+_SEGMENT = 1 << 15  # odd n per segment of a density report
+_SHARD_CAP = 8  # most shards fork_map makes, whatever the CPU count
+_SHARD_WORK = 1 << 18  # least work per shard, in units of about 0.2 us; see fork_map
 
 
 class _SievePrimeFields(NamedTuple):
@@ -163,32 +166,37 @@ def density_report(g: int, z: float, alpha: float) -> DensityReport:
     """Measure, over all primes ell <= z, how often P+(ell-1) >= ell^alpha
     and how often the order of g mod ell clears the same bar.
 
-    P+ and the order come from the numpy twin of `shift_orders` one tile at
-    a time, and the counts grow tile by tile; the bars are Python floats, so
-    every comparison is exact.  `engine.order_tiles` builds the table once,
-    before the fork, and its tile calls go to `engine.fork_map` with z as
-    the work; the shards' integer counts add up to the same report for
-    every split.
+    The table is built once, before the segments of _SEGMENT odd n go to
+    `fork_map` with z as the work; the shards' integer counts add up to the
+    same report for every split.  Each prime peels the primes of ell-1 off
+    the table (P+ is the last), and `_order_clears` decides the order
+    against the bar, a Python float, so every comparison is exact.
     """
-    from .engine import fork_map, np, order_tiles
     if g <= 1:
         raise ValueError("density_report: g must be > 1")
     if not 10**3 <= z < math.inf:
         raise ValueError("density_report: z must be finite and >= 10^3")
     if not 0.5 <= alpha < 1:
         raise ValueError("density_report: alpha must lie in [1/2, 1)")
+    hi = math.floor(z)
+    spf = smallest_factors(hi)
 
-    def count(tiles):
+    def count(starts):
         counted = passed_alpha = passed_order = 0
-        for ells, p_plus, order in (tile() for tile in tiles):
-            bar = np.fromiter((ell**alpha for ell in ells.tolist()), np.float64, len(ells))
-            passed_alpha += int(np.count_nonzero(p_plus >= bar))
-            passed_order += int(np.count_nonzero(order >= bar))  # order 0 where ell | g
-            counted += len(ells)
+        for start in starts:
+            stop = min(start + 2 * _SEGMENT, hi + 1)
+            for ell in compress(range(start, stop, 2), map(not_, spf[start:stop:2])):
+                bar, primes, p_plus = ell**alpha, [], ell - 1
+                while q := spf[p_plus]:  # the primes of ell-1, ascending, P+ left last
+                    primes.append(q)
+                    p_plus //= q
+                primes.append(p_plus)
+                counted += 1
+                passed_alpha += p_plus >= bar
+                passed_order += _order_clears(g % ell, ell, primes, bar)
         return counted, passed_alpha, passed_order
 
-    hi = math.floor(z)
-    counts = fork_map(count, order_tiles(g, 3, hi), hi)
+    counts = fork_map(count, range(3, hi + 1, 2 * _SEGMENT), hi)
     primes_counted, count_alpha, count_order = map(sum, zip(*counts))
     primes_counted += 1  # ell = 2 too: P+(1) = 1 and an order <= 1 stay below 2^alpha
     return DensityReport(
@@ -201,6 +209,26 @@ def density_report(g: int, z: float, alpha: float) -> DensityReport:
         ratio_alpha=count_alpha / primes_counted,
         dickman_reference=dickman_reference(alpha),
     )
+
+
+def _order_clears(base: int, ell: int, primes: list[int], bar: float) -> bool:
+    # whether the order of base mod ell (0 where base = 0) is >= bar, primes those of ell-1
+    # with multiplicity, ascending; the divisor descent runs on the largest q first, and
+    # after each q the order divides t and t / order divides rest, the part of ell-1 below
+    # q, so the order lies in [t // rest, t]; at the last q, rest is 1 and a test decides
+    if not base:
+        return False
+    t = rest = ell - 1
+    for q in reversed(primes):
+        rest //= q
+        if rest % q == 0:  # more copies of q follow
+            continue
+        while t % q == 0 and pow(base, t // q, ell) == 1:
+            t //= q
+        if t < bar:
+            return False
+        if t // rest >= bar:
+            return True
 
 
 def format_records(pset: SievePrimeSet) -> str:
@@ -223,3 +251,85 @@ def parse_records(
             raise ValueError(f"parse_records: {ell} is not prime")
         members.append(SievePrime(ell, p_plus, order_g, bool(flag)))
     return SievePrimeSet(z, C, alpha, g, variant, tuple(members))
+
+
+def _cpu_count() -> int:
+    # the CPUs this process may run on: taskset and cgroup cpusets narrow it
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def fork_map(fn: Callable, items: Sequence, work: int) -> list:
+    """[fn(items[i::k]) for i in range(k)]: the items dealt into k shards,
+    the first run in this process and each other in a child made with
+    os.fork().
+
+    k is one per CPU in this process's affinity mask, at most _SHARD_CAP,
+    and at most one per _SHARD_WORK units of `work` (the priced points of a
+    Weil scan, or n up to z for a density report), at least 1.  A unit
+    costs about 0.2 us in either loop and a child 10-20 ms of fork and
+    copy-on-write faults: two shards lost to one on the scan at pmax 2000
+    (4.0*10^5 units) and won at pmax 4000 (1.0*10^6), hence 2^18 units per
+    shard; `verify` and the tests' scans and reports stay in one process.
+
+    A child pickles its result, or the exception it raised, back over a
+    pipe and ends with os._exit, so it runs no exit handlers and flushes
+    none of the parent's buffers.  A child's exception is raised again in
+    the parent; a child that dies or sends nothing raises InvariantError.
+    Every child is reaped before this returns or raises; when this process
+    raises first (its own shard, or a child's error), the children still
+    running are killed.  numpy's OpenBLAS stops its worker threads before
+    a fork (its own atfork handler) and starts them again at the next BLAS
+    call; no shard calls BLAS.
+    """
+    import pickle
+
+    k = max(1, min(_cpu_count(), _SHARD_CAP, work // _SHARD_WORK))
+    children = []  # (pid, read end of its pipe), each dropped once its child is reaped
+    try:
+        for i in range(1, k):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _child(fn, items[i::k], w)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        results = [fn(items[::k])]
+        while children:  # read to EOF first: a child blocks on a full pipe until then
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            ensure(status == 0 and data, f"fork_map: child {pid} ended with wait status {status}"
+                   f" after {len(data)} bytes")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+    except BaseException:
+        import signal
+
+        for pid, pipe in children:
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
+        raise
+    return results
+
+
+def _child(fn: Callable, shard, w: int) -> None:
+    # runs in the forked child and never returns
+    import pickle
+
+    code = 1
+    try:
+        try:
+            out = (True, fn(shard))
+        except BaseException as exc:
+            out = (False, exc)
+        with open(w, "wb") as pipe:
+            pickle.dump(out, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)

@@ -102,7 +102,8 @@ _SUM_PAIR = ["charsum", "-f", "2,0,0,1", "--lam", "2", "--p", "11", "--ell", "7"
 _SUM_K = [*_SUM_PAIR, "--K", "15"]
 _DENSITY = ["primes", "-g", "2", "--z", "1000", "--density"]
 _TABLE = ["bounds", "--alpha", "0.677", "-N", "100"]
-# periods of 2 mod the primes to 10^6 sum to 2.15*10^10 orbit points, over half an hour of scan
+# periods of 2 mod the primes to 10^6 sum to 2.15*10^10 orbit points, over half an hour of scan;
+# the priced points pass the cap at p = 123581
 _SCAN_PAST_CAP = ["charsum", "-f", "2,0,0,1", "--lam", "2", "--scan", "--pmax", "1000000"]
 
 
@@ -206,10 +207,9 @@ VERIFY_MUTANTS = {
     "shifted-detector": ("real = sieve.run_sieve\n"  # D(n + 1) read in place of D(n)
                          "sieve.run_sieve = lambda *a: (r := real(*a))._replace(\n"
                          "    detector=[*r.detector[1:], r.detector[0]])", "detector"),
-    "halved-orders": ("real = engine.order_tiles\n"  # even orders halved, tile by tile
-                      "halve = lambda e, p, t: (e, p, engine.np.where(t % 2, t, t // 2))\n"
-                      "engine.order_tiles = lambda *a: [lambda t=t: halve(*t()) for t in real(*a)]",
-                      "arith"),
+    "halved-orders": ("real = harvest.shift_orders\n"  # even orders halved
+                      "harvest.shift_orders = lambda *a: ((e, p, t if t % 2 else t // 2)\n"
+                      "    for e, p, t in real(*a))", "arith"),
     "rolled-orbit": ("real = engine.orbit_symbols\n"  # x = 0..n-1 read in place of 1..n
                      "engine.orbit_symbols = lambda *a, **k: engine.np.roll(real(*a, **k), 1)",
                      "sequences"),
@@ -219,10 +219,10 @@ VERIFY_MUTANTS = {
                         "engine.np.fft.fft = lambda x: engine.np.roll(fft(x), 1)", "weil"),
     "zeroed-U": ("real = sieve.diagnostics\n"  # U dropped on both specs
                  "sieve.diagnostics = lambda run: real(run)._replace(U=0)", "detector"),
-    "dropped-shard": ("engine._cpu_count, engine._SHARD_WORK = lambda: 2, 1\n"  # two shards
-                      "real = engine.fork_map\n"  # and the last one's rows lost
-                      "engine.fork_map = lambda *a: [*real(*a)[:-1], []]",
-                      "weil"),
+    "dropped-shard": ("harvest._cpu_count, harvest._SHARD_WORK = lambda: 2, 1\n"  # two shards
+                      "real = harvest.fork_map\n"  # and the last one's items lost
+                      "harvest.fork_map = lambda fn, items, work: [\n"
+                      "    *real(fn, items, work)[:-1], fn(items[:0])]", "weil"),
 }
 
 
@@ -230,7 +230,8 @@ VERIFY_MUTANTS = {
 @pytest.mark.parametrize("mutant", VERIFY_MUTANTS)
 def test_verify_catches_each_mutant(mutant, optimize):
     patch, check = VERIFY_MUTANTS[mutant]
-    script = (f"import sys\nfrom quadfields import cli, census, charsums, sieve, engine\n{patch}\n"
+    script = (f"import sys\nfrom quadfields import cli, census, charsums, engine, harvest, sieve\n"
+              f"{patch}\n"
               "sys.exit(cli.main(['verify', '--quick']))")
     proc = _python("-c", script, optimize=optimize)
     lines, ok = proc.stdout.splitlines(), [f"ok {c}" for c in VERIFY_CHECKS]
@@ -274,15 +275,15 @@ print("numpy" in sys.modules, rc)
     (["census", "-f", "2,0,0,1", "-g", "3", "-N", "100", "--classes"], False, 0),
     (["sieve", "-f", "1,6,1", "-g", "2", "-N", "50", "--z", "100"], False, 0),
     (["primes", "-g", "2", "--z", "100"], False, 0),
-    (["primes", "-g", "2", "--z", "1000", "--density"], True, 0),
+    (["primes", "-g", "2", "--z", "1000", "--density"], False, 0),
     (["charsum", "-f", "2,0,0,1", "--lam", "2", "--scan", "--pmax", "100"], True, 0),
     (_SCAN_PAST_CAP, False, 3),
 ], ids=["help", "census-S", "bounds", "census-s", "census-classes", "sieve", "primes",
         "primes-density", "charsum-scan", "charsum-scan-past-cap"])
 def test_numpy_loads_only_where_a_table_is_built(argv, loads, rc):
-    # the exact integer paths, the square sieve and the harvest start without
-    # numpy; the density report and the character sums load it, but a scan
-    # past its cap is refused before it does
+    # the exact integer paths, the square sieve, the harvest and the density
+    # report start without numpy; the character sums load it, but a scan past
+    # its cap is refused before it does
     proc = _python("-c", NUMPY_PROBE, *argv, optimize=["-O"] * sys.flags.optimize)
     assert proc.stdout.splitlines()[-1] == f"{loads} {rc}", proc.stderr
 
@@ -473,7 +474,25 @@ def test_artifact_rendered_only_with_out(argv, owner, render, capsys, tmp_path, 
 def test_charsum_scan_priced_before_it_runs(capsys):
     rc, out, err = run(capsys, *_SCAN_PAST_CAP)
     assert rc == 3 and out == ""
-    assert "21491478829 orbit points, past the cap" in err and len(err.encode()) < 200
+    assert "past the cap of 400000000 points at p = 123581" in err and len(err.encode()) < 200
+
+
+def test_charsum_scan_refused_at_the_first_prime_past_the_cap(capsys):
+    # a pmax far past the cap costs its table (20 MB at 10^7), not a scan of its primes
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, *_SCAN_PAST_CAP[:-1], "10000000")
+    assert rc == 3 and out == "" and time.perf_counter() - t0 < 1
+    assert "past the cap of 400000000 points at p = 123581" in err and len(err.encode()) < 200
+
+
+def test_weil_scan_prices_each_prime(monkeypatch):
+    # lam = 1: every period is 1, so the 24 odd primes to 100 cost 24 * (1 + WEIL_PRIME_POINTS)
+    price = 24 * (1 + charsums.WEIL_PRIME_POINTS)
+    monkeypatch.setattr(charsums, "WEIL_POINT_CAP", price)
+    assert len(charsums.weil_scan(Polynomial.parse("1,1"), 1, 100).rows) == 24
+    monkeypatch.setattr(charsums, "WEIL_POINT_CAP", price - 1)
+    with pytest.raises(ValueError, match="at p = 97$"):
+        charsums.weil_scan(Polynomial.parse("1,1"), 1, 100)
 
 
 def test_charsum_help_names_the_orbit(capsys):

@@ -1,6 +1,6 @@
 """The fork helper behind the Weil scan and the density report.
 
-Outputs must not depend on how many shards `engine.fork_map` makes, and
+Outputs must not depend on how many shards `harvest.fork_map` makes, and
 every way a child can fail (an exception, a signal, silence) must come back
 to the parent as an exception, with no child left behind.
 """
@@ -16,9 +16,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadfields import engine
+from quadfields import harvest
 from quadfields.arith import InvariantError
-from quadfields.charsums import weil_scan
+from quadfields.charsums import WEIL_PRIME_POINTS, weil_scan
 from quadfields.harvest import density_report
 from quadfields.sequences import Polynomial, gcd_degree
 
@@ -27,13 +27,13 @@ CUBIC = Polynomial.parse("2,0,0,1")
 
 def pin_shards(mp, k):
     # k CPUs and no work floor: fork_map makes k shards for any work of k units or more
-    mp.setattr(engine, "_cpu_count", lambda: k)
-    mp.setattr(engine, "_SHARD_WORK", 1)
+    mp.setattr(harvest, "_cpu_count", lambda: k)
+    mp.setattr(harvest, "_SHARD_WORK", 1)
 
 
 def k_for(work):
     # how many shards fork_map makes for this much work, each empty
-    return len(engine.fork_map(len, [], work))
+    return len(harvest.fork_map(len, [], work))
 
 
 def assert_no_child_left():
@@ -52,8 +52,8 @@ def one_shard(build):
     lambda: weil_scan(CUBIC, 2, 5),  # two rows: the third shard is empty
     lambda: weil_scan(CUBIC, 3, 800),
     lambda: weil_scan(Polynomial.parse("-5,1"), 10, 300),  # 2 and 5 divide lam, 5 divides f(0)
-    lambda: density_report(2, 10**3, 0.677),  # one tile: every shard after the first is empty
-    lambda: density_report(6, 2 * 10**5, 0.677),  # four tiles, dealt unevenly to 3 shards
+    lambda: density_report(2, 10**3, 0.677),  # one segment: every shard after the first is empty
+    lambda: density_report(6, 2 * 10**5, 0.677),  # four segments, dealt unevenly to 3 shards
     lambda: density_report(3, 2 * 10**5, 0.5),
 ], ids=["weil-pmax5", "weil-lam3", "weil-linear", "density-1e3", "density-2e5", "density-alpha"])
 def test_outputs_do_not_depend_on_shards(build, k, monkeypatch):
@@ -77,24 +77,25 @@ def test_weil_scan_any_f_and_lam_matches_one_shard(low, lam, p_max, k):
 
 
 def test_fork_map_floor_and_cap(monkeypatch):
-    monkeypatch.setattr(engine, "_cpu_count", lambda: 64)
+    monkeypatch.setattr(harvest, "_cpu_count", lambda: 64)
     assert k_for(0) == 1
-    assert k_for(engine._SHARD_WORK * 2 - 1) == 1
-    assert k_for(engine._SHARD_WORK * 3) == 3
-    assert k_for(10**12) == engine._SHARD_CAP
-    monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
+    assert k_for(harvest._SHARD_WORK * 2 - 1) == 1
+    assert k_for(harvest._SHARD_WORK * 3) == 3
+    assert k_for(10**12) == harvest._SHARD_CAP
+    monkeypatch.setattr(harvest, "_cpu_count", lambda: 2)
     assert k_for(10**12) == 2
-    # the scans and reports that verify and the tests run stay in one process
-    assert k_for(sum(row.period for row in weil_scan(CUBIC, 2, 2000).rows)) == 1
+    # the scans and reports that verify and the tests run stay in one process; a scan's
+    # work is its price, the periods plus WEIL_PRIME_POINTS per prime
+    assert k_for(sum(row.period + WEIL_PRIME_POINTS for row in weil_scan(CUBIC, 2, 2000).rows)) == 1
     assert k_for(2 * 10**5) == 1
     assert_no_child_left()
 
 
 def test_fork_map_keeps_shard_order(monkeypatch):
     pin_shards(monkeypatch, 3)
-    assert engine.fork_map(lambda shard: [x * x for x in shard], [1, 2, 3, 4, 5], 3) == \
+    assert harvest.fork_map(lambda shard: [x * x for x in shard], [1, 2, 3, 4, 5], 3) == \
         [[1, 16], [4, 25], [9]]
-    assert engine.fork_map(list, [1], 3) == [[1], [], []]
+    assert harvest.fork_map(list, [1], 3) == [[1], [], []]
     assert_no_child_left()
 
 
@@ -111,7 +112,7 @@ def _raise_in_child(exc):
 def test_child_exception_comes_back(exc, monkeypatch):
     pin_shards(monkeypatch, 3)
     with pytest.raises(type(exc)) as caught:
-        engine.fork_map(_raise_in_child(exc), [0, 1, 0], 3)
+        harvest.fork_map(_raise_in_child(exc), [0, 1, 0], 3)
     assert caught.value.args == exc.args
     assert_no_child_left()
 
@@ -129,7 +130,7 @@ def _die(shard):
 def test_child_that_dies_or_sends_nothing_raises(how, monkeypatch):
     pin_shards(monkeypatch, 3)
     with pytest.raises(InvariantError, match="fork_map: child"):
-        engine.fork_map(_die, ["parent", how, "fine"], 3)
+        harvest.fork_map(_die, ["parent", how, "fine"], 3)
     assert_no_child_left()
 
 
@@ -145,7 +146,7 @@ def test_failure_kills_and_reaps_the_running_children(items, monkeypatch):
     pin_shards(monkeypatch, 3)
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="failed shard"):
-        engine.fork_map(fn, items, 3)
+        harvest.fork_map(fn, items, 3)
     assert time.perf_counter() - t0 < 30  # killed, not waited for
     assert_no_child_left()
 
@@ -159,19 +160,19 @@ def _python(script, optimize=(), cwd=None):
                           text=True, env=env, timeout=300, cwd=cwd)
 
 
-# two shards, a patched engine function that raises only in the child, one CLI command;
+# two shards, a patched function that raises only in the child, one CLI command;
 # exit 99 if the command left a child unreaped
 CHILD_RAISES = """
 import os, sys
-from quadfields import cli, engine
+from quadfields import cli, engine, harvest
 from quadfields.arith import InvariantError
-engine._cpu_count, engine._SHARD_WORK = lambda: 2, 1
-parent, real = os.getpid(), engine.{target}
+harvest._cpu_count, harvest._SHARD_WORK = lambda: 2, 1
+parent, real = os.getpid(), {target}
 def patched(*a, **k):
     if os.getpid() != parent:
         raise {exc}("raised in the child")
     return real(*a, **k)
-engine.{target} = patched
+{target} = patched
 rc = cli.main({argv!r})
 try:
     os.waitpid(-1, os.WNOHANG)
@@ -185,9 +186,10 @@ sys.exit(rc)
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "O"])
 @pytest.mark.parametrize("exc, code", [("InvariantError", 4), ("ValueError", 3)])
 @pytest.mark.parametrize("target, argv", [
-    ("orbit_symbols", ["charsum", "-f", "2,0,0,1", "--lam", "2", "--scan", "--pmax", "50",
-                       "-o", "weil.csv"]),
-    ("_pow_mod", ["primes", "-g", "2", "--z", "200000", "--density"]),  # four tiles
+    ("engine.orbit_symbols", ["charsum", "-f", "2,0,0,1", "--lam", "2", "--scan", "--pmax",
+                              "50", "-o", "weil.csv"]),
+    # the order decision of each prime of the density report's four segments
+    ("harvest._order_clears", ["primes", "-g", "2", "--z", "200000", "--density"]),
 ], ids=["scan", "density"])
 def test_child_exception_sets_the_exit_code(target, argv, exc, code, optimize, tmp_path):
     proc = _python(CHILD_RAISES.format(target=target, exc=exc, argv=argv), optimize, tmp_path)
@@ -200,10 +202,10 @@ def test_child_exception_sets_the_exit_code(target, argv, exc, code, optimize, t
 # child that flushed the parent's buffer at exit would print the first run twice
 TWO_RUNS = """
 import sys
-from quadfields import cli, engine
-engine._SHARD_WORK = 1
+from quadfields import cli, harvest
+harvest._SHARD_WORK = 1
 for k in (1, 2):
-    engine._cpu_count = lambda: k
+    harvest._cpu_count = lambda: k
     cli.main({argv!r})
 """
 

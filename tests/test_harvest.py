@@ -1,11 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 import sympy
 
 from quadfields.arith import factorize, is_prime, multiplicative_order
-from quadfields.engine import order_tiles
 from quadfields.harvest import (
     SievePrime,
     build_prime_set,
@@ -13,16 +11,16 @@ from quadfields.harvest import (
     dickman_reference,
     format_records,
     parse_records,
+    shift_orders,
 )
 
 
 def _primes(lo, hi):
-    return [ell for tile in order_tiles(2, lo, hi) for ell in tile()[0].tolist()]
+    return [ell for ell, _, _ in shift_orders(2, lo, hi)]
 
 
 def test_primes_in_range():
-    # the ell column of the order engine's tiles holds the odd primes of [lo, hi]
-    assert all(a.dtype == np.int64 for tile in order_tiles(2, 10, 30) for a in tile())
+    # the ell column of shift_orders holds the odd primes of [lo, hi]
     assert _primes(10, 30) == [11, 13, 17, 19, 23, 29]
     assert _primes(2, 3) == [3]
     assert _primes(24, 28) == []

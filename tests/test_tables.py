@@ -1,4 +1,4 @@
-"""The prime tables in arith and the order engine's numpy twin in engine,
+"""The prime tables in arith and the orders read off them in harvest,
 against sympy and against the per-number harvest they replaced.
 
 The scalar harvest below factors every ell-1 with arith.factorize and takes
@@ -10,13 +10,12 @@ import math
 import time
 import tracemalloc
 
-import numpy as np
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadfields import bounds, census, charsums, cli, engine, sieve
+from quadfields import bounds, census, charsums, cli, engine, harvest, sieve
 from quadfields.arith import (
     TABLE_LIMIT,
     factorize,
@@ -29,17 +28,9 @@ from quadfields.harvest import VARIANTS, SievePrime, build_prime_set, density_re
 from quadfields.sequences import Polynomial, validate
 
 
-def _columns(g, lo, hi):
-    # the order engine's tiles joined: lists of ell, P+(ell-1) and the order of g
-    columns = ([], [], [])
-    for tile in engine.order_tiles(g, lo, hi):
-        for column, part in zip(columns, tile()):
-            column += part.tolist()
-    return columns
-
-
-def _rows(g, lo, hi):
-    return list(zip(*_columns(g, lo, hi)))
+def _ells(lo, hi):
+    # the ell column of shift_orders: the odd primes of [lo, hi]
+    return [ell for ell, _, _ in shift_orders(2, lo, hi)]
 
 
 windows = st.integers(-3, 5000).flatmap(
@@ -54,17 +45,16 @@ windows = st.integers(-3, 5000).flatmap(
 @example((5, 4))
 @example((9973, 9973))
 def test_table_primes_match_sympy(window):
-    # the ell column of the order engine: the odd primes of the window
     lo, hi = window
-    assert _columns(2, lo, hi)[0] == list(sympy.primerange(max(lo, 3), hi + 1))
+    assert _ells(lo, hi) == list(sympy.primerange(max(lo, 3), hi + 1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 10**5))
 def test_table_single_prime_windows(n):
     p = sympy.nextprime(n)
-    assert _columns(2, p, p)[0] == [p]
-    assert _columns(2, p + 1, sympy.nextprime(p) - 1)[0] == []
+    assert _ells(p, p) == [p]
+    assert _ells(p + 1, sympy.nextprime(p) - 1) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -96,8 +86,9 @@ def test_smallest_factors_fit_16_bits():
 @pytest.mark.parametrize("lo", [0, 1, 2, 3, 4, 1000])
 @pytest.mark.parametrize("g", [2, 3, 12])
 def test_order_engine_window_ends(g, lo, hi):
-    # even and odd ends for the engine's odd-only prime scan; 1013 is prime
-    assert _rows(g, lo, hi) == list(shift_orders(g, lo, hi))
+    # even and odd ends for shift_orders' odd-only prime scan; 1013 is prime
+    ells = list(sympy.primerange(max(lo, 3), hi + 1))
+    assert list(shift_orders(g, lo, hi)) == list(zip(ells, *_scalar_orders(g, ells)))
 
 
 SIEVE_PRIMES = build_prime_set(2, bounds.default_z(2 * 10**5, 0.677))  # 12 primes
@@ -105,9 +96,9 @@ SIEVE_PRIMES = build_prime_set(2, bounds.default_z(2 * 10**5, 0.677))  # 12 prim
 
 @pytest.mark.parametrize("build, mib", [
     (lambda: smallest_factors(10**6), 2.1),  # 16-bit cells, written in slices of 2^15
-    (lambda: density_report(2, 1e6, 0.677), 3.1),  # the table and one tile of orders and bars
-    # the table's 2 bytes per n and at most 1.2 MiB beside it (one tile), whatever pi(z) is
-    (lambda: density_report(2, 4e6, 0.677), 2 * (4 * 10**6 + 1) / 2**20 + 1.2),
+    (lambda: density_report(2, 1e6, 0.677), 2.2),  # the table and a few integers per prime
+    # the table's 2 bytes per n and at most 0.3 MiB beside it, whatever pi(z) is
+    (lambda: density_report(2, 4e6, 0.677), 2 * (4 * 10**6 + 1) / 2**20 + 0.3),
     # 200 classes, whose u(rep) of 1000 n bits each would sum to 2.5 MiB
     (lambda: census.distinct_fields(validate(Polynomial.parse("1,6,1"), 2**500), 0, 200), 0.5),
     # 12 bytes of symbols per n, a few of columns and mask, and the witness filter's lists
@@ -143,37 +134,31 @@ def _scalar_orders(g, ells):
     )
 
 
-spans = st.integers(8, 64)  # odd n per segment: windows cross many, some without a prime
-
-
 @settings(max_examples=80, deadline=None)
-@given(bases, st.integers(2, 3 * 10**5), st.integers(0, 3000), spans)
-@example(2, 2, 1, 8)  # ell = 3: P+(2) = 2
-@example(-7, 257, 0, 8)  # 256 and 65536 are powers of 2
-@example(2**64 + 1, 65537, 0, 8)
-@example(0, 2, 100, 13)  # 0 has no order anywhere
-@example(30, 2, 40, 8)  # ell = 3, 5 divide the base
-@example(2, 1327, 200, 8)  # 1327..1361 is a prime gap of 34: segments without a prime
-def test_orders_match_scalar_descent_and_sympy(g, lo, width, span):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_ORDER_TILE", span)
-        tiles = [tile() for tile in engine.order_tiles(g, lo, lo + width)]
-    assert len(tiles) == len(range(max(lo, 3) | 1, lo + width + 1, 2 * span))  # one per segment
-    for tile in tiles:  # each tile is the primes of one segment of odd n, maybe none
-        assert all(a.dtype == np.int64 and len(a) == len(tile[0]) for a in tile)
-        assert len(tile[0]) == 0 or tile[0][-1] - tile[0][0] < 2 * span
-    ells, p_plus, order = ([n for tile in tiles for n in tile[k].tolist()] for k in range(3))
-    assert list(zip(ells, p_plus, order)) == list(shift_orders(g, lo, lo + width))
+@given(bases, st.integers(2, 3 * 10**5), st.integers(0, 3000),
+       st.sampled_from([0.0, 20.0, 300.5]))
+@example(2, 2, 1, 0.0)  # ell = 3: P+(2) = 2
+@example(-7, 257, 0, 0.0)  # 256 and 65536 are powers of 2
+@example(2**64 + 1, 65537, 0, 0.0)
+@example(0, 2, 100, 0.0)  # 0 has no order anywhere
+@example(30, 2, 40, 0.0)  # ell = 3, 5 divide the base
+@example(2, 1327, 200, 20.0)  # 1327..1361 is a prime gap of 34
+@example(3, 3, 2000, 0.0)  # every prime the verify check covers
+def test_orders_match_scalar_descent_and_sympy(g, lo, width, bar):
+    rows = list(shift_orders(g, lo, lo + width))
+    ells, p_plus, order = (list(column) for column in zip(*rows)) if rows else ([], [], [])
+    assert ells == list(sympy.primerange(max(lo, 3), lo + width + 1))
     assert (p_plus, order) == _scalar_orders(g, ells)
-    for ell, pp, t in zip(ells, p_plus, order):
+    for ell, pp, t in rows:
         assert pp == max(sympy.factorint(ell - 1))
         assert t == (sympy.n_order(g % ell, ell) if g % ell else 0)
+    # the bar drops the rows whose P+ is below it, and no other
+    assert list(shift_orders(g, lo, lo + width, bar)) == [row for row in rows if row[1] >= bar]
 
 
 def _orders(g, *ells):
-    # (P+(ell-1), order of g) for the given primes, read off the engine's window
-    window, p_plus, order = _columns(g, min(ells), max(ells))
-    rows = dict(zip(window, zip(p_plus, order)))
+    # (P+(ell-1), order of g) for the given primes, read off shift_orders' window
+    rows = {ell: (pp, t) for ell, pp, t in shift_orders(g, min(ells), max(ells))}
     return [rows[ell] for ell in ells]
 
 
@@ -183,11 +168,9 @@ def test_orders_edge_cases():
     assert _orders(-3, 7) == [(3, 3)]
     assert _orders(2**64 + 1, 3, 5) == [(2, 2), (2, 4)]
     assert _orders(2**64 * 257, 257) == [(2, 0)]  # masked, never 1
-    (empty,) = engine.order_tiles(5, 8, 10)  # one segment, no prime
-    assert [a.tolist() for a in empty()] == [[], [], []]
-    assert len(engine.order_tiles(2, 0, 200000)) > 2  # more than two tiles, one partial
-    ells, _, order = _columns(2, 0, 200000)
-    assert order == [multiplicative_order(2, ell) for ell in ells]
+    assert list(shift_orders(5, 8, 10)) == []  # no prime
+    ells, _, order = zip(*shift_orders(2, 0, 200000))
+    assert list(order) == [multiplicative_order(2, ell) for ell in ells]
 
 
 @pytest.mark.parametrize("ells", [
@@ -195,51 +178,20 @@ def test_orders_edge_cases():
     (91, 91), (1, 2), (0, 0), (-5, -1),  # no odd prime in the window
 ])
 def test_orders_guard_fails_fast(ells):
-    # the engine picks its primes from the window [lo, hi]: past the table cap the call
-    # raises before allocating, before any tile is asked for, and a window without an
-    # odd prime gives no row
+    # shift_orders picks its primes from the window [lo, hi]: past the table cap the first
+    # row raises before allocating, and a window without an odd prime gives no row
     lo, hi = ells
     t0 = time.perf_counter()
     if hi > TABLE_LIMIT:
         with pytest.raises(ValueError, match="table cap"):
-            engine.order_tiles(2, lo, hi)
+            next(shift_orders(2, lo, hi))
     else:
-        assert _columns(2, lo, hi) == ([], [], [])
+        assert list(shift_orders(2, lo, hi)) == []
     assert time.perf_counter() - t0 < 0.1
 
 
-@settings(max_examples=60, deadline=None)
-@given(bases, st.integers(0, 10**5), st.integers(0, 3000), st.sampled_from([0.0, 20.0, 300.5]))
-@example(3, 3, 2000, 0.0)  # every prime the verify check covers
-@example(30, 0, 40, 0.0)  # 3 and 5 divide the base
-def test_shift_orders_match_the_order_engine(g, lo, width, bar):
-    # the harvest's scalar P+ and descent against its numpy twin
-    rows = _rows(g, lo, lo + width)
-    assert list(shift_orders(g, lo, lo + width, bar)) == [row for row in rows if row[1] >= bar]
-
-
-def _engine_prime_set(g, z, C, alpha, variant):
-    # the harvest as the order engine runs it: P+ and the order for every prime of [z, Cz]
-    members = []
-    for ell, pp, order in _rows(g, math.ceil(z), math.floor(C * z)):
-        large = order > ell / math.log(ell)
-        if pp >= z**alpha and order >= pp and (variant == "standard" or large):
-            members.append(SievePrime(ell, pp, order, large))
-    return tuple(members)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 10**6), st.floats(10, 5 * 10**4), st.floats(1.01, 3),
-       st.floats(0.501, 0.999), st.sampled_from(VARIANTS))
-@example(2, 50000.0, 2.0, 0.677, "standard")
-@example(6, 10.0, 1.01, 0.6, "erh")  # [10, 10.1] holds the integer 10 and no prime
-def test_build_prime_set_matches_the_order_engine(g, z, C, alpha, variant):
-    assume(math.floor(C * z) >= math.ceil(z))
-    got = build_prime_set(g, z, C, alpha, variant).members
-    assert got == _engine_prime_set(g, z, C, alpha, variant)
-
-
 def _scalar_prime_set(g, z, C, alpha, variant):
+    # the harvest one number at a time: is_prime, factorize and multiplicative_order
     lo, hi = math.ceil(z), math.floor(C * z)
     members = []
     for ell in range(lo, hi + 1):
@@ -269,6 +221,17 @@ def test_build_prime_set_matches_scalar_harvest(g, z, C, alpha, variant):
     assert got == _scalar_prime_set(g, z, C, alpha, variant)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 10**6), st.floats(10, 5 * 10**4), st.floats(1.01, 3),
+       st.floats(0.501, 0.999), st.sampled_from(VARIANTS))
+@example(2, 50000.0, 2.0, 0.677, "standard")
+@example(6, 10.0, 1.01, 0.6, "erh")  # [10, 10.1] holds the integer 10 and no prime
+def test_build_prime_set_any_window_matches_scalar_harvest(g, z, C, alpha, variant):
+    assume(math.floor(C * z) >= math.ceil(z))
+    got = build_prime_set(g, z, C, alpha, variant).members
+    assert got == _scalar_prime_set(g, z, C, alpha, variant)
+
+
 def _scalar_density(g, z, alpha):
     primes = [p for p in range(2, math.floor(z) + 1) if is_prime(p)]
     count_alpha = count_order = 0
@@ -291,19 +254,35 @@ def test_density_report_matches_scalar_harvest(g, z, alpha):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(2, 10**6), st.floats(10**3, 4000), st.floats(0.5, 0.999), spans)
+@given(st.integers(2, 10**6), st.floats(10**3, 4000), st.floats(0.5, 0.999), st.integers(8, 64))
 @example(6, 1000.0, 0.677, 8)  # 2 and 3 divide g
+@example(2, 1400.0, 0.677, 8)  # 1327..1361 is a prime gap of 34: segments without a prime
 def test_density_report_counts_tile_by_tile(g, z, alpha, span):
-    # the counts summed over tiles of a few dozen odd n, against the scalar harvest
+    # the counts summed over segments of a few dozen odd n, against the scalar harvest
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_ORDER_TILE", span)
+        mp.setattr(harvest, "_SEGMENT", span)
         rep = density_report(g, z, alpha)
     assert (rep.primes_counted, rep.count_alpha, rep.count_order) == \
         _scalar_density(g, z, alpha)
 
 
+@settings(max_examples=150, deadline=None)
+@given(bases, windows, st.floats(0.5, 0.999))
+@example(2, (3, 3), 0.999)  # ell = 3: the order 2 is below 3^0.999
+@example(2, (7, 7), 0.5)  # 2 has order 3 mod 7: 3 >= sqrt(7) with a factor 2 of 6 left
+@example(30, (3, 40), 0.677)  # 3 and 5 divide the base
+def test_density_order_decision_is_the_full_order_against_the_bar(g, window, alpha):
+    # the report decides each order from bounds on the way down; the decision must be
+    # the full order compared with the bar, including when the order lies inside [t // rest, t]
+    lo, hi = window
+    for ell, _, t in shift_orders(g, lo, hi):
+        primes = [q for q, e in factorize(ell - 1) for _ in range(e)]
+        bar = ell**alpha
+        assert harvest._order_clears(g % ell, ell, primes, bar) == (t >= bar), (ell, t, bar)
+
+
 def test_table_limit_rejects_before_allocating():
-    for build in (primes_up_to, smallest_factors, lambda hi: engine.order_tiles(2, 3, hi)):
+    for build in (primes_up_to, smallest_factors, lambda hi: density_report(2, hi, 0.677)):
         with pytest.raises(ValueError, match="table cap"):
             build(TABLE_LIMIT + 1)
 
