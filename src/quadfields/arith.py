@@ -106,15 +106,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def check_table(who: str, cells: int, what: str) -> None:
-    """Refuse, before it is built, any table of more than TABLE_LIMIT cells (what they are)."""
+def g3(x: int | float) -> str:
+    """x in .3g, also past the float range: the one format of a user's number in a refusal."""
+    if abs(x) < 1e300:
+        return f"{x:.3g}"
+    from decimal import Decimal  # not at the top: decimal slows every CLI start
+    return f"{Decimal(x):.3g}"
+
+
+def check_table(who: str, cells: int, what: str, *sizes: int) -> None:
+    """Refuse, before it is built, any table of more than TABLE_LIMIT cells: what they
+    are, with each {} filled by a size in .3g, so the message stays short."""
     if cells > TABLE_LIMIT:
+        what = what.format(*map(g3, sizes))
         raise ValueError(f"{who}: {what} exceed the table cap {TABLE_LIMIT}")
 
 
 def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit by an odd-only Eratosthenes sieve."""
-    check_table("primes_up_to", limit, f"the numbers to {limit}")
+    check_table("primes_up_to", limit, "the numbers to {}", limit)
     if limit < 2:
         return []
     half = (limit - 1) // 2  # flags[i] stands for 2i+1
@@ -134,7 +144,7 @@ def smallest_factors(hi: int) -> array:
     the table harvest and the order engine read, empty for hi < 0.  Even n start
     at 2 from a repeated [2, 0]; each odd prime p <= sqrt(hi) writes only its odd
     multiples, 2^15 at a time, so nothing beside the table grows with hi."""
-    check_table("smallest_factors", hi, f"the numbers to {hi}")
+    check_table("smallest_factors", hi, "the numbers to {}", hi)
     if hi < 0:
         return array("H")
     spf = array("H", [2, 0]) * (hi // 2 + 2)  # even n hold 2; the cells past hi are cut below

@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import gcd, log
 from typing import NamedTuple
 
-from .arith import U64_MAX, check_table, ensure, is_perfect_square, is_squarefree, jacobi
+from .arith import U64_MAX, check_table, ensure, g3, is_perfect_square, is_squarefree, jacobi
 from .arith import multiplicative_order, prime_chunks
 from .sequences import SequenceSpec, symbol_row, u_eval, u_eval_mod
 
@@ -42,11 +42,15 @@ __all__ = [
 KERNEL_WORK_CAP = 15 * 10**9
 
 # Fixed witnesses for the residue prefilters: (a/p)(b/p) = -1 at any of them
-# proves a*b is not a square.  Any odd primes work; these sit above every
-# coefficient the test suite uses so zero residues stay rare.
+# proves a*b is not a square.  Any odd primes work; these 16, from 1009 to 1097,
+# keep each order L of g below p, so a row over a window of a few thousand n is
+# read off one period: at most p - 1 symbols and a square table of p/2 entries.
+# Zero residues are more frequent than with primes near 10^4: 0.57% of n have
+# one for f = X^3 + 2, g = 3 over 12,000 n (0.16% before), and distinct_fields
+# finds the classes such an n may join by dict lookups, not a scan.
 _WITNESS_PRIMES = (
-    10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079,
-    10091, 10093, 10099, 10103, 10111, 10133, 10139, 10141,
+    1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049,
+    1051, 1061, 1063, 1069, 1087, 1091, 1093, 1097,
 )
 
 class KernelResult(NamedTuple):
@@ -158,7 +162,7 @@ def _window(M: int, N: int, who: str) -> range:
 
 def _witness_window(M: int, N: int, who: str) -> range:
     # the window, unless its witness symbols pass the table cap: checked before any u(n)
-    check_table(who, len(_WITNESS_PRIMES) * N, f"{len(_WITNESS_PRIMES)} x {N} symbols")
+    check_table(who, len(_WITNESS_PRIMES) * N, f"{len(_WITNESS_PRIMES)} x {{}} symbols", N)
     return _window(M, N, who)
 
 
@@ -169,14 +173,15 @@ def _witness_memo(spec: SequenceSpec, M: int, N: int) -> dict:  # p -> (order of
 
 def _witness_row(spec: SequenceSpec, M: int, N: int, p: int, ns) -> bytearray:
     # p's row over the window: a byte per n, (u(n)/p) + 1 once a call's ascending ns held n, else 3.
-    # More new n than L, the order of g mod p (1 when p | g, as n >= 1), fill it off one period.
+    # At least min(L, N) new n, L the order of g mod p (1 when p | g, as n >= 1), fill the row
+    # off one period of min(L, N) symbols; fewer are computed one n at a time.
     memo = _witness_memo(spec, M, N)
     if p in memo:  # the new n; a row still empty skips this scan, and a full row needs none
         ns = [n for n in ns if memo[p][1][n - M - 1] == 3] if 3 in memo[p][1] else ()
     else:
         memo[p] = multiplicative_order(spec.g, p) if spec.g % p else 1, bytearray(b"\3") * N
     L, row = memo[p]
-    if L < len(ns):
+    if min(L, N) <= len(ns):
         row[:] = symbol_row(spec.f, spec.g, p, M + 1, N, L)
     else:
         for n in ns:
@@ -239,14 +244,6 @@ class CensusResult(NamedTuple):
         }
 
 
-def _g3(x: int) -> str:
-    # x in .3g, past the float range through decimal: not at the top, as with fractions
-    if x < 1e300:
-        return f"{x:.3g}"
-    from decimal import Decimal
-    return f"{Decimal(x):.3g}"
-
-
 def count_Q_total(spec: SequenceSpec, M: int, N: int, S: int) -> CensusResult:
     """Sum of count_Q over all squarefree s <= S, computed per n by kernel
     extraction instead of a loop over s.
@@ -266,7 +263,7 @@ def count_Q_total(spec: SequenceSpec, M: int, N: int, S: int) -> CensusResult:
     top = _u_bits(spec, M + N)  # every u(n) in the window is below 2^top
     half = (top + 1) // 2  # min(S, 2^half) by bit lengths: 2^half is not built past S
     B = max(2, S if S.bit_length() <= half else 1 << half)
-    check_table("count_Q_total", B, f"the numbers to B = {_g3(B)}")  # an oversized B fails first
+    check_table("count_Q_total", B, "the numbers to B = {}", B)  # an oversized B fails first
     c = abs(spec.f.constant)
     peel = _smooth_part(c, spec.g).bit_length() if c else top
     per_chunk, rest = _window_bits(spec, M, N) + 2048 * N, N * top * peel // 2048
@@ -276,7 +273,7 @@ def count_Q_total(spec: SequenceSpec, M: int, N: int, S: int) -> CensusResult:
         chunks, least = len(prime_chunks(B)), ""
     if (work := per_chunk * chunks + rest) > KERNEL_WORK_CAP:
         raise ValueError(
-            f"count_Q_total: kernel extraction needs {least or 'about '}{_g3(work)} steps (bits of "
+            f"count_Q_total: kernel extraction needs {least or 'about '}{g3(work)} steps (bits of "
             f"u(n) and {least}{chunks} prime chunks <= {B}), past the cap {KERNEL_WORK_CAP:.3g}"
         )
     per_s: dict[int, int] = {}
@@ -294,49 +291,75 @@ def count_Q_total(spec: SequenceSpec, M: int, N: int, S: int) -> CensusResult:
                         classes=(), skipped=tuple(skipped))
 
 
+def _signatures(rows, N: int):
+    # n's witness codes (u(n)/p_i) + 1 as one int per n, byte i for p_i: the rows are
+    # interleaved 2^12 n at a time, so the copy beside them stays small
+    k = len(rows)
+    for lo in range(0, N, 1 << 12):
+        cols = bytearray(k * min(1 << 12, N - lo))
+        for i, row in enumerate(rows):
+            cols[i::k] = row[lo : lo + (1 << 12)]
+        yield from (int.from_bytes(cols[j : j + k], "little") for j in range(0, len(cols), k))
+
+
+def _compatible(index: dict, zero: int, plus: int):
+    # the classes whose rep's symbols agree with n's wherever neither is zero.  index files
+    # each class by its rep's zero mask zr, then plus mask: in group zr a match has n's plus
+    # bits off zr, and any bits where n alone is zero; past as many keys as the group
+    # holds, its keys are scanned instead
+    for zr, group in index.items():
+        free, base = zero & ~zr, plus & ~zr
+        if 1 << free.bit_count() > len(group):
+            yield from (i for key, ids in group.items() if key & ~free == base for i in ids)
+            continue
+        sub = free
+        while True:  # every submask of free, free first
+            yield from group.get(base | sub, ())
+            if not sub:
+                break
+            sub = (sub - 1) & free
+
+
 def distinct_fields(spec: SequenceSpec, M: int, N: int) -> CensusResult:
     """Partition {n in window : u(n) > 0} into field-equality classes.
 
     Each new n is compared against class representatives only: field equality
     is an equivalence, and ascending n keeps the merge order deterministic.
-    The window's witness rows give the signature of n, masks of its +1s and
-    -1s.  Where a +1 meets a -1 the fields differ, so with no zero residue only
-    the classes of the same plus mask, found by a dict, and those whose rep has
-    a zero residue are tried; an n with one tries all.  At most one class
-    passes the exact test, `same_field`, so the order of trials cannot matter.
-    A class keeps its masks, not u(rep), which the exact test recomputes:
-    memory stays linear in N.
+    The window's witness rows give the signature of n, masks of its zero and
+    +1 symbols (the rest are -1).  Where a +1 meets a -1 the fields differ,
+    so only the classes whose rep agrees with n wherever neither has a zero
+    are tried, found by dict lookups on the masks.  At most one class passes
+    the exact test, `same_field`, so the order of trials cannot matter.  A
+    class keeps no u(rep), which the exact test recomputes: memory stays
+    linear in N.
     """
     _require_census_spec(spec, "distinct_fields")
     ns = _witness_window(M, N, "distinct_fields")
     rows = [_witness_row(spec, M, N, p, ns) for p in _WITNESS_PRIMES]
-    full = (1 << len(rows)) - 1
-    classes: list[tuple[int, list[int], int, int]] = []  # (rep, members, plus, minus)
-    by_plus: dict[int, list[int]] = {}  # plus mask -> classes whose rep has no zero residue
-    zeroed: list[int] = []  # classes whose rep has a zero residue
+    ones = int.from_bytes(b"\1" * len(rows), "little")  # a mask bit per prime, bit 8i for p_i
+    classes: list[tuple[int, list[int]]] = []  # (rep, members)
+    index: dict[int, dict[int, list[int]]] = {}  # zero mask -> plus mask -> classes of such reps
     skipped = []
-    for j, n in enumerate(ns):
+    for n, sig in zip(ns, _signatures(rows, N)):
         u = u_eval(spec, n)
         if u <= 0:
             skipped.append(n)
             continue
-        pl = sum(1 << i for i, row in enumerate(rows) if row[j] == 2)  # the signature of n
-        mi = sum(1 << i for i, row in enumerate(rows) if row[j] == 0)
-        whole = pl | mi == full
-        for i in by_plus.get(pl, []) + zeroed if whole else range(len(classes)):
-            rep, members, rep_pl, rep_mi = classes[i]
-            if not (rep_pl & mi or rep_mi & pl) and same_field(u_eval(spec, rep), u):
+        zero, plus = sig & ones, sig >> 1 & ones  # codes 1 and 2
+        for i in _compatible(index, zero, plus):
+            rep, members = classes[i]
+            if same_field(u_eval(spec, rep), u):
                 members.append(n)
                 break
         else:
-            (by_plus.setdefault(pl, []) if whole else zeroed).append(len(classes))
-            classes.append((n, [n], pl, mi))
+            index.setdefault(zero, {}).setdefault(plus, []).append(len(classes))
+            classes.append((n, [n]))
     return CensusResult(
         M=M,
         N=N,
         S=None,
         per_s={},
-        total=sum(len(members) for _, members, *_ in classes),
-        classes=tuple((rep, tuple(members)) for rep, members, *_ in classes),
+        total=sum(len(members) for _, members in classes),
+        classes=tuple((rep, tuple(members)) for rep, members in classes),
         skipped=tuple(skipped),
     )

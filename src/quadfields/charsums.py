@@ -20,7 +20,7 @@ import sys
 from math import gcd
 from typing import NamedTuple
 
-from .arith import check_table, ensure, is_prime, is_squarefree, jacobi, multiplicative_order
+from .arith import check_table, ensure, g3, is_prime, is_squarefree, jacobi, multiplicative_order
 from .harvest import shift_orders
 from .sequences import Polynomial, gcd_degree
 
@@ -138,14 +138,14 @@ def _pair_cycles(f, lam, ell, p, who, K=math.inf):
         raise ValueError(f"{who}: ell and p must be distinct")
     for q in (ell, p):
         if q == 2 or not is_prime(q):
-            raise ValueError(f"{who}: {q} must be an odd prime")
+            raise ValueError(f"{who}: {g3(q)} must be an odd prime")
     if lam == 0 or lam % ell == 0 or lam % p == 0:
         raise ValueError(f"{who}: lam must be coprime to ell*p")
     t_ell = multiplicative_order(lam, ell)
     t_p = multiplicative_order(lam, p)
     if gcd(t_ell, t_p) != 1:
         raise ValueError(f"{who}: orders of lam mod ell and mod p share a factor")
-    check_table(who, length := min(K, t_ell * t_p), f"{length} pair terms")
+    check_table(who, length := min(K, t_ell * t_p), "{} pair terms", length)
     return [orbit_symbols(f, lam, q, t).astype(np.int64) for q, t in ((ell, t_ell), (p, t_p))]
 
 

@@ -146,6 +146,7 @@ def _run_sieve(args: argparse.Namespace) -> int:
     spec = _spec(args)
     if args.s < 1:
         raise ValueError("sieve: s must be >= 1")
+    census._witness_window(args.M, args.N, "sieve")  # before default_z takes N as a float
     z = args.z if args.z is not None else bounds.default_z(args.N, args.alpha)
     pset = harvest.build_prime_set(args.g, z, args.C, args.alpha, args.variant)
     run = sieve.run_sieve(spec, args.M, args.N, args.s, pset)

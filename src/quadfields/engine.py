@@ -45,7 +45,7 @@ def orbit_symbols(f: Polynomial, base: int, p: int, count: int) -> np.ndarray:
         raise ValueError(f"orbit_symbols: modulus {p} must be odd and in [3, 2^31)")
     if count < 1:
         raise ValueError("orbit_symbols: count must be >= 1")
-    check_table("orbit_symbols", count, f"1 x {count} symbols")
+    check_table("orbit_symbols", count, "1 x {} symbols", count)
     width = min(count, _CELL_TILE)
     table = None
     if p <= 16 * width:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Callable, Iterator, Sequence
-from itertools import compress
+from itertools import chain, compress
 from operator import not_
 from typing import NamedTuple
 
@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 VARIANTS = ("standard", "erh")
-_SEGMENT = 1 << 15  # odd n per segment of a density report
+_SEGMENT = 1 << 15  # odd n per segment of a prime walk, shift_orders or a density report
 _SHARD_CAP = 8  # most shards fork_map makes, whatever the CPU count
 _SHARD_WORK = 1 << 18  # least work per shard, in units of about 0.2 us; see fork_map
 
@@ -91,6 +91,8 @@ def build_prime_set(
         raise ValueError("build_prime_set: z must be finite and >= 10")
     if not 1 < C < math.inf:
         raise ValueError("build_prime_set: C must be finite and > 1")
+    if not C * z < math.inf:
+        raise ValueError("build_prime_set: C*z must be finite")
     if not 0.5 < alpha < 1:
         raise ValueError("build_prime_set: alpha must lie in (1/2, 1)")
     if variant not in VARIANTS:
@@ -120,7 +122,7 @@ def shift_orders(g: int, lo: int, hi: int, bar: float = 0.0) -> Iterator[tuple[i
     """
     spf = smallest_factors(hi)
     lo = max(lo, 3) | 1
-    for ell in compress(range(lo, hi + 1, 2), map(not_, spf[lo : hi + 1 : 2])):
+    for ell in _odd_primes(spf, range(lo, hi + 1, 2 * _SEGMENT)):
         p_plus = ell - 1
         while q := spf[p_plus]:
             p_plus //= q
@@ -138,6 +140,15 @@ def shift_orders(g: int, lo: int, hi: int, bar: float = 0.0) -> Iterator[tuple[i
             while t % q == 0 and pow(base, t // q, ell) == 1:
                 t //= q
         yield ell, p_plus, t
+
+
+def _odd_primes(spf, starts) -> Iterator[int]:
+    # the primes among the _SEGMENT odd n from each (odd) start on, off the table: one
+    # segment's slice at a time, never a copy of the table's odd half
+    return chain.from_iterable(
+        compress(range(start, len(spf), 2), map(not_, spf[start : start + 2 * _SEGMENT : 2]))
+        for start in starts
+    )
 
 
 class DensityReport(NamedTuple):
@@ -183,17 +194,15 @@ def density_report(g: int, z: float, alpha: float) -> DensityReport:
 
     def count(starts):
         counted = passed_alpha = passed_order = 0
-        for start in starts:
-            stop = min(start + 2 * _SEGMENT, hi + 1)
-            for ell in compress(range(start, stop, 2), map(not_, spf[start:stop:2])):
-                bar, primes, p_plus = ell**alpha, [], ell - 1
-                while q := spf[p_plus]:  # the primes of ell-1, ascending, P+ left last
-                    primes.append(q)
-                    p_plus //= q
-                primes.append(p_plus)
-                counted += 1
-                passed_alpha += p_plus >= bar
-                passed_order += _order_clears(g % ell, ell, primes, bar)
+        for ell in _odd_primes(spf, starts):
+            bar, primes, p_plus = ell**alpha, [], ell - 1
+            while q := spf[p_plus]:  # the primes of ell-1, ascending, P+ left last
+                primes.append(q)
+                p_plus //= q
+            primes.append(p_plus)
+            counted += 1
+            passed_alpha += p_plus >= bar
+            passed_order += _order_clears(g % ell, ell, primes, bar)
         return counted, passed_alpha, passed_order
 
     counts = fork_map(count, range(3, hi + 1, 2 * _SEGMENT), hi)

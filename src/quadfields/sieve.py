@@ -59,7 +59,7 @@ def detector(spec: SequenceSpec, n: int, s: int, prime_set: SievePrimeSet) -> in
 def _symbols(spec, M, N, prime_set):
     # R[i][j] = (u(M+1+j) / ell_i) + 1: a row of bytes per prime, off one period of g mod ell
     _window(M, N, "sieve")
-    check_table("sieve", len(prime_set) * N, f"{len(prime_set)} x {N} symbols")
+    check_table("sieve", len(prime_set) * N, f"{len(prime_set)} x {{}} symbols", N)
     return [
         symbol_row(spec.f, spec.g, sp.ell, M + 1, N, sp.order_g if prime_set.g == spec.g else N)
         for sp in prime_set.members

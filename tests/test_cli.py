@@ -576,6 +576,31 @@ def test_sieve_window_rejected_before_the_table(window, capsys):
     assert rc == 3 and out == "" and "sieve:" in err
 
 
+_HUGE = str(10**400)
+
+
+@pytest.mark.parametrize("argv, reason", [
+    # floor(C*z) of an infinite C*z raised OverflowError (exit 1)
+    (["primes", "-g", "2", "--z", "1e308"], "C*z must be finite"),
+    (["sieve", "-f", "1,6,1", "-g", "2", "--z", "1e308", "-N", "10"], "C*z must be finite"),
+    # default_z took N as a float before any window check (exit 1)
+    (["sieve", "-f", "1,6,1", "-g", "2", "-N", _HUGE], "sieve: 16 x 1.00e+400 symbols"),
+    # refusals that printed the number in full, in 314-473 bytes
+    (["sieve", "-f", "1,6,1", "-g", "2", "-N", _HUGE, "--z", "100"], "16 x 1.00e+400 symbols"),
+    (["census", "-f", "1,6,1", "-g", "2", "-N", _HUGE, "-s", "1"], "16 x 1.00e+400 symbols"),
+    (["primes", "-g", "2", "--z", "1e307"], "the numbers to 2.00e+307 exceed"),
+    (["charsum", "-f", "2,0,0,1", "--lam", "2", "--scan", "--pmax", _HUGE], "numbers to 1.00e+400"),
+    (["charsum", "-f", "2,0,0,1", "--lam", "2", "--p", "7", "--ell", str(10**265)],
+     "1e+265 must be an odd prime"),
+], ids=["primes-Cz", "sieve-Cz", "sieve-N", "sieve-N-z", "census-N", "primes-z", "scan", "ell"])
+def test_huge_values_exit_3_in_one_short_line(argv, reason, capsys):
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 3 and out == "" and reason in err
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
 def test_verify_seeded(capsys):
     assert run(capsys, "verify", "--quick", "--seed", "7")[0] == 0
 

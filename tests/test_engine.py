@@ -277,13 +277,13 @@ def test_orbit_symbols_rejects_before_allocating(moduli, count):
 census_polynomial = st.one_of(
     polynomial,
     st.sampled_from([Polynomial.parse(t) for t in (
-        "-5,1", "0,3", "0,1", "-1,1", "0,10007", "1,6,1", "2,0,0,1", "-20,0,1")]),
+        "-5,1", "0,3", "0,1", "-1,1", "0,1009", "1,6,1", "2,0,0,1", "-20,0,1")]),
 )
-# the prime 2419489 is a square mod every witness prime, so only the exact
+# the prime 951193 is a square mod every witness prime, so only the exact
 # test tells q^n with n odd from n even
-BLIND = 2419489
-base = st.one_of(st.integers(2, 12), st.sampled_from([10007, BLIND]))
-WITNESS_S = [10007, 10007 * 10009, 3 * 10141, 10037 * 10039 * 10061, BLIND]
+BLIND = 951193
+base = st.one_of(st.integers(2, 12), st.sampled_from([1009, BLIND]))
+WITNESS_S = [1009, 1009 * 1013, 3 * 1097, 1019 * 1021 * 1031, BLIND]
 
 
 def _multiplier(data, spec, M, N):
@@ -318,11 +318,15 @@ def test_window_matches_and_count_Q_match_scalar(data, f, g, M, N):
     ("-5,1", 2, 0, 12, 3, [3, 5, 9]),  # u(1), u(2) < 0; u(9) = 3 * 13^2
     ("-5,1", 2, 0, 1, 3, []),
     ("1,6,1", 2, 0, 1, 17, [1]),
-    ("0,1", 10007, 0, 9, 10007, [1, 3, 5, 7, 9]),  # u(n) = 0 mod the witness 10007
+    ("0,1", 10007, 0, 9, 10007, [1, 3, 5, 7, 9]),  # u(n) = 10007^n
     ("0,10007", 2, 0, 9, 10007, [2, 4, 6, 8]),
+    ("0,1", 2419489, 0, 6, 1, [2, 4, 6]),  # a prime that 6 of the 16 witnesses call a square
+    ("0,1", 2419489, 0, 6, 2419489, [1, 3, 5]),
+    ("1,6,1", 2, 10**4 - 5, 5, 17, []),
+    ("0,1", 1009, 0, 9, 1009, [1, 3, 5, 7, 9]),  # u(n) = 0 mod the witness 1009
+    ("0,1009", 2, 0, 9, 1009, [2, 4, 6, 8]),
     ("0,1", BLIND, 0, 6, 1, [2, 4, 6]),  # no witness rejects any n
     ("0,1", BLIND, 0, 6, BLIND, [1, 3, 5]),
-    ("1,6,1", 2, 10**4 - 5, 5, 17, []),
 ])
 def test_window_matches_examples(f, g, M, N, s, hits):
     spec = validate(Polynomial.parse(f), g)
@@ -334,10 +338,13 @@ def test_window_matches_examples(f, g, M, N, s, hits):
 @given(census_polynomial, base, st.integers(0, 10**4), st.integers(1, 30))
 @example(Polynomial.parse("-5,1"), 2, 0, 12)  # classes merge at n = 3, 5, 9
 @example(Polynomial.parse("0,3"), 4, 0, 1)
-@example(Polynomial.parse("0,1"), 10007, 0, 6)
+@example(Polynomial.parse("0,1"), 1009, 0, 6)
 @example(Polynomial.parse("0,1"), BLIND, 0, 6)  # two classes no witness separates
-# u(1) = 1 and u(2) = 10007^2: an n with a zero residue joins a class whose rep has none
-@example(Polynomial((2 - 10007**2, (10007**2 - 1) // 2)), 2, 0, 4)
+# u(1) = 1 and u(2) = 1009^2: an n with a zero residue joins a class whose rep has none
+@example(Polynomial((2 - 1009**2, (1009**2 - 1) // 2)), 2, 0, 4)
+# u = 11, 3, 11 * 1009^2: n = 3 has a zero residue where its rep has a -1, (11/1009) = -1,
+# and is looked up by submask among the two classes with no zero residue
+@example(Polynomial((3732987, -2799730, 466621)), 2, 0, 3)
 def test_distinct_fields_matches_scalar(f, g, M, N):
     if g > 12:
         M %= 100
@@ -348,16 +355,17 @@ def test_distinct_fields_matches_scalar(f, g, M, N):
 
 
 @pytest.mark.parametrize("f, g, M, N", [
-    ("1,6,1", 792, 5, 30),  # order 8 mod 10009 and 11 mod 10099, read from n = 6
-    ("0,3", 792, 4, 30),  # u(n) = 3 * 792^n: two classes, by the parity of n
-    ("2,0,0,1", 45, 4, 25),  # order 9 mod 10009
-    ("-1,1", 10008, 3, 12),  # 10008 = 1 mod 10007, so 10007 | u(n) for every n
-    ("1,1", 10006, 4, 12),  # 10006 = -1 mod 10007, so 10007 | u(n) for odd n
-    ("1,6,1", 2 * 10009, 2, 12),  # 10009 | g: L = 1 and u(n) = f(0) mod 10009
+    ("1,6,1", 79, 5, 30),  # order 10 mod 1091 and 8 mod 1097, read from n = 6
+    ("0,3", 79, 4, 30),  # u(n) = 3 * 79^n: two classes, by the parity of n
+    ("2,0,0,1", 45, 4, 25),  # order 4 mod 1013
+    ("-1,1", 1010, 3, 12),  # 1010 = 1 mod 1009, so 1009 | u(n) for every n
+    ("1,1", 1008, 4, 12),  # 1008 = -1 mod 1009, so 1009 | u(n) for odd n
+    ("1,6,1", 2 * 1013, 2, 12),  # 1013 | g: L = 1 and u(n) = f(0) mod 1013
 ])
 def test_witness_period_read_matches_scalar(f, g, M, N):
-    # witness primes whose order L of g is below N read their symbols off one
-    # period; the others evaluate every n
+    # the whole window reads each row off one period of min(L, N) symbols, L the
+    # order of g, whether L < N (the period repeats) or not; a thinned part with
+    # fewer n than that evaluates each n
     spec = validate(Polynomial.parse(f), g)
     orders = [multiplicative_order(g, p) if g % p else 1 for p in census._WITNESS_PRIMES]
     assert min(orders) < N <= max(orders)
@@ -367,15 +375,16 @@ def test_witness_period_read_matches_scalar(f, g, M, N):
             census._witness_memo.cache_clear()  # an empty row, filled from part alone
             row = census._witness_row(spec, M, N, p, part)
             assert [row[n - M - 1] for n in part] == scalar_witness_codes(spec, p, part)
-    for s in (1, 2, 3, 22, 10007, 10009 * 3, u_eval(spec, M + 1), u_eval(spec, M + 2)):
+    for s in (1, 2, 3, 22, 1009, 1013 * 3, u_eval(spec, M + 1), u_eval(spec, M + 2)):
         _check_window(spec, M, N, s)
     got = census.distinct_fields(spec, M, N)
     assert (got.classes, got.skipped) == scalar_distinct_fields(spec, M, N)
 
 
 def _count_symbol_work(monkeypatch):
-    # (p, n) per u_eval_mod and (p, None) per symbol_row, as census calls them
-    calls, real_mod, real_row = [], census.u_eval_mod, census.symbol_row
+    # (p, n) per u_eval_mod and (p, None) per symbol_row, as census calls them, and the
+    # symbols each symbol_row computes, min(count, period)
+    calls, computed, real_mod, real_row = [], [], census.u_eval_mod, census.symbol_row
 
     def counted_mod(spec, n, m):
         calls.append((m, n))
@@ -383,22 +392,25 @@ def _count_symbol_work(monkeypatch):
 
     def counted_row(f, g, p, start, count, period):
         calls.append((p, None))
+        computed.append(min(count, period))
         return real_row(f, g, p, start, count, period)
 
     monkeypatch.setattr(census, "u_eval_mod", counted_mod)
     monkeypatch.setattr(census, "symbol_row", counted_row)
     census._witness_memo.cache_clear()
-    return calls
+    return calls, computed
 
 
 @pytest.mark.parametrize("f, g, M, N", [
-    ("1,6,1", 2, 0, 300),  # every order of 2 passes N: symbols one n at a time
-    ("1,6,1", 792, 5, 30),  # orders 8 and 11 mod 10009 and 10099: rows read off a period
-    ("0,1", 10007, 0, 40),  # 10007 | g: L = 1
+    ("1,6,1", 2, 0, 300),  # orders of 2 from 92 to 1090: some periods repeat over N
+    ("1,6,1", 792, 5, 30),  # every order of 792 passes N: a period read is the whole window
+    ("1,6,1", 79, 5, 30),  # orders 10 and 8 mod 1091 and 1097: rows read off a period
+    ("0,1", 10007, 0, 40),  # order 12 mod 1021
+    ("0,1", 1009, 0, 40),  # 1009 | g: L = 1
 ])
 def test_witness_symbols_computed_once_per_window(f, g, M, N, monkeypatch):
     spec = validate(Polynomial.parse(f), g)
-    calls = _count_symbol_work(monkeypatch)
+    calls, _ = _count_symbol_work(monkeypatch)
     for s in (s for s in range(1, 400) if is_squarefree(s)):
         assert census.count_Q(spec, M, N, s) == scalar_count_Q(spec, M, N, s)
     census.distinct_fields(spec, M, N)
@@ -410,12 +422,14 @@ def test_witness_symbols_computed_once_per_window(f, g, M, N, monkeypatch):
 
 
 def test_single_s_census_stays_lazy(monkeypatch):
-    # census -f 1,6,1 -g 2 -N 10000 -s 17 thins with 5240 symbols one n at a time and two rows
-    # read off a period (orders 1668 and 1673): the memo builds no row ahead of need
-    calls = _count_symbol_work(monkeypatch)
-    assert census.count_Q(validate(SHANKS, 2), 0, 10**4, 17) == 1
-    assert sum(n is not None for _, n in calls) <= 5240
-    assert sum(n is None for _, n in calls) <= 2
+    # census -f 1,6,1 -g 2 -N 100000 -s 17 reads each row it needs off one period, at most
+    # the sum of the orders of 2 in symbols, and once a prime has fewer live n left than
+    # its period, thins one n at a time, 425 symbols in all: no row is built ahead of need
+    calls, computed = _count_symbol_work(monkeypatch)
+    assert census.count_Q(validate(SHANKS, 2), 0, 10**5, 17) == 1
+    orders = [multiplicative_order(2, p) for p in census._WITNESS_PRIMES]
+    assert sum(computed) <= sum(orders) == 8076
+    assert sum(n is not None for _, n in calls) <= 425
 
 
 @settings(max_examples=40, deadline=None)
@@ -453,12 +467,12 @@ def test_run_sieve_matches_old_s_matches_filter(data, f, g, M, N):
 
 
 # squarefree kernels, among them products of witness primes, 2^61 - 1 and 1
-KERNELS = (1, 2, 3, 6, 17, 30030, 10007, 10007 * 10009, 3 * 10141, 2**61 - 1, BLIND)
+KERNELS = (1, 2, 3, 6, 17, 30030, 1009, 1009 * 1013, 3 * 1097, 2**61 - 1, BLIND)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(KERNELS),
-                          st.one_of(st.integers(1, 2**80), st.integers(1, 10**6).map(lambda x: 10007 * x))),
+                          st.one_of(st.integers(1, 2**80), st.integers(1, 10**6).map(lambda x: 1009 * x))),
                 min_size=1, max_size=6))
 def test_same_field_is_an_equivalence(pairs):
     # k*x^2 and k'*y^2 with squarefree k, k' give one field iff k = k'
@@ -490,9 +504,9 @@ def test_fallback_scan_matches_scalar(f, g, M, N, S):
 
 
 def test_fallback_scan_reads_a_zero_witness():
-    # u(n) = 10007^n: odd n have kernel 10007, one of the witness primes
-    spec = validate(Polynomial.parse("0,1"), 10007)
-    assert census.count_Q_total(spec, 0, 7, 10007).per_s == {1: 3, 10007: 4}
+    # u(n) = 1009^n: odd n have kernel 1009, one of the witness primes
+    spec = validate(Polynomial.parse("0,1"), 1009)
+    assert census.count_Q_total(spec, 0, 7, 1009).per_s == {1: 3, 1009: 4}
 
 
 def test_only_the_engine_imports_numpy_at_import_time():

@@ -236,7 +236,8 @@ def _count_rows(monkeypatch):
 
 def test_run_sieve_builds_symbols_once(monkeypatch, shanks, pset100):
     # D(n), omega, the partition and the certificate all come from one table,
-    # one row per prime; the census witnesses behind the certificate's matches build none
+    # one row per prime; the census witnesses behind the certificate's matches read
+    # their own rows, at most one per witness prime
     symbols = []
     builds = _count_rows(monkeypatch)
 
@@ -246,6 +247,7 @@ def test_run_sieve_builds_symbols_once(monkeypatch, shanks, pset100):
 
     monkeypatch.setattr(sieve, "jacobi", counting_jacobi)
     run = run_sieve(shanks, 0, 200, 17, pset100)
+    assert builds.pop(census.__name__, 0) <= len(census._WITNESS_PRIMES)
     assert builds == {sieve.__name__: len(pset100)}
     assert len(symbols) <= len(pset100)  # (s/ell) once per row, none per cell
     assert run.cert.matches == (1,)
@@ -253,7 +255,8 @@ def test_run_sieve_builds_symbols_once(monkeypatch, shanks, pset100):
 
 def test_sieve_diag_builds_symbols_once(monkeypatch, capsys):
     # `sieve --diag` reads the certificate and the pair diagnostics from the
-    # table run_sieve built; the census witnesses behind the certificate build none
+    # table run_sieve built; the census witnesses behind the certificate read at most
+    # one row per witness prime
     from quadfields import cli
 
     builds = _count_rows(monkeypatch)
@@ -261,4 +264,5 @@ def test_sieve_diag_builds_symbols_once(monkeypatch, capsys):
                    "--z", "200", "--diag"])
     out = capsys.readouterr().out
     assert rc == 0 and "pairs U" in out and "certificate lhs 1 " in out
+    assert builds.pop("quadfields.census", 0) <= len(census._WITNESS_PRIMES)
     assert builds == {"quadfields.sieve": len(harvest.build_prime_set(2, 200.0))}

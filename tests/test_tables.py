@@ -99,11 +99,14 @@ SIEVE_PRIMES = build_prime_set(2, bounds.default_z(2 * 10**5, 0.677))  # 12 prim
     (lambda: density_report(2, 1e6, 0.677), 2.2),  # the table and a few integers per prime
     # the table's 2 bytes per n and at most 0.3 MiB beside it, whatever pi(z) is
     (lambda: density_report(2, 4e6, 0.677), 2 * (4 * 10**6 + 1) / 2**20 + 0.3),
+    # the first row of shift_orders: the table and one segment's slice, no copy of its odd half
+    (lambda: next(shift_orders(2, 3, 10**6)), 2 * (10**6 + 1) / 2**20 + 0.3),
     # 200 classes, whose u(rep) of 1000 n bits each would sum to 2.5 MiB
     (lambda: census.distinct_fields(validate(Polynomial.parse("1,6,1"), 2**500), 0, 200), 0.5),
     # 12 bytes of symbols per n, a few of columns and mask, and the witness filter's lists
     (lambda: sieve.run_sieve(SHANKS, 0, 2 * 10**5, 1, SIEVE_PRIMES), 10),
-], ids=["smallest_factors", "density_report", "density_report_4e6", "classes", "run_sieve"])
+], ids=["smallest_factors", "density_report", "density_report_4e6", "shift_orders", "classes",
+        "run_sieve"])
 def test_table_traced_peak(build, mib):
     # allocations counted by tracemalloc, not RSS, so heap layout cannot move them
     build()  # numpy and first-call state are loaded before tracing
