@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .arith import U64_MAX, check_table, ensure, g3, is_perfect_square, is_squarefree, jacobi
 from .arith import multiplicative_order, prime_chunks
-from .sequences import SequenceSpec, symbol_row, u_eval, u_eval_mod
+from .sequences import SequenceSpec, symbol_row, u_eval
 
 __all__ = [
     "KernelResult",
@@ -166,27 +166,12 @@ def _witness_window(M: int, N: int, who: str) -> range:
     return _window(M, N, who)
 
 
-@lru_cache(maxsize=1)
-def _witness_memo(spec: SequenceSpec, M: int, N: int) -> dict:  # p -> (order of g mod p, row)
-    return {}
-
-
-def _witness_row(spec: SequenceSpec, M: int, N: int, p: int, ns) -> bytearray:
-    # p's row over the window: a byte per n, (u(n)/p) + 1 once a call's ascending ns held n, else 3.
-    # At least min(L, N) new n, L the order of g mod p (1 when p | g, as n >= 1), fill the row
-    # off one period of min(L, N) symbols; fewer are computed one n at a time.
-    memo = _witness_memo(spec, M, N)
-    if p in memo:  # the new n; a row still empty skips this scan, and a full row needs none
-        ns = [n for n in ns if memo[p][1][n - M - 1] == 3] if 3 in memo[p][1] else ()
-    else:
-        memo[p] = multiplicative_order(spec.g, p) if spec.g % p else 1, bytearray(b"\3") * N
-    L, row = memo[p]
-    if min(L, N) <= len(ns):
-        row[:] = symbol_row(spec.f, spec.g, p, M + 1, N, L)
-    else:
-        for n in ns:
-            row[n - M - 1] = (pow(u_eval_mod(spec, n, p), p // 2, p) + 1) % p
-    return row
+@lru_cache(maxsize=len(_WITNESS_PRIMES))  # the last window's rows
+def _witness_row(spec: SequenceSpec, M: int, N: int, p: int) -> bytes:
+    # p's row over the window, (u(n)/p) + 1 per n, read off one period of L symbols: L the
+    # order of g mod p, or 1 when p | g (as n >= 1)
+    L = multiplicative_order(spec.g, p) if spec.g % p else 1
+    return symbol_row(spec.f, spec.g, p, M + 1, N, L)
 
 
 def s_matches(spec: SequenceSpec, n: int, s: int) -> bool:
@@ -199,14 +184,17 @@ def window_matches(spec: SequenceSpec, M: int, N: int, s: int) -> list[int]:
     """The n in [M+1, M+N] with u(n) > 0 and s*u(n) a perfect square.
 
     The witness primes thin the window one at a time, each dropping about half
-    of what is left: n goes when (s/p)(u(n)/p) = -1.  The symbols come from the
-    window's witness rows, computed at most once per (f, g, window) across calls.
-    Only survivors get the exact test, `s_matches`.
+    of what is left: n goes when (s/p)(u(n)/p) = -1, and thinning stops once none
+    is left.  The symbols come from the window's witness rows, each built at most
+    once per (f, g, window) across calls.  Only survivors get the exact test,
+    `s_matches`.
     """
     live = _witness_window(M, N, "window_matches")
     for p in _WITNESS_PRIMES:
+        if not live:
+            break
         if j := jacobi(s, p):  # n goes when (u(n)/p) = -(s/p); none when p | s
-            row = _witness_row(spec, M, N, p, live)
+            row = _witness_row(spec, M, N, p)
             live = [n for n in live if row[n - M - 1] != 1 - j]
     return [n for n in live if s_matches(spec, n, s)]
 
@@ -291,17 +279,6 @@ def count_Q_total(spec: SequenceSpec, M: int, N: int, S: int) -> CensusResult:
                         classes=(), skipped=tuple(skipped))
 
 
-def _signatures(rows, N: int):
-    # n's witness codes (u(n)/p_i) + 1 as one int per n, byte i for p_i: the rows are
-    # interleaved 2^12 n at a time, so the copy beside them stays small
-    k = len(rows)
-    for lo in range(0, N, 1 << 12):
-        cols = bytearray(k * min(1 << 12, N - lo))
-        for i, row in enumerate(rows):
-            cols[i::k] = row[lo : lo + (1 << 12)]
-        yield from (int.from_bytes(cols[j : j + k], "little") for j in range(0, len(cols), k))
-
-
 def _compatible(index: dict, zero: int, plus: int):
     # the classes whose rep's symbols agree with n's wherever neither is zero.  index files
     # each class by its rep's zero mask zr, then plus mask: in group zr a match has n's plus
@@ -335,16 +312,17 @@ def distinct_fields(spec: SequenceSpec, M: int, N: int) -> CensusResult:
     """
     _require_census_spec(spec, "distinct_fields")
     ns = _witness_window(M, N, "distinct_fields")
-    rows = [_witness_row(spec, M, N, p, ns) for p in _WITNESS_PRIMES]
+    rows = [_witness_row(spec, M, N, p) for p in _WITNESS_PRIMES]
     ones = int.from_bytes(b"\1" * len(rows), "little")  # a mask bit per prime, bit 8i for p_i
     classes: list[tuple[int, list[int]]] = []  # (rep, members)
     index: dict[int, dict[int, list[int]]] = {}  # zero mask -> plus mask -> classes of such reps
     skipped = []
-    for n, sig in zip(ns, _signatures(rows, N)):
+    for n, col in zip(ns, zip(*rows)):  # col: n's code (u(n)/p_i) + 1 for each p_i
         u = u_eval(spec, n)
         if u <= 0:
             skipped.append(n)
             continue
+        sig = int.from_bytes(bytes(col), "little")  # byte i for p_i
         zero, plus = sig & ones, sig >> 1 & ones  # codes 1 and 2
         for i in _compatible(index, zero, plus):
             rep, members = classes[i]

@@ -221,8 +221,8 @@ def _run_bounds(args: argparse.Namespace) -> int:
         raise ValueError("bounds: --curve needs -N")
     elif not args.smax >= 1:
         raise ValueError("bounds: --smax must be >= 1")
-    elif args.points < 2:
-        raise ValueError("bounds: --points must be >= 2")
+    elif not 2 <= args.points <= 10**6:  # 10^6 points write a 55 MB CSV
+        raise ValueError("bounds: --points must be from 2 to 10^6")
     t = bounds.exponent_table(args.alpha)
     chk = bounds.interpolation_check(args.alpha)
     z = bounds.default_z(args.N, args.alpha) if args.N is not None else None

@@ -76,6 +76,8 @@ def test_census_errors(capsys):
     ["bounds", "--alpha", "0.677", "-N", "100", "--curve", "--points", "0"],
     ["bounds", "--alpha", "0.677", "-N", "100", "--curve", "--points", "-3"],
     ["bounds", "--alpha", "0.677", "-N", "100", "--curve", "--points", "1"],
+    ["bounds", "--alpha", "0.677", "-N", "100", "--curve", "--points", "1000001"],
+    ["bounds", "--alpha", "0.677", "-N", "100", "--curve", "--points", "100000000"],
     ["bounds", "--alpha", "0.677", "--curve"],
     ["primes", "-g", "0", "--z", "100"],
     ["primes", "-g", "-3", "--z", "100"],

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadfields import census, engine, sieve
+from quadfields import census, engine, sequences, sieve
 from quadfields.arith import (
     TABLE_LIMIT, factorize, is_perfect_square, is_squarefree, jacobi, multiplicative_order,
 )
@@ -363,18 +363,15 @@ def test_distinct_fields_matches_scalar(f, g, M, N):
     ("1,6,1", 2 * 1013, 2, 12),  # 1013 | g: L = 1 and u(n) = f(0) mod 1013
 ])
 def test_witness_period_read_matches_scalar(f, g, M, N):
-    # the whole window reads each row off one period of min(L, N) symbols, L the
-    # order of g, whether L < N (the period repeats) or not; a thinned part with
-    # fewer n than that evaluates each n
+    # each row is read off one period of min(L, N) symbols, L the order of g, whether
+    # L < N (the period repeats) or not
     spec = validate(Polynomial.parse(f), g)
     orders = [multiplicative_order(g, p) if g % p else 1 for p in census._WITNESS_PRIMES]
     assert min(orders) < N <= max(orders)
     ns = range(M + 1, M + N + 1)
+    census._witness_row.cache_clear()
     for p in census._WITNESS_PRIMES:
-        for part in (ns, ns[1::3]):  # the window, and thinned n as window_matches leaves them
-            census._witness_memo.cache_clear()  # an empty row, filled from part alone
-            row = census._witness_row(spec, M, N, p, part)
-            assert [row[n - M - 1] for n in part] == scalar_witness_codes(spec, p, part)
+        assert list(census._witness_row(spec, M, N, p)) == scalar_witness_codes(spec, p, ns)
     for s in (1, 2, 3, 22, 1009, 1013 * 3, u_eval(spec, M + 1), u_eval(spec, M + 2)):
         _check_window(spec, M, N, s)
     got = census.distinct_fields(spec, M, N)
@@ -382,23 +379,25 @@ def test_witness_period_read_matches_scalar(f, g, M, N):
 
 
 def _count_symbol_work(monkeypatch):
-    # (p, n) per u_eval_mod and (p, None) per symbol_row, as census calls them, and the
-    # symbols each symbol_row computes, min(count, period)
-    calls, computed, real_mod, real_row = [], [], census.u_eval_mod, census.symbol_row
-
-    def counted_mod(spec, n, m):
-        calls.append((m, n))
-        return real_mod(spec, n, m)
+    # p per symbol_row as census calls it, the symbols each computes, min(count, period),
+    # and the u_eval_mod calls, of which census makes none
+    rows, computed, mods = [], [], []
+    real_row, real_mod = census.symbol_row, sequences.u_eval_mod
 
     def counted_row(f, g, p, start, count, period):
-        calls.append((p, None))
+        rows.append(p)
         computed.append(min(count, period))
         return real_row(f, g, p, start, count, period)
 
-    monkeypatch.setattr(census, "u_eval_mod", counted_mod)
+    def counted_mod(spec, n, m):
+        mods.append((m, n))
+        return real_mod(spec, n, m)
+
+    assert not hasattr(census, "u_eval_mod")
     monkeypatch.setattr(census, "symbol_row", counted_row)
-    census._witness_memo.cache_clear()
-    return calls, computed
+    monkeypatch.setattr(sequences, "u_eval_mod", counted_mod)
+    census._witness_row.cache_clear()
+    return rows, computed, mods
 
 
 @pytest.mark.parametrize("f, g, M, N", [
@@ -409,35 +408,32 @@ def _count_symbol_work(monkeypatch):
     ("0,1", 1009, 0, 40),  # 1009 | g: L = 1
 ])
 def test_witness_symbols_computed_once_per_window(f, g, M, N, monkeypatch):
+    # the count_Q loop over s and the class list after it build each row at most once
     spec = validate(Polynomial.parse(f), g)
-    calls, _ = _count_symbol_work(monkeypatch)
+    rows, computed, mods = _count_symbol_work(monkeypatch)
     for s in (s for s in range(1, 400) if is_squarefree(s)):
         assert census.count_Q(spec, M, N, s) == scalar_count_Q(spec, M, N, s)
     census.distinct_fields(spec, M, N)
-    work = [c for c in calls if c[0] in census._WITNESS_PRIMES]
-    assert len(work) == len(set(work)) <= len(census._WITNESS_PRIMES) * N
-    for p in census._WITNESS_PRIMES:  # nothing one n at a time once a period filled the row
-        mine = [n for q, n in work if q == p]
-        assert None not in mine or mine.index(None) == len(mine) - 1
+    assert sorted(rows) == list(census._WITNESS_PRIMES) and mods == []
+    assert sum(computed) <= len(census._WITNESS_PRIMES) * N
 
 
-def test_single_s_census_stays_lazy(monkeypatch):
+def test_single_s_census_reads_rows_off_one_period(monkeypatch):
     # census -f 1,6,1 -g 2 -N 100000 -s 17 reads each row it needs off one period, at most
-    # the sum of the orders of 2 in symbols, and once a prime has fewer live n left than
-    # its period, thins one n at a time, 425 symbols in all: no row is built ahead of need
-    calls, computed = _count_symbol_work(monkeypatch)
+    # the sum of the orders of 2 in symbols
+    rows, computed, mods = _count_symbol_work(monkeypatch)
     assert census.count_Q(validate(SHANKS, 2), 0, 10**5, 17) == 1
     orders = [multiplicative_order(2, p) for p in census._WITNESS_PRIMES]
     assert sum(computed) <= sum(orders) == 8076
-    assert sum(n is not None for _, n in calls) <= 425
+    assert len(rows) == len(set(rows)) and mods == []
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data(), st.lists(st.tuples(census_polynomial, base, st.integers(0, 10**3),
                                      st.integers(1, 30)), min_size=2, max_size=2))
 def test_witness_rows_match_scalar_across_evictions(data, windows):
-    # two windows take turns, so the one-window memo is dropped and refilled
-    census._witness_memo.cache_clear()
+    # two windows take turns, so the last window's rows are evicted and rebuilt
+    census._witness_row.cache_clear()
     windows = [(validate(f, g), M % 100 if g > 12 else M, N) for f, g, M, N in windows]
     for _ in range(6):
         spec, M, N = data.draw(st.sampled_from(windows))
@@ -445,11 +441,8 @@ def test_witness_rows_match_scalar_across_evictions(data, windows):
             _check_window(spec, M, N, _multiplier(data, spec, M, N))
             continue
         p = data.draw(st.sampled_from(census._WITNESS_PRIMES))
-        ns = sorted(data.draw(st.sets(st.integers(M + 1, M + N))))
-        row = census._witness_row(spec, M, N, p, ns)
         ws = range(M + 1, M + N + 1)
-        assert [row[n - M - 1] for n in ns] == scalar_witness_codes(spec, p, ns)
-        assert all(c in (3, w) for c, w in zip(row, scalar_witness_codes(spec, p, ws)))
+        assert list(census._witness_row(spec, M, N, p)) == scalar_witness_codes(spec, p, ws)
 
 
 @settings(max_examples=60, deadline=None)

@@ -105,8 +105,10 @@ SIEVE_PRIMES = build_prime_set(2, bounds.default_z(2 * 10**5, 0.677))  # 12 prim
     (lambda: census.distinct_fields(validate(Polynomial.parse("1,6,1"), 2**500), 0, 200), 0.5),
     # 12 bytes of symbols per n, a few of columns and mask, and the witness filter's lists
     (lambda: sieve.run_sieve(SHANKS, 0, 2 * 10**5, 1, SIEVE_PRIMES), 10),
+    # the witness rows a single s reads, a byte per n each, and the thinned lists of n
+    (lambda: (census._witness_row.cache_clear(), census.count_Q(SHANKS, 0, 10**5, 17)), 2.5),
 ], ids=["smallest_factors", "density_report", "density_report_4e6", "shift_orders", "classes",
-        "run_sieve"])
+        "run_sieve", "count_Q"])
 def test_table_traced_peak(build, mib):
     # allocations counted by tracemalloc, not RSS, so heap layout cannot move them
     build()  # numpy and first-call state are loaded before tracing
